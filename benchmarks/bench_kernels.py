@@ -1,9 +1,11 @@
 """Benchmark the hot kernels on the numba and pure-numpy backends.
 
 Runs itself twice in subprocesses (TWINFO_NUMBA=1 / =0), times each kernel,
-and prints a comparison table.  Usage: python benchmarks/bench_kernels.py
+and prints a comparison table.  Without numba installed only the numpy run
+is made.  Usage: python benchmarks/bench_kernels.py
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -49,7 +51,8 @@ def measure():
 def main():
     here = os.path.abspath(__file__)
     runs = {}
-    for flag in ("1", "0"):
+    flags = ("1", "0") if importlib.util.find_spec("numba") is not None else ("0",)
+    for flag in flags:
         env = dict(os.environ, TWINFO_NUMBA=flag)
         out = subprocess.run(
             [sys.executable, here, "--measure"], env=env, capture_output=True, text=True, check=True

@@ -192,6 +192,8 @@ def cmd_discord(args) -> int:
                 "quantum_discord": discord,
                 "restarts_agreeing": sup.restarts_agreeing,
                 "converged": sup.converged,
+                "grad_norm": sup.grad_norm,
+                "evaluations": sup.evaluations,
             },
             "twins": None,
         }

@@ -1,13 +1,20 @@
 """Suprema of measurement informations over complete bases, and quantum discord.
 
-The suprema are approximated by multi-start Nelder-Mead over a Hermitian
-generator parametrization of the measured basis; reported values are lower
-bounds on the true suprema by construction.  Restart 0 starts from the
-eigenbasis of the measured reduction (which attains the supremum for pure
-states and for Schmidt-dephased states), restart 1 from the standard basis,
-and the rest from seeded Haar-random bases.  For qubit subsystems a
-deterministic grid over the Bloch sphere provides an independent
-cross-check.
+The suprema are approximated by multi-start Riemannian gradient ascent on
+the unitary group U(d) (Abrudan, Eriksson & Koivunen, IEEE TSP 56(3), 2008;
+Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 20, 1998).  The measured
+basis is the column set of a unitary ``U``; each step moves it along a
+geodesic, ``U <- exp(tA) U``, where ``A`` is the skew-Hermitian part of the
+closed-form Euclidean gradient.  Step sizes come from a Barzilai-Borwein
+trial step and Armijo backtracking.  Reported values are lower bounds on the
+true suprema by construction; ``converged`` means the ascent direction
+vanished (``|A| <= GRAD_TOL``) at the argmax.
+
+Restart 0 starts from the eigenbasis of the measured reduction (which
+attains the supremum for pure states and for Schmidt-dephased states),
+restart 1 from the standard basis, and the rest from seeded Haar-random
+bases.  For qubit subsystems a deterministic grid over the Bloch sphere
+provides an independent cross-check.
 """
 
 from __future__ import annotations
@@ -15,17 +22,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .entropy import mutual_information
-from .kernels import info_gain_side1, joint_mutual_info, swap_sides, unitary_from_params
+from .kernels import swap_sides, unitary_from_params
 from .linalg import KERNEL_CLIP
 from .measurement import Observable, observable_from_basis
 from .sampling import sample_random_unitary
 from .states import BipartiteState
 
 AGREE_TOL = 1e-6
-_SIMPLEX_STEP = 0.3
+GRAD_TOL = 1e-6
+_ARMIJO = 1e-4
+_STEP_MIN = 1e-6
+_STEP_MAX = 1e3
+_EPS = np.finfo(float).eps
+_GRID_FIRST = 41
+_GRID_ZOOM = 17
+_GRID_RESOLUTION = 1e-3
 # Stream offsets keep restart seeds for the four optimized bases disjoint.
 _STREAM_GAIN_1 = 1_000
 _STREAM_GAIN_2 = 2_000
@@ -35,6 +48,13 @@ _STREAM_JOINT_2 = 4_000
 
 @dataclass(frozen=True)
 class OptimizationConfig:
+    """Multi-start settings.
+
+    ``max_iterations`` caps the ascent iterations of each restart.  ``f_tol``
+    is validated but not read by the gradient ascent, which stops on
+    stationarity (``GRAD_TOL``).
+    """
+
     restarts: int = 32
     max_iterations: int = 2000
     f_tol: float = 1e-8
@@ -50,12 +70,19 @@ class OptimizationConfig:
 
 @dataclass(frozen=True)
 class SupremumResult:
-    """Best value found over all restarts, with the attaining basis (or pair)."""
+    """Best value found over all restarts, with the attaining basis (or pair).
+
+    ``grad_norm`` is the Frobenius norm of the ascent direction at the
+    argmax; ``evaluations`` counts objective evaluations over all restarts,
+    each grid point counting as one.
+    """
 
     value: float
     argmax_basis: object
     restarts_agreeing: int
     converged: bool
+    grad_norm: float
+    evaluations: int
 
 
 def basis_from_params(params: np.ndarray, d: int) -> Observable:
@@ -81,85 +108,208 @@ def _anchor(index: int, d: int, eigbasis: np.ndarray, seed: int, stream_base: in
     return np.ascontiguousarray(sample_random_unitary(d, seed, stream=stream_base + index))
 
 
-def _maximize_over_basis(objective, d: int, anchor: np.ndarray, cfg: OptimizationConfig):
-    """Nelder-Mead over generator params of a unitary composed with ``anchor``."""
-    n = d * d
-
-    def neg(params):
-        return -objective(unitary_from_params(np.ascontiguousarray(params), d) @ anchor)
-
-    x0 = np.zeros(n)
-    simplex = np.vstack([x0, x0 + _SIMPLEX_STEP * np.eye(n)])
-    res = minimize(
-        neg,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": cfg.max_iterations,
-            "maxfev": 4 * cfg.max_iterations,
-            "fatol": cfg.f_tol,
-            "xatol": 1e-6,
-            "initial_simplex": simplex,
-        },
-    )
-    basis = unitary_from_params(np.ascontiguousarray(res.x), d) @ anchor
-    return -float(res.fun), np.ascontiguousarray(basis), bool(res.success)
+def _log2_support(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``log2 x`` on entries above ``KERNEL_CLIP``, 0 elsewhere."""
+    keep = x > KERNEL_CLIP
+    return np.where(keep, np.log2(np.where(keep, x, 1.0)), 0.0)
 
 
-def _bloch_basis(theta: float, phi: float) -> np.ndarray:
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    e = np.exp(1j * phi)
-    return np.ascontiguousarray(np.array([[c, -s / e], [s * e, c]], dtype=np.complex128))
+def _xlog2x(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``x log2 x`` with the ``0 log 0 = 0`` convention at ``KERNEL_CLIP``."""
+    return x * _log2_support(x)
 
 
-def grid_information_gain_qubit(state: BipartiteState, side: int, final_resolution: float = 1e-3):
+def _conditionals(r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Unnormalized opposite-side states ``C_i = <u_i| rho |u_i>``.
+
+    ``r`` is rho reshaped to ``(d1, d2, d1, d2)`` with the measured side
+    first; ``u`` holds the basis vectors as columns and may carry leading
+    batch axes.  Returns shape ``(..., d1, d2, d2)``.
+    """
+    return np.einsum("...ai,abjk,...ji->...ibk", u.conj(), r, u)
+
+
+def _opposite_entropy(r: np.ndarray) -> float:
+    return float(-_xlog2x(np.linalg.eigvalsh(np.einsum("abak->bk", r))).sum())
+
+
+def _gain_terms(r: np.ndarray, s_opp: float, u: np.ndarray):
+    """Information gain of measuring ``u`` on side 1, with the parts its gradient needs.
+
+    Uses sum_i p_i S(C_i / p_i) = H(eig of all C_i) - H(p).
+    """
+    c = _conditionals(r, u)
+    p = np.einsum("...ibb->...i", c).real
+    w, v = np.linalg.eigh(c)
+    value = s_opp + _xlog2x(w).sum(axis=(-2, -1)) - _xlog2x(p).sum(axis=-1)
+    return value, (p, w, v)
+
+
+def _gain_direction(r: np.ndarray, u: np.ndarray, parts) -> np.ndarray:
+    """Ascent direction ``A = K - K^dagger`` of the gain at ``u``.
+
+    With ``L_i = log2 C_i - log2 p_i`` on the support of ``C_i``, the
+    derivative along ``dU`` is ``2 Re sum_i u_i^dagger M_i du_i`` where
+    ``M_i = Tr_2[rho (1 (x) L_i)]``; hence ``K = sum_i M_i u_i u_i^dagger``.
+    """
+    p, w, v = parts
+    logs = np.where(w > KERNEL_CLIP, _log2_support(w) - _log2_support(p)[:, None], 0.0)
+    ell = (v * logs[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    m = np.einsum("abjk,ikb->iaj", r, ell)
+    k = np.einsum("iaj,ji,bi->ab", m, u, u.conj())
+    return k - k.conj().T
+
+
+def _joint_terms(r: np.ndarray, us):
+    """Mutual information of the simultaneous-measurement table, with its parts."""
+    u1, u2 = us
+    c = _conditionals(r, u1)
+    p = np.einsum("ibe,bj,ej->ij", c, u2.conj(), u2).real
+    pa = p.sum(axis=1)
+    pb = p.sum(axis=0)
+    value = _xlog2x(p).sum() - _xlog2x(pa).sum() - _xlog2x(pb).sum()
+    return value, (c, p, pa, pb)
+
+
+def _joint_directions(r: np.ndarray, us, parts):
+    """Ascent directions on U(d1) x U(d2) of the joint mutual information.
+
+    The derivative along ``dp_ij`` is ``w_ij = log2 p_ij - log2 pA_i -
+    log2 pB_j``; each side's ``K`` weighs the conditionals of the other
+    side's outcomes by ``w``.
+    """
+    u1, u2 = us
+    c, p, pa, pb = parts
+    weights = _log2_support(p) - _log2_support(pa)[:, None] - _log2_support(pb)[None, :]
+    weights = np.where(p > KERNEL_CLIP, weights, 0.0)
+    d = np.einsum("bj,abce,ej->jac", u2.conj(), r, u2)
+    k1 = np.einsum("ij,jac,ci,di->ad", weights, d, u1, u1.conj())
+    k2 = np.einsum("ij,ibe,ej,fj->bf", weights, c, u2, u2.conj())
+    return k1 - k1.conj().T, k2 - k2.conj().T
+
+
+def _inner(a, b) -> float:
+    return sum(float(np.vdot(x, y).real) for x, y in zip(a, b))
+
+
+def _ascend(evaluate, direction, start, max_iterations: int):
+    """Riemannian gradient ascent on a product of unitary groups.
+
+    ``evaluate(us) -> (value, parts)`` and ``direction(us, parts) -> As``
+    act on a tuple of unitaries.  Each iteration tries a Barzilai-Borwein
+    step clipped to ``[_STEP_MIN, _STEP_MAX]`` and halves it until the
+    Armijo condition holds.  Returns ``(value, us, grad_norm, evaluations)``.
+    """
+    us = start
+    value, parts = evaluate(us)
+    evaluations = 1
+    step = 1.0
+    previous = None
+    for _ in range(max_iterations):
+        a = direction(us, parts)
+        norm2 = _inner(a, a)
+        if norm2 <= GRAD_TOL * GRAD_TOL:
+            break
+        if previous is not None:
+            # <s, s> / <s, y> with s = step * a_prev and y = a_prev - a, the
+            # change in the gradient of -value.
+            a_prev, step_prev, norm2_prev = previous
+            curvature = norm2_prev - _inner(a_prev, a)
+            step = step_prev * norm2_prev / curvature if curvature > 0 else _STEP_MAX
+        step = min(max(step, _STEP_MIN), _STEP_MAX)
+        rotations = [np.linalg.eigh(1j * x) for x in a]
+        floor = _EPS * max(1.0, abs(value))
+        while True:
+            trial = tuple(
+                (v * np.exp(-1j * step * w)) @ v.conj().T @ u
+                for (w, v), u in zip(rotations, us)
+            )
+            trial_value, trial_parts = evaluate(trial)
+            evaluations += 1
+            if trial_value >= value + _ARMIJO * step * norm2:
+                break
+            step *= 0.5
+            if step * norm2 <= floor:
+                # No representable increase along this direction.
+                return value, us, float(np.sqrt(norm2)), evaluations
+        previous = (a, step, norm2)
+        us, value, parts = trial, trial_value, trial_parts
+    else:
+        a = direction(us, parts)
+        norm2 = _inner(a, a)
+    return value, us, float(np.sqrt(norm2)), evaluations
+
+
+def _bloch_bases(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Qubit bases for every (theta, phi) pair, theta-major, as a ``(n, 2, 2)`` stack."""
+    t, p = np.meshgrid(thetas, phis, indexing="ij")
+    c = np.cos(t.ravel() / 2.0)
+    s = np.sin(t.ravel() / 2.0)
+    e = np.exp(1j * p.ravel())
+    return np.stack([np.stack([c, -s / e], axis=-1), np.stack([s * e, c], axis=-1)], axis=-2)
+
+
+def _grid_levels(final_resolution: float) -> int:
+    """Zoom levels of the grid: the theta step starts at pi / 40 and shrinks
+    fourfold per level until it is at most ``final_resolution``."""
+    levels, step = 1, np.pi / (_GRID_FIRST - 1)
+    while step > final_resolution:
+        levels, step = levels + 1, step / 4.0
+    return levels
+
+
+def _grid_points(final_resolution: float) -> int:
+    return _GRID_FIRST**2 + (_grid_levels(final_resolution) - 1) * _GRID_ZOOM**2
+
+
+def grid_information_gain_qubit(
+    state: BipartiteState, side: int, final_resolution: float = _GRID_RESOLUTION
+):
     """Deterministic Bloch-sphere grid maximization of the information gain.
 
-    Scans (theta, phi), then zooms into the best cell until the grid step
-    falls below ``final_resolution`` radians.  Only valid when the measured
-    side is a qubit.  Returns ``(value, basis)``.
+    Scans (theta, phi) on a 41 x 41 grid, then zooms into the best cell with
+    17 x 17 grids; each level is one batched evaluation, and the number of
+    levels depends only on ``final_resolution`` (radians).  Only valid when
+    the measured side is a qubit.  Returns ``(value, basis)``.
     """
     d_meas = state.dims.d1 if side == 1 else state.dims.d2
     if d_meas != 2:
         raise ValueError(f"grid oracle requires a qubit on side {side}, got dimension {d_meas}")
-    rho, d_opp = _effective_state(state, side)
-
-    def gain(theta, phi):
-        return float(info_gain_side1(rho, _bloch_basis(theta, phi), d_opp, KERNEL_CLIP))
+    r = _measured_first(state, side)
+    s_opp = _opposite_entropy(r)
 
     t_lo, t_hi = 0.0, np.pi
     p_lo, p_hi = 0.0, 2.0 * np.pi
-    n = 41
+    n = _GRID_FIRST
     best = (-np.inf, 0.0, 0.0)
-    while True:
+    for _ in range(_grid_levels(final_resolution)):
         thetas = np.linspace(t_lo, t_hi, n)
         phis = np.linspace(p_lo, p_hi, n)
-        for t in thetas:
-            for p in phis:
-                v = gain(t, p)
-                if v > best[0]:
-                    best = (v, t, p)
-        step_t = (t_hi - t_lo) / (n - 1)
-        if step_t <= final_resolution:
-            break
+        c = _conditionals(r, _bloch_bases(thetas, phis))
+        p = np.einsum("...ibb->...i", c).real
+        values = s_opp + _xlog2x(np.linalg.eigvalsh(c)).sum(axis=(-2, -1)) - _xlog2x(p).sum(-1)
+        # argmax takes the first maximum in theta-major order; earlier levels win ties.
+        idx = int(np.argmax(values))
+        if values[idx] > best[0]:
+            best = (float(values[idx]), thetas[idx // n], phis[idx % n])
         _, t_c, p_c = best
-        t_lo = max(0.0, t_c - 2 * step_t)
-        t_hi = min(np.pi, t_c + 2 * step_t)
+        step_t = (t_hi - t_lo) / (n - 1)
         step_p = (p_hi - p_lo) / (n - 1)
-        p_lo = p_c - 2 * step_p
-        p_hi = p_c + 2 * step_p
-        n = 17
-    return best[0], _bloch_basis(best[1], best[2])
+        t_lo, t_hi = max(0.0, t_c - 2 * step_t), min(np.pi, t_c + 2 * step_t)
+        p_lo, p_hi = p_c - 2 * step_p, p_c + 2 * step_p
+        n = _GRID_ZOOM
+    basis = _bloch_bases(np.array([best[1]]), np.array([best[2]]))[0]
+    return best[0], np.ascontiguousarray(basis)
 
 
-def _effective_state(state: BipartiteState, side: int):
-    """State matrix with the measured side first, and the opposite dimension."""
+def _measured_first(state: BipartiteState, side: int) -> np.ndarray:
+    """State tensor ``(d_meas, d_opp, d_meas, d_opp)`` with the measured side first."""
     rho = np.ascontiguousarray(state.rho12.matrix)
+    d1, d2 = state.dims.d1, state.dims.d2
     if side == 1:
-        return rho, state.dims.d2
+        return rho.reshape(d1, d2, d1, d2)
     if side == 2:
-        return swap_sides(rho, state.dims.d1, state.dims.d2), state.dims.d1
+        return swap_sides(rho, d1, d2).reshape(d2, d1, d2, d1)
     raise ValueError(f"side must be 1 or 2, got {side}")
 
 
@@ -167,22 +317,29 @@ def sup_information_gain(
     state: BipartiteState, side: int, cfg: OptimizationConfig = OptimizationConfig()
 ) -> SupremumResult:
     """Maximize the information gain over complete bases on ``side``."""
-    rho, d_opp = _effective_state(state, side)
-    d = state.dims.d1 if side == 1 else state.dims.d2
+    r = _measured_first(state, side)
+    d = r.shape[0]
     reduced = state.rho1 if side == 1 else state.rho2
     eigbasis = _eigbasis(reduced.matrix)
     stream = _STREAM_GAIN_1 if side == 1 else _STREAM_GAIN_2
+    s_opp = _opposite_entropy(r)
 
-    def objective(u):
-        return float(info_gain_side1(rho, u, d_opp, KERNEL_CLIP))
+    def evaluate(us):
+        return _gain_terms(r, s_opp, us[0])
+
+    def direction(us, parts):
+        return (_gain_direction(r, us[0], parts),)
 
     candidates = []
-    for r in range(cfg.restarts):
-        anchor = _anchor(r, d, eigbasis, cfg.seed, stream)
-        candidates.append(_maximize_over_basis(objective, d, anchor, cfg))
+    for i in range(cfg.restarts):
+        anchor = _anchor(i, d, eigbasis, cfg.seed, stream)
+        value, us, norm, evals = _ascend(evaluate, direction, (anchor,), cfg.max_iterations)
+        candidates.append((float(value), np.ascontiguousarray(us[0]), norm, evals))
     if cfg.grid_refine and d == 2:
         value, basis = grid_information_gain_qubit(state, side)
-        candidates.append((value, basis, True))
+        _, parts = evaluate((basis,))
+        norm = float(np.linalg.norm(_gain_direction(r, basis, parts)))
+        candidates.append((value, basis, norm, _grid_points(_GRID_RESOLUTION) + 1))
     return _reduce_candidates(candidates)
 
 
@@ -192,48 +349,45 @@ def _reduce_candidates(candidates) -> SupremumResult:
     for i, cand in enumerate(candidates):
         if cand[0] > candidates[best_idx][0]:
             best_idx = i
-    value, basis, converged = candidates[best_idx]
+    value, basis, grad_norm, _ = candidates[best_idx]
     agreeing = sum(1 for cand in candidates if cand[0] >= value - AGREE_TOL)
     return SupremumResult(
         value=max(value, 0.0),
         argmax_basis=basis,
         restarts_agreeing=agreeing,
-        converged=converged,
+        converged=grad_norm <= GRAD_TOL,
+        grad_norm=grad_norm,
+        evaluations=sum(cand[3] for cand in candidates),
     )
 
 
 def sup_joint_mutual_information(
-    state: BipartiteState, cfg: OptimizationConfig = OptimizationConfig(), max_sweeps: int = 10
+    state: BipartiteState, cfg: OptimizationConfig = OptimizationConfig()
 ) -> SupremumResult:
     """Maximize the simultaneous-measurement mutual information over basis pairs.
 
-    Alternates Nelder-Mead over the side-1 and side-2 bases, at most
-    ``max_sweeps`` rounds per restart.
+    Ascends on U(d1) x U(d2) jointly; the argmax is the pair ``(u1, u2)``.
     """
-    rho = np.ascontiguousarray(state.rho12.matrix)
     d1, d2 = state.dims.d1, state.dims.d2
+    r = np.ascontiguousarray(state.rho12.matrix).reshape(d1, d2, d1, d2)
     eig1 = _eigbasis(state.rho1.matrix)
     eig2 = _eigbasis(state.rho2.matrix)
 
+    def evaluate(us):
+        return _joint_terms(r, us)
+
+    def direction(us, parts):
+        return _joint_directions(r, us, parts)
+
     candidates = []
-    for r in range(cfg.restarts):
-        u1 = _anchor(r, d1, eig1, cfg.seed, _STREAM_JOINT_1)
-        u2 = _anchor(r, d2, eig2, cfg.seed, _STREAM_JOINT_2)
-        value = float(joint_mutual_info(rho, u1, u2, KERNEL_CLIP))
-        converged = False
-        for _ in range(max_sweeps):
-            v1, u1, _ = _maximize_over_basis(
-                lambda u: float(joint_mutual_info(rho, u, u2, KERNEL_CLIP)), d1, u1, cfg
-            )
-            v2, u2, _ = _maximize_over_basis(
-                lambda u: float(joint_mutual_info(rho, u1, u, KERNEL_CLIP)), d2, u2, cfg
-            )
-            if v2 <= value + cfg.f_tol:
-                value = max(value, v2)
-                converged = True
-                break
-            value = v2
-        candidates.append((value, (u1, u2), converged))
+    for i in range(cfg.restarts):
+        start = (
+            _anchor(i, d1, eig1, cfg.seed, _STREAM_JOINT_1),
+            _anchor(i, d2, eig2, cfg.seed, _STREAM_JOINT_2),
+        )
+        value, us, norm, evals = _ascend(evaluate, direction, start, cfg.max_iterations)
+        pair = tuple(np.ascontiguousarray(u) for u in us)
+        candidates.append((float(value), pair, norm, evals))
     return _reduce_candidates(candidates)
 
 

@@ -197,6 +197,15 @@ def verify_twins(
         cond = _conditional_opposite(state, spec_a.projectors[i], spec_a.probabilities[i])
         res_c = max(res_c, abs(1.0 - float(np.trace(cond @ spec_b.projectors[j]).real)))
         res_d = max(res_d, frobenius(p1 @ rho - p2 @ rho) / rho_norm)
+    if not spectra_match:
+        # A detectable outcome left without a partner fails (b)-(d) outright:
+        # its projected state must vanish and its partner has probability 0.
+        unpaired = [tensor_product(p, eye2) for p in spec_a.projectors[len(align):]]
+        unpaired += [tensor_product(eye1, q) for q in spec_b.projectors[len(align):]]
+        for proj in unpaired:
+            res_b = max(res_b, frobenius(proj @ rho @ proj) / rho_norm)
+            res_c = 1.0
+            res_d = max(res_d, frobenius(proj @ rho) / rho_norm)
 
     residuals = (res_a, res_b, res_c, res_d)
     if min(residuals) < tol and max(residuals) > 10.0 * tol:

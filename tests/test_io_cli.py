@@ -225,6 +225,9 @@ def test_discord_pure_state(tmp_path):
     s1 = T.entanglement_entropy(phi, T.Dims(2, 2))
     assert block["quantum_discord"] == pytest.approx(s1, abs=1e-6)
     assert block["restarts_agreeing"] >= 1
+    assert block["converged"] is True
+    assert block["grad_norm"] < 1e-6
+    assert block["evaluations"] >= 4
 
 
 def test_discord_dephased_state(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import twinfo as T
+import twinfo.optimize as O
 from twinfo.kernels import info_gain_side1, joint_mutual_info
 from twinfo.linalg import KERNEL_CLIP
 
@@ -231,3 +232,168 @@ def test_config_validation():
         T.OptimizationConfig(restarts=0)
     with pytest.raises(ValueError):
         T.OptimizationConfig(f_tol=0.0)
+
+
+# ------------------------------------------------------- gradient ascent on U(d)
+
+GRADIENT_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]
+
+
+def _rank_cases(d1, d2):
+    """Full-rank, rank-deficient and pure states at d1 x d2."""
+    dims = T.Dims(d1, d2)
+    return [random_state(dims, rank, seed=10 * d1 + d2, stream=rank) for rank in (d1 * d2, 2, 1)]
+
+
+def _rotation(a):
+    """exp(a) for a skew-Hermitian ``a``."""
+    w, v = np.linalg.eigh(1j * a)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+def _random_skew(d, rng):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return g - g.conj().T
+
+
+@pytest.mark.parametrize("d1, d2", GRADIENT_DIMS)
+def test_gain_gradient_matches_central_differences(d1, d2):
+    # Along U(t) = exp(tB) U the derivative of the gain is Re <A, B>.
+    rng = np.random.default_rng(d1 * 7 + d2)
+    h = 1e-6
+    for state in _rank_cases(d1, d2):
+        r = state.rho12.matrix.reshape(d1, d2, d1, d2)
+        s_opp = O._opposite_entropy(r)
+        u = T.sample_random_unitary(d1, seed=d1 + d2)
+        _, parts = O._gain_terms(r, s_opp, u)
+        a = O._gain_direction(r, u, parts)
+        b = _random_skew(d1, rng)
+        plus = O._gain_terms(r, s_opp, _rotation(h * b) @ u)[0]
+        minus = O._gain_terms(r, s_opp, _rotation(-h * b) @ u)[0]
+        analytic = np.vdot(a, b).real
+        assert (plus - minus) / (2 * h) == pytest.approx(analytic, abs=1e-6 * (1 + abs(analytic)))
+
+
+@pytest.mark.parametrize("d1, d2", GRADIENT_DIMS)
+def test_joint_gradient_matches_central_differences(d1, d2):
+    rng = np.random.default_rng(d1 * 11 + d2)
+    h = 1e-6
+    for state in _rank_cases(d1, d2):
+        r = state.rho12.matrix.reshape(d1, d2, d1, d2)
+        us = (T.sample_random_unitary(d1, seed=d1), T.sample_random_unitary(d2, seed=d2 + 50))
+        _, parts = O._joint_terms(r, us)
+        a1, a2 = O._joint_directions(r, us, parts)
+        b1, b2 = _random_skew(d1, rng), _random_skew(d2, rng)
+        plus = O._joint_terms(r, (_rotation(h * b1) @ us[0], _rotation(h * b2) @ us[1]))[0]
+        minus = O._joint_terms(r, (_rotation(-h * b1) @ us[0], _rotation(-h * b2) @ us[1]))[0]
+        analytic = np.vdot(a1, b1).real + np.vdot(a2, b2).real
+        assert (plus - minus) / (2 * h) == pytest.approx(analytic, abs=1e-6 * (1 + abs(analytic)))
+
+
+@pytest.mark.parametrize("d1, d2", GRADIENT_DIMS)
+def test_ascent_objectives_match_kernels(d1, d2):
+    for state in _rank_cases(d1, d2):
+        rho = np.ascontiguousarray(state.rho12.matrix)
+        r = rho.reshape(d1, d2, d1, d2)
+        u1 = np.ascontiguousarray(T.sample_random_unitary(d1, seed=60))
+        u2 = np.ascontiguousarray(T.sample_random_unitary(d2, seed=61))
+        gain = O._gain_terms(r, O._opposite_entropy(r), u1)[0]
+        assert abs(gain - float(info_gain_side1(rho, u1, d2, KERNEL_CLIP))) < 1e-12
+        joint = O._joint_terms(r, (u1, u2))[0]
+        assert abs(joint - float(joint_mutual_info(rho, u1, u2, KERNEL_CLIP))) < 1e-12
+
+
+def test_sup_information_gain_converges_at_5x5():
+    state = random_state(T.Dims(5, 5), rank=25, seed=62)
+    result = T.sup_information_gain(state, 1, T.OptimizationConfig(restarts=8, seed=0))
+    assert result.converged
+    assert result.grad_norm < 1e-6
+    assert result.evaluations >= 8
+
+
+def test_sup_joint_reports_stationarity():
+    state = random_state(T.Dims(3, 3), rank=9, seed=63)
+    result = T.sup_joint_mutual_information(state, T.OptimizationConfig(restarts=2, seed=0))
+    assert result.converged
+    assert result.grad_norm < 1e-6
+    u1, u2 = result.argmax_basis
+    assert result.value == pytest.approx(
+        float(joint_mutual_info(np.ascontiguousarray(state.rho12.matrix), u1, u2, KERNEL_CLIP)),
+        abs=1e-12,
+    )
+
+
+def test_grid_refine_counts_grid_points():
+    state = random_state(T.Dims(2, 2), rank=3, seed=64)
+    plain = T.sup_information_gain(state, 1, T.OptimizationConfig(restarts=2, seed=0))
+    gridded = T.sup_information_gain(
+        state, 1, T.OptimizationConfig(restarts=2, seed=0, grid_refine=True)
+    )
+    assert gridded.evaluations == plain.evaluations + 41 * 41 + 4 * 17 * 17 + 1
+    assert gridded.evaluations == T.sup_information_gain(
+        state, 1, T.OptimizationConfig(restarts=2, seed=0, grid_refine=True)
+    ).evaluations
+
+
+def _looped_grid(state, side, final_resolution=1e-3):
+    """The grid oracle as one kernel call per point, for reference."""
+    rho = np.ascontiguousarray(state.rho12.matrix)
+    d_opp = state.dims.d2 if side == 1 else state.dims.d1
+    if side == 2:
+        rho = np.ascontiguousarray(O.swap_sides(rho, state.dims.d1, state.dims.d2))
+
+    def basis(theta, phi):
+        c, s, e = np.cos(theta / 2), np.sin(theta / 2), np.exp(1j * phi)
+        return np.ascontiguousarray(np.array([[c, -s / e], [s * e, c]], dtype=np.complex128))
+
+    t_lo, t_hi, p_lo, p_hi, n = 0.0, np.pi, 0.0, 2 * np.pi, 41
+    best = (-np.inf, 0.0, 0.0)
+    nominal_step = np.pi / 40
+    while True:
+        for t in np.linspace(t_lo, t_hi, n):
+            for p in np.linspace(p_lo, p_hi, n):
+                v = float(info_gain_side1(rho, basis(t, p), d_opp, KERNEL_CLIP))
+                if v > best[0]:
+                    best = (v, t, p)
+        if nominal_step <= final_resolution:
+            return best[0], basis(best[1], best[2])
+        _, t_c, p_c = best
+        step_t = (t_hi - t_lo) / (n - 1)
+        t_lo, t_hi = max(0.0, t_c - 2 * step_t), min(np.pi, t_c + 2 * step_t)
+        step_p = (p_hi - p_lo) / (n - 1)
+        p_lo, p_hi, n = p_c - 2 * step_p, p_c + 2 * step_p, 17
+        nominal_step /= 4
+
+
+@pytest.mark.parametrize("dims, side, pole", [((2, 2), 1, False), ((3, 2), 2, False), ((2, 2), 1, True)])
+def test_batched_grid_matches_looped_grid(dims, side, pole):
+    # A Werner state is flat over the Bloch sphere, so the first point
+    # (theta = 0) wins and every zoom window is clipped at the pole.
+    state = werner_state(0.5) if pole else random_state(T.Dims(*dims), rank=3, seed=65)
+    value, basis = T.grid_information_gain_qubit(state, side)
+    ref_value, _ = _looped_grid(state, side)
+    assert abs(value - ref_value) < 1e-12
+    # Antipodal Bloch points are one measurement, so the two argmax points
+    # may differ by rounding; the returned basis must attain the value.
+    rho = np.ascontiguousarray(state.rho12.matrix)
+    d_opp = dims[1] if side == 1 else dims[0]
+    if side == 2:
+        rho = np.ascontiguousarray(O.swap_sides(rho, *dims))
+    assert abs(float(info_gain_side1(rho, basis, d_opp, KERNEL_CLIP)) - value) < 1e-12
+
+
+def test_quantum_discord_goes_through_module_sup(monkeypatch):
+    # Callers hook optimize.sup_information_gain to see the supremum behind
+    # a discord value; quantum_discord must look that name up at call time.
+    seen = []
+    inner = O.sup_information_gain
+
+    def keep(*args, **kwargs):
+        seen.append(inner(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(O, "sup_information_gain", keep)
+    state = werner_state(0.5)
+    discord = T.quantum_discord(state, "1to2", FAST)
+    assert len(seen) == 1
+    assert discord == pytest.approx(WERNER_MI - seen[0].value, abs=1e-15)

@@ -288,3 +288,25 @@ def _basis_vec(dims, i, j):
     v = np.zeros(dims.total, dtype=complex)
     v[i * dims.d2 + j] = 1.0
     return v
+
+
+@pytest.mark.parametrize("d1, d2, seed", [(2, 2, 1), (2, 2, 5), (2, 3, 2), (2, 3, 3)])
+def test_verify_twins_unequal_spectra_fails_all_conditions(d1, d2, seed):
+    # Side 1 measures the complete Schmidt observable; side 2 puts both
+    # Schmidt vectors in one eigenspace, so only one of its outcomes is
+    # detectable.  The unpaired side-1 outcome fails every condition.
+    dims = T.Dims(d1, d2)
+    phi = T.sample_random_pure(dims, seed=seed)
+    state = T.bipartite_from_pure(phi, dims)
+    a1, _ = T.construct_pure_twins(phi, dims)
+    form = T.schmidt_decompose(phi, dims)
+    b = 2.0 * np.eye(d2, dtype=complex)
+    for i in range(len(form)):
+        b -= np.outer(form.basis2[:, i], form.basis2[:, i].conj())
+    b2 = T.SubsystemObservable(T.observable_from_matrix(b), 2)
+    report = T.verify_twins(state, a1, b2)
+    assert not report.verdict
+    assert not report.spectra_match
+    assert report.pairing is None
+    assert min(report.residual_a, report.residual_b, report.residual_c, report.residual_d) > 1e-3
+    assert report.residual_c == 1.0
