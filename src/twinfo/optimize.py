@@ -36,8 +36,6 @@ _ARMIJO = 1e-4
 _STEP_MIN = 1e-6
 _STEP_MAX = 1e3
 _EPS = np.finfo(float).eps
-_GRID_FIRST = 41
-_GRID_ZOOM = 17
 _GRID_RESOLUTION = 1e-3
 # Stream offsets keep restart seeds for the four optimized bases disjoint.
 _STREAM_GAIN_1 = 1_000
@@ -50,22 +48,18 @@ _STREAM_JOINT_2 = 4_000
 class OptimizationConfig:
     """Multi-start settings.
 
-    ``max_iterations`` caps the ascent iterations of each restart.  ``f_tol``
-    is validated but not read by the gradient ascent, which stops on
-    stationarity (``GRAD_TOL``).
+    ``max_iterations`` caps the ascent iterations of each restart, which
+    otherwise stops on stationarity (``GRAD_TOL``).
     """
 
     restarts: int = 32
     max_iterations: int = 2000
-    f_tol: float = 1e-8
     seed: int = 0
     grid_refine: bool = False
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.f_tol <= 0:
-            raise ValueError("f_tol must be > 0")
 
 
 @dataclass(frozen=True)
@@ -249,29 +243,23 @@ def _bloch_bases(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return np.stack([np.stack([c, -s / e], axis=-1), np.stack([s * e, c], axis=-1)], axis=-2)
 
 
-def _grid_levels(final_resolution: float) -> int:
-    """Zoom levels of the grid: the theta step starts at pi / 40 and shrinks
-    fourfold per level until it is at most ``final_resolution``."""
-    levels, step = 1, np.pi / (_GRID_FIRST - 1)
-    while step > final_resolution:
-        levels, step = levels + 1, step / 4.0
-    return levels
-
-
-def _grid_points(final_resolution: float) -> int:
-    return _GRID_FIRST**2 + (_grid_levels(final_resolution) - 1) * _GRID_ZOOM**2
-
-
 def grid_information_gain_qubit(
     state: BipartiteState, side: int, final_resolution: float = _GRID_RESOLUTION
 ):
     """Deterministic Bloch-sphere grid maximization of the information gain.
 
-    Scans (theta, phi) on a 41 x 41 grid, then zooms into the best cell with
-    17 x 17 grids; each level is one batched evaluation, and the number of
-    levels depends only on ``final_resolution`` (radians).  Only valid when
-    the measured side is a qubit.  Returns ``(value, basis)``.
+    Scans (theta, phi), then zooms into the best cell until the grid step
+    falls below ``final_resolution`` radians; each grid is one batched
+    evaluation.  Only valid when the measured side is a qubit.  Returns
+    ``(value, basis)``.
     """
+    value, basis, _ = _grid_search(state, side, final_resolution)
+    return value, basis
+
+
+def _grid_search(state: BipartiteState, side: int, final_resolution: float):
+    """The grid maximization of ``grid_information_gain_qubit``, also returning
+    the number of points it evaluated."""
     d_meas = state.dims.d1 if side == 1 else state.dims.d2
     if d_meas != 2:
         raise ValueError(f"grid oracle requires a qubit on side {side}, got dimension {d_meas}")
@@ -280,26 +268,30 @@ def grid_information_gain_qubit(
 
     t_lo, t_hi = 0.0, np.pi
     p_lo, p_hi = 0.0, 2.0 * np.pi
-    n = _GRID_FIRST
+    n = 41
     best = (-np.inf, 0.0, 0.0)
-    for _ in range(_grid_levels(final_resolution)):
+    points = 0
+    while True:
         thetas = np.linspace(t_lo, t_hi, n)
         phis = np.linspace(p_lo, p_hi, n)
         c = _conditionals(r, _bloch_bases(thetas, phis))
         p = np.einsum("...ibb->...i", c).real
         values = s_opp + _xlog2x(np.linalg.eigvalsh(c)).sum(axis=(-2, -1)) - _xlog2x(p).sum(-1)
+        points += n * n
         # argmax takes the first maximum in theta-major order; earlier levels win ties.
         idx = int(np.argmax(values))
         if values[idx] > best[0]:
             best = (float(values[idx]), thetas[idx // n], phis[idx % n])
-        _, t_c, p_c = best
         step_t = (t_hi - t_lo) / (n - 1)
-        step_p = (p_hi - p_lo) / (n - 1)
+        if step_t <= final_resolution:
+            break
+        _, t_c, p_c = best
         t_lo, t_hi = max(0.0, t_c - 2 * step_t), min(np.pi, t_c + 2 * step_t)
+        step_p = (p_hi - p_lo) / (n - 1)
         p_lo, p_hi = p_c - 2 * step_p, p_c + 2 * step_p
-        n = _GRID_ZOOM
+        n = 17
     basis = _bloch_bases(np.array([best[1]]), np.array([best[2]]))[0]
-    return best[0], np.ascontiguousarray(basis)
+    return best[0], np.ascontiguousarray(basis), points
 
 
 def _measured_first(state: BipartiteState, side: int) -> np.ndarray:
@@ -336,10 +328,10 @@ def sup_information_gain(
         value, us, norm, evals = _ascend(evaluate, direction, (anchor,), cfg.max_iterations)
         candidates.append((float(value), np.ascontiguousarray(us[0]), norm, evals))
     if cfg.grid_refine and d == 2:
-        value, basis = grid_information_gain_qubit(state, side)
+        value, basis, points = _grid_search(state, side, _GRID_RESOLUTION)
         _, parts = evaluate((basis,))
         norm = float(np.linalg.norm(_gain_direction(r, basis, parts)))
-        candidates.append((value, basis, norm, _grid_points(_GRID_RESOLUTION) + 1))
+        candidates.append((value, basis, norm, points + 1))
     return _reduce_candidates(candidates)
 
 

@@ -208,7 +208,9 @@ def verify_twins(
             res_d = max(res_d, frobenius(proj @ rho) / rho_norm)
 
     residuals = (res_a, res_b, res_c, res_d)
-    if min(residuals) < tol and max(residuals) > 10.0 * tol:
+    # Unequal spectra already fail; an unpaired outcome of tiny weight then
+    # leaves (a), (b) and (d) small while (c) is 1, which is no disagreement.
+    if spectra_match and min(residuals) < tol and max(residuals) > 10.0 * tol:
         raise ConditionMismatchError(
             "twin conditions disagree: residuals "
             f"a={res_a:.3e} b={res_b:.3e} c={res_c:.3e} d={res_d:.3e} at tol {tol:.0e}"

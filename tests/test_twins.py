@@ -3,6 +3,7 @@ import pytest
 
 import twinfo as T
 from twinfo.linalg import frobenius
+from twinfo.twins import TWIN_TOL
 
 from conftest import (
     DIM_PAIRS,
@@ -310,3 +311,23 @@ def test_verify_twins_unequal_spectra_fails_all_conditions(d1, d2, seed):
     assert report.pairing is None
     assert min(report.residual_a, report.residual_b, report.residual_c, report.residual_d) > 1e-3
     assert report.residual_c == 1.0
+
+
+def test_verify_twins_unequal_spectra_tiny_unpaired_outcome():
+    # (1 - e)|Phi+><Phi+| + e|02><02| with e above the detection threshold
+    # but below tol: the qutrit outcome 2 is detectable and unpaired, so (c)
+    # is 1 while (a), (b) and (d) are of order e.  That is a failed twin,
+    # not a disagreement between the conditions.
+    e = 1e-9
+    dims = T.Dims(2, 3)
+    phi = (_basis_vec(dims, 0, 0) + _basis_vec(dims, 1, 1)) / np.sqrt(2.0)
+    v = _basis_vec(dims, 0, 2)
+    rho = (1.0 - e) * np.outer(phi, phi.conj()) + e * np.outer(v, v.conj())
+    state = T.make_bipartite(rho, dims)
+    a1 = T.SubsystemObservable(T.observable_from_matrix(np.diag([0.0, 1.0])), 1)
+    b2 = T.SubsystemObservable(T.observable_from_matrix(np.diag([0.0, 1.0, 2.0])), 2)
+    report = T.verify_twins(state, a1, b2)
+    assert not report.verdict
+    assert not report.spectra_match
+    assert report.residual_c == 1.0
+    assert max(report.residual_a, report.residual_b, report.residual_d) < TWIN_TOL
