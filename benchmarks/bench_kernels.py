@@ -35,7 +35,6 @@ def measure():
             "ptrace_keep2": lambda: K.ptrace_keep2(rho, d1, d2),
             "info_gain_side1": lambda: K.info_gain_side1(rho, u1, d2, 1e-12),
             "joint_mutual_info": lambda: K.joint_mutual_info(rho, u1, u2, 1e-12),
-            "luders_complete": lambda: K.luders_complete(rho, np.kron(u1, u2)),
             "unitary_from_params": lambda: K.unitary_from_params(params, d1),
         }
         for name, fn in cases.items():

@@ -174,6 +174,9 @@ def cmd_discord(args) -> int:
     )
     side = 1 if args.direction == "1to2" else 2
     sup = sup_information_gain(state, side, cfg)
+    # The qubit grid oracle is one more candidate beside the restarts.
+    measured = state.dims.d1 if side == 1 else state.dims.d2
+    candidates = args.restarts + int(args.grid_refine and measured == 2)
     mi = mutual_information(state)
     discord = mi - sup.value
     report = _report_skeleton(
@@ -203,7 +206,7 @@ def cmd_discord(args) -> int:
         [
             f"{args.state}: I(1:2)={mi:.6g}  sup gain={sup.value:.6g}  "
             f"discord({args.direction})={discord:.6g}  "
-            f"[{sup.restarts_agreeing}/{args.restarts} restarts agree]"
+            f"[{sup.restarts_agreeing}/{candidates} restarts agree]"
         ],
     )
     return EXIT_OK

@@ -22,7 +22,6 @@ __all__ = [
     "info_gain_side1",
     "joint_probs",
     "joint_mutual_info",
-    "luders_complete",
     "unitary_from_params",
 ]
 
@@ -123,16 +122,6 @@ def joint_mutual_info(rho, basis1, basis2, clip):
     hb = entropy_bits(np.sum(p, axis=0), clip)
     hab = entropy_bits(p.ravel(), clip)
     return ha + hb - hab
-
-
-@jit
-def luders_complete(rho, basis):
-    """Nonselective measurement channel for the rank-1 basis (columns)."""
-    m = basis.conj().T @ rho @ basis
-    diag = np.zeros_like(m)
-    for i in range(m.shape[0]):
-        diag[i, i] = m[i, i]
-    return basis @ diag @ basis.conj().T
 
 
 @jit

@@ -1,14 +1,15 @@
 """Suprema of measurement informations over complete bases, and quantum discord.
 
-The suprema are approximated by multi-start Riemannian gradient ascent on
-the unitary group U(d) (Abrudan, Eriksson & Koivunen, IEEE TSP 56(3), 2008;
+The suprema are approximated by multi-start Riemannian ascent on the
+unitary group U(d) (Abrudan, Eriksson & Koivunen, IEEE TSP 56(3), 2008;
 Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 20, 1998).  The measured
 basis is the column set of a unitary ``U``; each step moves it along a
-geodesic, ``U <- exp(tA) U``, where ``A`` is the skew-Hermitian part of the
-closed-form Euclidean gradient.  Step sizes come from a Barzilai-Borwein
-trial step and Armijo backtracking.  Reported values are lower bounds on the
-true suprema by construction; ``converged`` means the ascent direction
-vanished (``|A| <= GRAD_TOL``) at the argmax.
+geodesic, ``U <- exp(tD) U``.  The gradient ``A`` is the skew-Hermitian part
+of the closed-form Euclidean gradient, and the direction ``D`` is ``A``
+preconditioned by limited-memory BFGS in the Lie algebra (Huang, Gallivan &
+Absil, SIAM J. Optim. 25(3), 2015), with Armijo backtracking.  Reported
+values are lower bounds on the true suprema by construction; ``converged``
+means the gradient vanished (``|A| <= GRAD_TOL``) at the argmax.
 
 Restart 0 starts from the eigenbasis of the measured reduction (which
 attains the supremum for pure states and for Schmidt-dephased states),
@@ -33,8 +34,8 @@ from .states import BipartiteState
 AGREE_TOL = 1e-6
 GRAD_TOL = 1e-6
 _ARMIJO = 1e-4
-_STEP_MIN = 1e-6
-_STEP_MAX = 1e3
+_MEMORY = 5
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _EPS = np.finfo(float).eps
 _GRID_RESOLUTION = 1e-3
 # Stream offsets keep restart seeds for the four optimized bases disjoint.
@@ -182,37 +183,63 @@ def _joint_directions(r: np.ndarray, us, parts):
     return k1 - k1.conj().T, k2 - k2.conj().T
 
 
-def _inner(a, b) -> float:
-    return sum(float(np.vdot(x, y).real) for x, y in zip(a, b))
+def _flat(a) -> np.ndarray:
+    """A tangent tuple as one real vector; ``Re vdot`` becomes a dot product."""
+    return np.concatenate([x.ravel() for x in a]).view(float)
+
+
+def _lbfgs_direction(g: np.ndarray, memory) -> np.ndarray:
+    """Two-loop recursion: the inverse-Hessian estimate applied to the gradient ``g``.
+
+    ``memory`` holds pairs ``(s, y, 1 / s.y)`` for the minimization of the
+    negated objective, oldest first.
+    """
+    q = g.copy()
+    alphas = []
+    for s, y, inv_sy in reversed(memory):
+        alpha = inv_sy * (s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    s, y, _ = memory[-1]
+    q *= (s @ y) / (y @ y)
+    for (s, y, inv_sy), alpha in zip(memory, reversed(alphas)):
+        q += (alpha - inv_sy * (y @ q)) * s
+    return q
 
 
 def _ascend(evaluate, direction, start, max_iterations: int):
-    """Riemannian gradient ascent on a product of unitary groups.
+    """Riemannian L-BFGS ascent on a product of unitary groups.
 
     ``evaluate(us) -> (value, parts)`` and ``direction(us, parts) -> As``
-    act on a tuple of unitaries.  Each iteration tries a Barzilai-Borwein
-    step clipped to ``[_STEP_MIN, _STEP_MAX]`` and halves it until the
-    Armijo condition holds.  Returns ``(value, us, grad_norm, evaluations)``.
+    act on a tuple of unitaries.  Tangent vectors live in the Lie algebra
+    (``U <- exp(D) U``), so curvature pairs from earlier iterates apply
+    without transport (Huang, Gallivan & Absil, SIAM J. Optim. 25(3), 2015).
+    The search direction comes from the two-loop recursion over the last
+    ``_MEMORY`` pairs with ``s.y > 0``; the first step, and any step whose
+    direction is not an ascent direction, uses ``A / max(1, |A|)`` with the
+    memory dropped.  Armijo backtracking halves the step from 1.  Returns
+    ``(value, us, grad_norm, evaluations)``.
     """
     us = start
     value, parts = evaluate(us)
     evaluations = 1
-    step = 1.0
-    previous = None
+    g = _flat(direction(us, parts))
+    memory = []
     for _ in range(max_iterations):
-        a = direction(us, parts)
-        norm2 = _inner(a, a)
+        norm2 = g @ g
         if norm2 <= GRAD_TOL * GRAD_TOL:
             break
-        if previous is not None:
-            # <s, s> / <s, y> with s = step * a_prev and y = a_prev - a, the
-            # change in the gradient of -value.
-            a_prev, step_prev, norm2_prev = previous
-            curvature = norm2_prev - _inner(a_prev, a)
-            step = step_prev * norm2_prev / curvature if curvature > 0 else _STEP_MAX
-        step = min(max(step, _STEP_MIN), _STEP_MAX)
-        rotations = [np.linalg.eigh(1j * x) for x in a]
+        if memory:
+            q = _lbfgs_direction(g, memory)
+            if g @ q <= 0:
+                memory.clear()
+        if not memory:
+            q = g / max(1.0, np.sqrt(norm2))
+        slope = g @ q
+        blocks = np.split(q.view(complex), np.cumsum([u.size for u in us])[:-1])
+        rotations = [np.linalg.eigh(1j * x.reshape(u.shape)) for x, u in zip(blocks, us)]
         floor = _EPS * max(1.0, abs(value))
+        step = 1.0
         while True:
             trial = tuple(
                 (v * np.exp(-1j * step * w)) @ v.conj().T @ u
@@ -220,27 +247,35 @@ def _ascend(evaluate, direction, start, max_iterations: int):
             )
             trial_value, trial_parts = evaluate(trial)
             evaluations += 1
-            if trial_value >= value + _ARMIJO * step * norm2:
+            if trial_value >= value + _ARMIJO * step * slope:
                 break
             step *= 0.5
-            if step * norm2 <= floor:
+            if step * slope <= floor:
                 # No representable increase along this direction.
                 return value, us, float(np.sqrt(norm2)), evaluations
-        previous = (a, step, norm2)
         us, value, parts = trial, trial_value, trial_parts
-    else:
-        a = direction(us, parts)
-        norm2 = _inner(a, a)
-    return value, us, float(np.sqrt(norm2)), evaluations
+        g_new = _flat(direction(us, parts))
+        # s and y for the negated objective, whose gradient is -g.
+        s, y = step * q, g - g_new
+        sy = s @ y
+        if sy > 0:
+            memory.append((s, y, 1.0 / sy))
+            del memory[:-_MEMORY]
+        g = g_new
+    return value, us, float(np.sqrt(g @ g)), evaluations
 
 
-def _bloch_bases(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Qubit bases for every (theta, phi) pair, theta-major, as a ``(n, 2, 2)`` stack."""
-    t, p = np.meshgrid(thetas, phis, indexing="ij")
-    c = np.cos(t.ravel() / 2.0)
-    s = np.sin(t.ravel() / 2.0)
-    e = np.exp(1j * p.ravel())
-    return np.stack([np.stack([c, -s / e], axis=-1), np.stack([s * e, c], axis=-1)], axis=-2)
+def _bloch_vectors(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Bloch vectors of ``_bloch_basis`` for every (theta, phi) pair, theta-major, as ``(n, 3)``."""
+    sin_t = np.sin(thetas)[:, None]
+    cos_t = np.broadcast_to(np.cos(thetas)[:, None], (thetas.size, phis.size))
+    return np.stack([sin_t * np.cos(phis), sin_t * np.sin(phis), cos_t], axis=-1).reshape(-1, 3)
+
+
+def _bloch_basis(theta: float, phi: float) -> np.ndarray:
+    """Qubit basis whose first column has Bloch angles ``(theta, phi)``."""
+    c, s, e = np.cos(theta / 2.0), np.sin(theta / 2.0), np.exp(1j * phi)
+    return np.array([[c, -s / e], [s * e, c]])
 
 
 def grid_information_gain_qubit(
@@ -259,12 +294,20 @@ def grid_information_gain_qubit(
 
 def _grid_search(state: BipartiteState, side: int, final_resolution: float):
     """The grid maximization of ``grid_information_gain_qubit``, also returning
-    the number of points it evaluated."""
+    the number of points it evaluated.
+
+    A qubit basis with Bloch vector ``n`` leaves the opposite side in
+    ``C+- = (rho_opp +- sum_k n_k T_k) / 2`` with ``T_k = Tr_1[(sigma_k (x) 1) rho]``,
+    so each level is one matmul; qubit ``C+-`` have closed-form eigenvalues.
+    """
     d_meas = state.dims.d1 if side == 1 else state.dims.d2
     if d_meas != 2:
         raise ValueError(f"grid oracle requires a qubit on side {side}, got dimension {d_meas}")
     r = _measured_first(state, side)
+    d = r.shape[1]
     s_opp = _opposite_entropy(r)
+    rho_opp = np.einsum("abak->bk", r).ravel()
+    t = np.einsum("kji,ibjc->kbc", _PAULI, r).reshape(3, d * d)
 
     t_lo, t_hi = 0.0, np.pi
     p_lo, p_hi = 0.0, 2.0 * np.pi
@@ -274,9 +317,15 @@ def _grid_search(state: BipartiteState, side: int, final_resolution: float):
     while True:
         thetas = np.linspace(t_lo, t_hi, n)
         phis = np.linspace(p_lo, p_hi, n)
-        c = _conditionals(r, _bloch_bases(thetas, phis))
-        p = np.einsum("...ibb->...i", c).real
-        values = s_opp + _xlog2x(np.linalg.eigvalsh(c)).sum(axis=(-2, -1)) - _xlog2x(p).sum(-1)
+        m = _bloch_vectors(thetas, phis) @ t
+        c = 0.5 * (rho_opp + np.stack([m, -m], axis=1))
+        p = c[..., :: d + 1].sum(axis=-1).real
+        if d == 2:
+            half_gap = np.hypot(0.5 * (c[..., 0].real - c[..., 3].real), np.abs(c[..., 1]))
+            w = 0.5 * p[..., None] + np.stack([half_gap, -half_gap], axis=-1)
+        else:
+            w = np.linalg.eigvalsh(c.reshape(-1, 2, d, d))
+        values = s_opp + _xlog2x(w).sum(axis=(-2, -1)) - _xlog2x(p).sum(-1)
         points += n * n
         # argmax takes the first maximum in theta-major order; earlier levels win ties.
         idx = int(np.argmax(values))
@@ -290,8 +339,7 @@ def _grid_search(state: BipartiteState, side: int, final_resolution: float):
         step_p = (p_hi - p_lo) / (n - 1)
         p_lo, p_hi = p_c - 2 * step_p, p_c + 2 * step_p
         n = 17
-    basis = _bloch_bases(np.array([best[1]]), np.array([best[2]]))[0]
-    return best[0], np.ascontiguousarray(basis), points
+    return best[0], _bloch_basis(best[1], best[2]), points
 
 
 def _measured_first(state: BipartiteState, side: int) -> np.ndarray:

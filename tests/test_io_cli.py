@@ -252,6 +252,21 @@ def test_discord_product_state(tmp_path):
     assert abs(report["state"]["mutual_information"]) < 1e-9
 
 
+def test_discord_summary_counts_grid_as_candidate(tmp_path):
+    # The qubit grid oracle is one candidate beside the restarts; on a
+    # Werner state every candidate reaches the same value.
+    phi = bell_vector()
+    rho = 0.5 * np.outer(phi, phi.conj()) + 0.5 * np.eye(4) / 4
+    path = tmp_path / "werner.json"
+    write_state_file(path, "density", rho, [2, 2])
+    gridded = run_cli("discord", str(path), "--restarts", "4", "--grid-refine")
+    assert gridded.returncode == 0
+    assert gridded.stderr.strip().endswith("[5/5 restarts agree]")
+    assert json.loads(gridded.stdout)["optimization"]["restarts_agreeing"] == 5
+    plain = run_cli("discord", str(path), "--restarts", "4")
+    assert plain.stderr.strip().endswith("[4/4 restarts agree]")
+
+
 # ------------------------------------------------------------------ cmd_twins
 
 

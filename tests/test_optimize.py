@@ -6,7 +6,7 @@ import twinfo.optimize as O
 from twinfo.kernels import info_gain_side1, joint_mutual_info
 from twinfo.linalg import KERNEL_CLIP
 
-from conftest import bell_vector, product_state, random_state, werner_state
+from conftest import SIGMA_X, SIGMA_Z, bell_vector, product_state, random_state, werner_state
 
 # Closed-form values for the Werner state at w = 0.5: every measured qubit
 # basis yields conditional spectrum ((1+w)/2, (1-w)/2), so the optimal gain
@@ -170,6 +170,36 @@ def test_werner_discord_against_grid_and_closed_form():
     assert abs(discord - (WERNER_MI - grid_value)) < 1e-4
     assert discord == pytest.approx(WERNER_DISCORD, abs=1e-6)
     assert T.mutual_information(state) == pytest.approx(WERNER_MI, abs=1e-10)
+
+
+def _bell_diagonal(c, rotate):
+    """(1 + sum_i c_i sigma_i (x) sigma_i) / 4, optionally under a seeded local unitary."""
+    paulis = (SIGMA_X, np.array([[0, -1j], [1j, 0]]), SIGMA_Z)
+    m = (np.eye(4) + sum(ci * np.kron(p, p) for ci, p in zip(c, paulis))) / 4
+    if rotate:
+        u = T.tensor_product(T.sample_random_unitary(2, 8, 0), T.sample_random_unitary(2, 8, 1))
+        m = u @ m @ u.conj().T
+    return T.make_bipartite(m, T.Dims(2, 2))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "c, rotate",
+    [
+        pytest.param((0.5, -0.5, 0.5), False, id="werner"),
+        # |c_1| and |c_2| differ by 3e-5: the maximum sits on a nearly flat ridge.
+        pytest.param((-0.40994, 0.40991, 0.2913), True, id="near-degenerate"),
+    ],
+)
+def test_bell_diagonal_gain_matches_closed_form(c, rotate, seed):
+    # Luo, PRA 77, 042303 (2008): the best gain is 1 - h((1 + c) / 2), c = max |c_i|.
+    state = _bell_diagonal(c, rotate)
+    cmax = max(abs(x) for x in c)
+    exact = 0.5 * ((1 - cmax) * np.log2(1 - cmax) + (1 + cmax) * np.log2(1 + cmax))
+    result = T.sup_information_gain(state, 1, T.OptimizationConfig(restarts=4, seed=seed))
+    assert result.converged
+    assert result.evaluations <= 400
+    assert abs(result.value - exact) < 1e-10
 
 
 def test_grid_oracle_requires_qubit():
