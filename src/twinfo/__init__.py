@@ -5,7 +5,7 @@ twin-observable verification and construction."""
 
 __version__ = "0.1.0"
 
-from .backend import BACKEND
+from .kernels import BACKEND
 from .entropy import (
     entanglement_entropy,
     mutual_information,

@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .backend import BACKEND
 from .entropy import (
     mutual_information,
     mutual_information_via_relative,
@@ -24,7 +23,7 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .io import StateFileError, format_json, load_state_file, write_state_file
-from .kernels import info_gain_side1, joint_mutual_info, swap_sides
+from .kernels import BACKEND, info_gain_side1, joint_mutual_info, swap_sides
 from .linalg import KERNEL_CLIP, Dims, frobenius, is_hermitian, partial_trace
 from .measurement import (
     SubsystemObservable,

@@ -1,15 +1,11 @@
-"""Hot numeric kernels on raw complex128 arrays.
+"""Hot numeric kernels on raw complex128 arrays, in plain numpy.
 
-Every function here is plain numpy that numba can compile; the decorator is
-chosen at import time by :mod:`twinfo.backend`.  Callers are responsible for
-passing C-contiguous complex128 arrays.  ``clip`` arguments implement the
-``0 * log 0 = 0`` convention: eigenvalues/probabilities at or below the clip
-are treated as exact zeros.
+Callers are responsible for passing C-contiguous complex128 arrays.  ``clip``
+arguments implement the ``0 * log 0 = 0`` convention: eigenvalues/probabilities
+at or below the clip are treated as exact zeros.
 """
 
 import numpy as np
-
-from .backend import BACKEND, jit
 
 __all__ = [
     "BACKEND",
@@ -17,6 +13,7 @@ __all__ = [
     "vn_entropy",
     "ptrace_keep1",
     "ptrace_keep2",
+    "measured_first",
     "swap_sides",
     "side1_conditionals",
     "info_gain_side1",
@@ -25,17 +22,15 @@ __all__ = [
     "unitary_from_params",
 ]
 
-_LOG2E = 1.4426950408889634
+BACKEND = "numpy"
 
 
-@jit
 def entropy_bits(p, clip):
     """Shannon entropy (base 2) of the entries of ``p`` above ``clip``."""
     q = p[p > clip]
     return -np.sum(q * np.log2(q))
 
 
-@jit
 def vn_entropy(m, clip):
     """von Neumann entropy in bits of a Hermitian PSD matrix."""
     w = np.linalg.eigvalsh(m)
@@ -43,34 +38,31 @@ def vn_entropy(m, clip):
     return -np.sum(q * np.log2(q))
 
 
-@jit
 def ptrace_keep1(rho, d1, d2):
     """Trace out subsystem 2 of a (d1*d2) x (d1*d2) matrix."""
-    r = rho.reshape(d1, d2, d1, d2)
-    out = np.zeros((d1, d1), dtype=np.complex128)
-    for k in range(d2):
-        out += r[:, k, :, k]
-    return out
+    return np.einsum("abcb->ac", rho.reshape(d1, d2, d1, d2))
 
 
-@jit
 def ptrace_keep2(rho, d1, d2):
     """Trace out subsystem 1 of a (d1*d2) x (d1*d2) matrix."""
+    return np.einsum("abak->bk", rho.reshape(d1, d2, d1, d2))
+
+
+def measured_first(rho, d1, d2, side):
+    """Contiguous state tensor ``(d_meas, d_opp, d_meas, d_opp)`` with ``side`` first."""
     r = rho.reshape(d1, d2, d1, d2)
-    out = np.zeros((d2, d2), dtype=np.complex128)
-    for k in range(d1):
-        out += r[k, :, k, :]
-    return out
+    if side == 1:
+        return np.ascontiguousarray(r)
+    if side == 2:
+        return np.ascontiguousarray(r.transpose(1, 0, 3, 2))
+    raise ValueError(f"side must be 1 or 2, got {side}")
 
 
-@jit
 def swap_sides(rho, d1, d2):
     """Reorder a bipartite matrix so subsystem 2 comes first."""
-    r = rho.reshape(d1, d2, d1, d2)
-    return np.ascontiguousarray(r.transpose(1, 0, 3, 2)).reshape(d1 * d2, d1 * d2)
+    return measured_first(rho, d1, d2, 2).reshape(d1 * d2, d1 * d2)
 
 
-@jit
 def side1_conditionals(rho, basis, d2):
     """Outcome probabilities and unnormalized side-2 states for a rank-1
     measurement on side 1.
@@ -91,7 +83,6 @@ def side1_conditionals(rho, basis, d2):
     return p, cond
 
 
-@jit
 def info_gain_side1(rho, basis, d2, clip):
     """Entropy reduction about side 2 from measuring ``basis`` on side 1."""
     d1 = basis.shape[0]
@@ -103,7 +94,6 @@ def info_gain_side1(rho, basis, d2, clip):
     return gain
 
 
-@jit
 def joint_probs(rho, basis1, basis2):
     """Outcome table p[i, j] for simultaneous rank-1 measurements."""
     n1 = basis1.shape[1]
@@ -114,7 +104,6 @@ def joint_probs(rho, basis1, basis2):
     return p.reshape(n1, n2)
 
 
-@jit
 def joint_mutual_info(rho, basis1, basis2, clip):
     """Classical mutual information of the simultaneous-measurement table."""
     p = joint_probs(rho, basis1, basis2)
@@ -124,7 +113,6 @@ def joint_mutual_info(rho, basis1, basis2, clip):
     return ha + hb - hab
 
 
-@jit
 def unitary_from_params(params, d):
     """exp(i G) for the Hermitian generator packed in ``params``.
 

@@ -190,6 +190,17 @@ def distant_decomposition(
     return DistantDecomposition(outcomes=tuple(outcomes), undetectable=tuple(undetectable))
 
 
+def coincidence_table(state: BipartiteState, projs1, projs2) -> np.ndarray:
+    """p[i, j] = Tr[rho (P_i (x) Q_j)] for side-1 projectors ``projs1`` and side-2 ``projs2``."""
+    eye2 = np.eye(state.dims.d2, dtype=np.complex128)
+    table = np.zeros((len(projs1), len(projs2)))
+    for i, pa in enumerate(projs1):
+        cond = partial_trace(state.rho12.matrix @ tensor_product(pa, eye2), state.dims, keep=2)
+        for j, qb in enumerate(projs2):
+            table[i, j] = np.trace(cond @ qb).real
+    return table
+
+
 def joint_distribution(
     state: BipartiteState, a1: SubsystemObservable, b2: SubsystemObservable
 ) -> JointDistribution:
@@ -198,12 +209,7 @@ def joint_distribution(
         raise ValueError("joint_distribution expects a side-1 and a side-2 observable")
     projs_a = a1.observable.spectral.projectors
     projs_b = b2.observable.spectral.projectors
-    eye2 = np.eye(state.dims.d2, dtype=np.complex128)
-    p = np.zeros((len(projs_a), len(projs_b)))
-    for i, pa in enumerate(projs_a):
-        cond = partial_trace(state.rho12.matrix @ tensor_product(pa, eye2), state.dims, keep=2)
-        for j, qb in enumerate(projs_b):
-            p[i, j] = np.trace(cond @ qb).real
+    p = coincidence_table(state, projs_a, projs_b)
     if float(p.min()) < -1e-12:
         raise ValueError(f"joint probability {p.min():.3e} below clamp threshold")
     p = np.clip(p, 0.0, None)

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import mutual_information
-from .kernels import swap_sides, unitary_from_params
+# swap_sides is unused here but stays importable as optimize.swap_sides, as the tests use it.
+from .kernels import measured_first, swap_sides, unitary_from_params  # noqa: F401
 from .linalg import KERNEL_CLIP
 from .measurement import Observable, observable_from_basis
 from .sampling import sample_random_unitary
@@ -103,15 +104,15 @@ def _anchor(index: int, d: int, eigbasis: np.ndarray, seed: int, stream_base: in
     return np.ascontiguousarray(sample_random_unitary(d, seed, stream=stream_base + index))
 
 
-def _log2_support(x: np.ndarray) -> np.ndarray:
-    """Elementwise ``log2 x`` on entries above ``KERNEL_CLIP``, 0 elsewhere."""
-    keep = x > KERNEL_CLIP
+def _log2_support(x: np.ndarray, clip: float = KERNEL_CLIP) -> np.ndarray:
+    """Elementwise ``log2 x`` on entries above ``clip``, 0 elsewhere."""
+    keep = x > clip
     return np.where(keep, np.log2(np.where(keep, x, 1.0)), 0.0)
 
 
-def _xlog2x(x: np.ndarray) -> np.ndarray:
-    """Elementwise ``x log2 x`` with the ``0 log 0 = 0`` convention at ``KERNEL_CLIP``."""
-    return x * _log2_support(x)
+def _xlog2x(x: np.ndarray, clip: float = KERNEL_CLIP) -> np.ndarray:
+    """Elementwise ``x log2 x`` with the ``0 log 0 = 0`` convention at ``clip``."""
+    return x * _log2_support(x, clip)
 
 
 def _conditionals(r: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -156,13 +157,17 @@ def _gain_direction(r: np.ndarray, u: np.ndarray, parts) -> np.ndarray:
 
 
 def _joint_terms(r: np.ndarray, us):
-    """Mutual information of the simultaneous-measurement table, with its parts."""
+    """Mutual information of the simultaneous-measurement table, with its parts.
+
+    Every positive entry counts: dropping entries below ``KERNEL_CLIP`` would
+    let the value of a pure state exceed S(1).
+    """
     u1, u2 = us
     c = _conditionals(r, u1)
     p = np.einsum("ibe,bj,ej->ij", c, u2.conj(), u2).real
     pa = p.sum(axis=1)
     pb = p.sum(axis=0)
-    value = _xlog2x(p).sum() - _xlog2x(pa).sum() - _xlog2x(pb).sum()
+    value = _xlog2x(p, 0.0).sum() - _xlog2x(pa, 0.0).sum() - _xlog2x(pb, 0.0).sum()
     return value, (c, p, pa, pb)
 
 
@@ -175,8 +180,9 @@ def _joint_directions(r: np.ndarray, us, parts):
     """
     u1, u2 = us
     c, p, pa, pb = parts
-    weights = _log2_support(p) - _log2_support(pa)[:, None] - _log2_support(pb)[None, :]
-    weights = np.where(p > KERNEL_CLIP, weights, 0.0)
+    log_pa = _log2_support(pa, 0.0)[:, None]
+    log_pb = _log2_support(pb, 0.0)[None, :]
+    weights = np.where(p > 0.0, _log2_support(p, 0.0) - log_pa - log_pb, 0.0)
     d = np.einsum("bj,abce,ej->jac", u2.conj(), r, u2)
     k1 = np.einsum("ij,jac,ci,di->ad", weights, d, u1, u1.conj())
     k2 = np.einsum("ij,ibe,ej,fj->bf", weights, c, u2, u2.conj())
@@ -344,13 +350,7 @@ def _grid_search(state: BipartiteState, side: int, final_resolution: float):
 
 def _measured_first(state: BipartiteState, side: int) -> np.ndarray:
     """State tensor ``(d_meas, d_opp, d_meas, d_opp)`` with the measured side first."""
-    rho = np.ascontiguousarray(state.rho12.matrix)
-    d1, d2 = state.dims.d1, state.dims.d2
-    if side == 1:
-        return rho.reshape(d1, d2, d1, d2)
-    if side == 2:
-        return swap_sides(rho, d1, d2).reshape(d2, d1, d2, d1)
-    raise ValueError(f"side must be 1 or 2, got {side}")
+    return measured_first(state.rho12.matrix, state.dims.d1, state.dims.d2, side)
 
 
 def sup_information_gain(
@@ -409,7 +409,7 @@ def sup_joint_mutual_information(
     Ascends on U(d1) x U(d2) jointly; the argmax is the pair ``(u1, u2)``.
     """
     d1, d2 = state.dims.d1, state.dims.d2
-    r = np.ascontiguousarray(state.rho12.matrix).reshape(d1, d2, d1, d2)
+    r = _measured_first(state, 1)
     eig1 = _eigbasis(state.rho1.matrix)
     eig2 = _eigbasis(state.rho2.matrix)
 

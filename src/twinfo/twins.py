@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Dims, frobenius, partial_trace, range_projector, tensor_product
-from .measurement import DETECT_EPS, SubsystemObservable, observable_from_matrix
+from .linalg import Dims, frobenius, range_projector, tensor_product
+from .measurement import DETECT_EPS, SubsystemObservable, coincidence_table, observable_from_matrix
 from .states import BipartiteState, make_bipartite, schmidt_decompose
 
 TWIN_TOL = 1e-8
@@ -92,17 +92,6 @@ def detectable_spectrum(
     )
 
 
-def _coincidence_table(state: BipartiteState, projs1, projs2) -> np.ndarray:
-    """p[i, j] = Tr[rho (P1_i (x) P2_j)] for subsystem-level projector lists."""
-    eye2 = np.eye(state.dims.d2, dtype=np.complex128)
-    table = np.zeros((len(projs1), len(projs2)))
-    for i, pa in enumerate(projs1):
-        cond = partial_trace(state.rho12.matrix @ tensor_product(pa, eye2), state.dims, keep=2)
-        for j, qb in enumerate(projs2):
-            table[i, j] = np.trace(cond @ qb).real
-    return table
-
-
 def pair_spectra(
     state: BipartiteState,
     spec_a: DetectableSpectrum,
@@ -118,10 +107,15 @@ def pair_spectra(
     """
     if len(spec_a.eigenvalues) != len(spec_b.eigenvalues):
         return None
-    table = _coincidence_table(state, spec_a.projectors, spec_b.projectors)
+    table = coincidence_table(state, spec_a.projectors, spec_b.projectors)
+    return _pair_rows(table, spec_a.probabilities, tol)
+
+
+def _pair_rows(table: np.ndarray, probabilities: np.ndarray, tol: float) -> SpectralPairing | None:
+    """The pairing rule of ``pair_spectra`` applied to a coincidence table."""
     pairs = []
     used = set()
-    for i, p_i in enumerate(spec_a.probabilities):
+    for i, p_i in enumerate(probabilities):
         partners = np.nonzero(table[i] > (1.0 - tol) * p_i)[0]
         if len(partners) != 1:
             return None
@@ -131,11 +125,6 @@ def pair_spectra(
         used.add(j)
         pairs.append((i, j))
     return SpectralPairing(pairs=tuple(pairs))
-
-
-def _conditional_opposite(state: BipartiteState, proj1: np.ndarray, prob: float) -> np.ndarray:
-    eye2 = np.eye(state.dims.d2, dtype=np.complex128)
-    return partial_trace(state.rho12.matrix @ tensor_product(proj1, eye2), state.dims, keep=2) / prob
 
 
 def verify_twins(
@@ -166,14 +155,14 @@ def verify_twins(
         comm.append(frobenius(m @ reduced.matrix - reduced.matrix @ m) / scale)
 
     spectra_match = len(spec_a.eigenvalues) == len(spec_b.eigenvalues)
-    pairing = pair_spectra(state, spec_a, spec_b, tol)
+    table = coincidence_table(state, spec_a.projectors, spec_b.projectors)
+    pairing = _pair_rows(table, spec_a.probabilities, tol) if spectra_match else None
     if pairing is not None:
         align = pairing.pairs
     else:
         n = min(len(spec_a.eigenvalues), len(spec_b.eigenvalues))
         align = tuple((i, i) for i in range(n))
 
-    table = _coincidence_table(state, spec_a.projectors, spec_b.projectors)
     paired_cols = {i: j for i, j in align}
 
     # (a) lossless/noiseless outcome channel
@@ -194,8 +183,7 @@ def verify_twins(
         p1 = tensor_product(spec_a.projectors[i], eye2)
         p2 = tensor_product(eye1, spec_b.projectors[j])
         res_b = max(res_b, frobenius(p1 @ rho @ p1 - p2 @ rho @ p2) / rho_norm)
-        cond = _conditional_opposite(state, spec_a.projectors[i], spec_a.probabilities[i])
-        res_c = max(res_c, abs(1.0 - float(np.trace(cond @ spec_b.projectors[j]).real)))
+        res_c = max(res_c, float(abs(1.0 - table[i, j] / spec_a.probabilities[i])))
         res_d = max(res_d, frobenius(p1 @ rho - p2 @ rho) / rho_norm)
     if not spectra_match:
         # A detectable outcome left without a partner fails (b)-(d) outright:
@@ -232,7 +220,7 @@ def verify_twins(
 
     strong = None
     if verdict and pairing is not None:
-        strong = check_strong_algebraic(state, a1, b2, pairing, tol)
+        strong = _strong_algebraic(state, spec_a, spec_b, pairing, tol)
 
     return TwinReport(
         commutator_residuals=(comm[0], comm[1]),
@@ -262,6 +250,17 @@ def check_strong_algebraic(
     """
     spec_a = detectable_spectrum(state, a1)
     spec_b = detectable_spectrum(state, b2)
+    return _strong_algebraic(state, spec_a, spec_b, pairing, tol)
+
+
+def _strong_algebraic(
+    state: BipartiteState,
+    spec_a: DetectableSpectrum,
+    spec_b: DetectableSpectrum,
+    pairing: SpectralPairing,
+    tol: float,
+) -> float | None:
+    """``check_strong_algebraic`` on already computed detectable spectra."""
     for i, j in pairing.pairs:
         if abs(spec_a.eigenvalues[i] - spec_b.eigenvalues[j]) > tol:
             return None

@@ -189,7 +189,8 @@ def test_sweep_dumps_replayable_violations(tmp_path):
         T.make_bipartite(arr, T.Dims(*dims))  # replayable as a valid state
 
 
-def test_numpy_fallback_backend_matches():
+@pytest.mark.parametrize("flag", ["0", "1"])
+def test_numpy_fallback_backend_matches(flag):
     script = (
         "import numpy as np, twinfo as T;"
         "phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2);"
@@ -201,7 +202,7 @@ def test_numpy_fallback_backend_matches():
     )
     import os
 
-    env = dict(os.environ, TWINFO_NUMBA="0")
+    env = dict(os.environ, TWINFO_NUMBA=flag)
     res = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )

@@ -351,6 +351,20 @@ def test_sup_joint_reports_stationarity():
     )
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_sup_joint_pure_state_stationary_and_bounded(d):
+    # The joint supremum of a pure state is S(1), attained in the Schmidt
+    # bases.  Near-zero table entries must still count, or restarts climb
+    # above S(1) to points that are not stationary.
+    dims = T.Dims(d, d)
+    for seed in range(3):
+        phi = T.sample_random_pure(dims, seed, stream=11)
+        state = T.bipartite_from_pure(phi, dims)
+        result = T.sup_joint_mutual_information(state, FAST)
+        assert result.converged
+        assert result.value <= T.entanglement_entropy(phi, dims) + 1e-12
+
+
 def test_grid_refine_counts_grid_points():
     state = random_state(T.Dims(2, 2), rank=3, seed=64)
     plain = T.sup_information_gain(state, 1, T.OptimizationConfig(restarts=2, seed=0))

@@ -283,6 +283,15 @@ def test_condition_equivalence_on_small_corpus():
         ]
         assert all(flags) == is_twin
         assert report.verdict == is_twin
+        # verify_twins pairs and checks the strong identity on its own table
+        # and spectra; the public entry points must agree with it.
+        spec_a = T.detectable_spectrum(state, a1)
+        spec_b = T.detectable_spectrum(state, b2)
+        assert report.pairing == T.pair_spectra(state, spec_a, spec_b)
+        if is_twin:
+            assert report.strong_algebraic_residual == T.check_strong_algebraic(
+                state, a1, b2, report.pairing
+            )
 
 
 def _basis_vec(dims, i, j):
