@@ -42,7 +42,6 @@ from .measurement import (
 from .optimize import (
     OptimizationConfig,
     SupremumResult,
-    basis_from_params,
     grid_information_gain_qubit,
     quantum_discord,
     sup_information_gain,

@@ -351,12 +351,13 @@ def cmd_sweep(args) -> int:
         obs_b = SubsystemObservable(
             sample_random_observable(dims.d2, args.seed, stream=10 * i + 6, complete=False), 2
         )
-        t_ab = luders_apply_subsystem(obs_a, luders_apply_subsystem(obs_b, state))
+        # Each channel output is computed once and reused by both checks.
         after_a = luders_apply_subsystem(obs_a, state)
+        after_b = luders_apply_subsystem(obs_b, state)
+        t_ab = luders_apply_subsystem(obs_a, after_b)
         res_1 = frobenius(
             partial_trace(t_ab.rho12.matrix, dims, keep=1) - after_a.rho1.matrix
         )
-        after_b = luders_apply_subsystem(obs_b, state)
         res_2 = frobenius(
             partial_trace(t_ab.rho12.matrix, dims, keep=2) - after_b.rho2.matrix
         )
@@ -365,14 +366,12 @@ def cmd_sweep(args) -> int:
 
         ref_m = sample_random_density(dims, total, args.seed, stream=10 * i + 7)
         ref = make_bipartite(ref_m, dims)
+        ref_a = luders_apply_subsystem(obs_a, ref)
         before = relative_entropy(state.rho12, ref.rho12)
-        after_one = relative_entropy(
-            luders_apply_subsystem(obs_a, state).rho12,
-            luders_apply_subsystem(obs_a, ref).rho12,
-        )
+        after_one = relative_entropy(after_a.rho12, ref_a.rho12)
         after_two = relative_entropy(
-            luders_apply_subsystem(obs_b, luders_apply_subsystem(obs_a, state)).rho12,
-            luders_apply_subsystem(obs_b, luders_apply_subsystem(obs_a, ref)).rho12,
+            luders_apply_subsystem(obs_b, after_a).rho12,
+            luders_apply_subsystem(obs_b, ref_a).rho12,
         )
         if checks["lindblad"].record(max(after_one - before, after_two - after_one), tol):
             dump(i, "lindblad", rho_m)

@@ -65,12 +65,13 @@ def relative_entropy(
     w, v = np.linalg.eigh(rho.matrix)
     keep = w > clip
     vk = v[:, keep]
-    # weight of sigma inside the range of rho
-    overlap = float(np.sum((vk.conj() * (sigma.matrix @ vk)).real))
+    # <v_k|sigma|v_k> on the range of rho; its total is sigma's weight there
+    proj = (vk.conj() * (sigma.matrix @ vk)).real
+    overlap = float(np.sum(proj))
     if 1.0 - overlap > support_tol:
         return math.inf
     term_sigma = -float(vn_entropy(sigma.matrix, clip))
-    diag = np.sum((vk.conj() * (sigma.matrix @ vk)).real, axis=0)
+    diag = np.sum(proj, axis=0)
     term_rho = float(np.dot(diag, np.log2(w[keep])))
     return _clamp(term_sigma - term_rho)
 

@@ -25,10 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import mutual_information
-# swap_sides is unused here but stays importable as optimize.swap_sides, as the tests use it.
-from .kernels import measured_first, swap_sides, unitary_from_params  # noqa: F401
+from .kernels import measured_first
 from .linalg import KERNEL_CLIP
-from .measurement import Observable, observable_from_basis
 from .sampling import sample_random_unitary
 from .states import BipartiteState
 
@@ -79,17 +77,6 @@ class SupremumResult:
     converged: bool
     grad_norm: float
     evaluations: int
-
-
-def basis_from_params(params: np.ndarray, d: int) -> Observable:
-    """Complete observable from the exponential of a packed Hermitian generator.
-
-    The zero vector maps to the standard basis.
-    """
-    params = np.ascontiguousarray(params, dtype=float)
-    if params.shape != (d * d,):
-        raise ValueError(f"expected {d * d} parameters, got shape {params.shape}")
-    return observable_from_basis(unitary_from_params(params, d))
 
 
 def _eigbasis(matrix: np.ndarray) -> np.ndarray:

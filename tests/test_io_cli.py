@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import twinfo as T
+from twinfo.cli import main
 from twinfo.io import (
     StateFileError,
     format_json,
@@ -14,6 +15,8 @@ from twinfo.io import (
     parse_state_payload,
     write_state_file,
 )
+from twinfo.kernels import info_gain_side1, joint_mutual_info, swap_sides
+from twinfo.linalg import KERNEL_CLIP
 
 from conftest import SIGMA_X, SIGMA_Z, bell_vector
 
@@ -187,6 +190,69 @@ def test_sweep_dumps_replayable_violations(tmp_path):
         kind, arr, dims = load_state_file(name)
         assert kind == "density"
         T.make_bipartite(arr, T.Dims(*dims))  # replayable as a valid state
+
+
+def _sweep_margins_reference(dims, samples, seed):
+    """Worst margin of each sweep check, recomputed sample by sample with the
+    public API and one Lüders application per channel use (ten a sample)."""
+    worst = dict.fromkeys(
+        ("chain", "relative_entropy_identity", "partial_trace_identities", "lindblad", "lieb"), 0.0
+    )
+    apply = T.luders_apply_subsystem
+    for i in range(samples):
+        rho_m = T.sample_random_density(dims, (i % dims.total) + 1, seed, stream=10 * i)
+        state = T.make_bipartite(rho_m, dims)
+        rho = np.ascontiguousarray(state.rho12.matrix)
+        swapped = swap_sides(rho, dims.d1, dims.d2)
+        s1 = T.von_neumann_entropy(state.rho1)
+        s2 = T.von_neumann_entropy(state.rho2)
+        mi = T.mutual_information(state)
+        worst["lieb"] = max(worst["lieb"], mi - 2.0 * min(s1, s2))
+        worst["relative_entropy_identity"] = max(
+            worst["relative_entropy_identity"], abs(mi - T.mutual_information_via_relative(state))
+        )
+        for k in range(2):
+            u1 = np.ascontiguousarray(T.sample_random_unitary(dims.d1, seed, stream=10 * i + 1 + k))
+            u2 = np.ascontiguousarray(T.sample_random_unitary(dims.d2, seed, stream=10 * i + 3 + k))
+            jmi = float(joint_mutual_info(rho, u1, u2, KERNEL_CLIP))
+            g1 = float(info_gain_side1(rho, u1, dims.d2, KERNEL_CLIP))
+            g2 = float(info_gain_side1(swapped, u2, dims.d1, KERNEL_CLIP))
+            margin = max(-jmi, jmi - g1, jmi - g2, g1 - min(mi, s2), g2 - min(mi, s1))
+            worst["chain"] = max(worst["chain"], margin)
+        obs_a = T.SubsystemObservable(
+            T.sample_random_observable(dims.d1, seed, stream=10 * i + 5, complete=False), 1
+        )
+        obs_b = T.SubsystemObservable(
+            T.sample_random_observable(dims.d2, seed, stream=10 * i + 6, complete=False), 2
+        )
+        t_ab = apply(obs_a, apply(obs_b, state))
+        res_1 = np.linalg.norm(
+            T.partial_trace(t_ab.rho12.matrix, dims, keep=1) - apply(obs_a, state).rho1.matrix
+        )
+        res_2 = np.linalg.norm(
+            T.partial_trace(t_ab.rho12.matrix, dims, keep=2) - apply(obs_b, state).rho2.matrix
+        )
+        worst["partial_trace_identities"] = max(
+            worst["partial_trace_identities"], float(res_1), float(res_2)
+        )
+        ref = T.make_bipartite(T.sample_random_density(dims, dims.total, seed, stream=10 * i + 7), dims)
+        before = T.relative_entropy(state.rho12, ref.rho12)
+        after_one = T.relative_entropy(apply(obs_a, state).rho12, apply(obs_a, ref).rho12)
+        after_two = T.relative_entropy(
+            apply(obs_b, apply(obs_a, state)).rho12, apply(obs_b, apply(obs_a, ref)).rho12
+        )
+        worst["lindblad"] = max(worst["lindblad"], after_one - before, after_two - after_one)
+    return worst
+
+
+@pytest.mark.parametrize("dims, seed", [((2, 3), 3), ((3, 3), 5)])
+def test_sweep_margins_equal_reference_loop(dims, seed, tmp_path, capsys):
+    args = ["sweep", "--dims", "x".join(map(str, dims)), "--samples", "8", "--seed", str(seed),
+            "--out", str(tmp_path / "v")]
+    assert main(args) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    reference = _sweep_margins_reference(T.Dims(*dims), 8, seed)
+    assert {name: c["worst_margin"] for name, c in checks.items()} == reference
 
 
 @pytest.mark.parametrize("flag", ["0", "1"])

@@ -3,7 +3,7 @@ import pytest
 
 import twinfo as T
 import twinfo.optimize as O
-from twinfo.kernels import info_gain_side1, joint_mutual_info
+from twinfo.kernels import info_gain_side1, joint_mutual_info, swap_sides
 from twinfo.linalg import KERNEL_CLIP
 
 from conftest import SIGMA_X, SIGMA_Z, bell_vector, product_state, random_state, werner_state
@@ -16,45 +16,6 @@ WERNER_MI = 0.45120505930460153
 WERNER_DISCORD = 0.26248318376373436
 
 FAST = T.OptimizationConfig(restarts=4, seed=0)
-
-
-def test_basis_from_params_zero_is_standard_basis():
-    obs = T.basis_from_params(np.zeros(9), 3)
-    assert obs.complete
-    for i, p in enumerate(obs.spectral.projectors):
-        expected = np.zeros((3, 3), dtype=complex)
-        expected[i, i] = 1.0
-        np.testing.assert_allclose(p, expected, atol=1e-12)
-
-
-def test_basis_from_params_sigma_y_rotation():
-    # generator (pi/4) * sigma_y: packed as G[0,1] = -i pi/4
-    params = np.array([0.0, 0.0, 0.0, -np.pi / 4])
-    obs = T.basis_from_params(params, 2)
-    c = np.cos(np.pi / 4)
-    expected_cols = np.array([[c, c], [-c, c]])
-    got = np.column_stack(
-        [p[:, np.argmax(np.abs(p).sum(axis=0))] for p in obs.spectral.projectors]
-    )
-    # compare projectors instead of phase-dependent columns
-    p0 = np.outer(expected_cols[:, 0], expected_cols[:, 0])
-    p1 = np.outer(expected_cols[:, 1], expected_cols[:, 1])
-    np.testing.assert_allclose(obs.spectral.projectors[0], p0, atol=1e-12)
-    np.testing.assert_allclose(obs.spectral.projectors[1], p1, atol=1e-12)
-
-
-def test_basis_from_params_unitarity_contract():
-    rng = np.random.default_rng(5)
-    for d in (2, 3):
-        params = rng.normal(scale=1.5, size=d * d)
-        obs = T.basis_from_params(params, d)
-        total = sum(obs.spectral.projectors)
-        np.testing.assert_allclose(total, np.eye(d), atol=1e-10)
-
-
-def test_basis_from_params_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        T.basis_from_params(np.zeros(3), 2)
 
 
 def test_kernel_objectives_match_module_operations():
@@ -383,7 +344,7 @@ def _looped_grid(state, side, final_resolution=1e-3):
     rho = np.ascontiguousarray(state.rho12.matrix)
     d_opp = state.dims.d2 if side == 1 else state.dims.d1
     if side == 2:
-        rho = np.ascontiguousarray(O.swap_sides(rho, state.dims.d1, state.dims.d2))
+        rho = np.ascontiguousarray(swap_sides(rho, state.dims.d1, state.dims.d2))
 
     def basis(theta, phi):
         c, s, e = np.cos(theta / 2), np.sin(theta / 2), np.exp(1j * phi)
@@ -422,7 +383,7 @@ def test_batched_grid_matches_looped_grid(dims, side, pole):
     rho = np.ascontiguousarray(state.rho12.matrix)
     d_opp = dims[1] if side == 1 else dims[0]
     if side == 2:
-        rho = np.ascontiguousarray(O.swap_sides(rho, *dims))
+        rho = np.ascontiguousarray(swap_sides(rho, *dims))
     assert abs(float(info_gain_side1(rho, basis, d_opp, KERNEL_CLIP)) - value) < 1e-12
 
 
