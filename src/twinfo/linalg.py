@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import ptrace_keep1, ptrace_keep2
+from .kernels import kron, ptrace_keep1, ptrace_keep2
 
 EIG_GROUP_TOL = 1e-8
 KERNEL_CLIP = 1e-12
@@ -71,8 +71,8 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(a, b)
+    """Kronecker product of two matrices; dimensions multiply."""
+    return kron(a, b)
 
 
 def partial_trace(m: np.ndarray, dims: Dims, keep: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import _clamp
-from .kernels import entropy_bits, kron, vn_entropy
+from .kernels import entropy_bits, vn_entropy
 from .linalg import (
     EIG_GROUP_TOL,
     KERNEL_CLIP,
@@ -142,9 +142,9 @@ def embedded_projectors(sobs: SubsystemObservable, dims: Dims) -> list:
         )
     if sobs.subsystem == 1:
         eye = np.eye(dims.d2, dtype=np.complex128)
-        return [kron(p, eye) for p in sobs.observable.spectral.projectors]
+        return [tensor_product(p, eye) for p in sobs.observable.spectral.projectors]
     eye = np.eye(dims.d1, dtype=np.complex128)
-    return [kron(eye, p) for p in sobs.observable.spectral.projectors]
+    return [tensor_product(eye, p) for p in sobs.observable.spectral.projectors]
 
 
 def luders_apply(obs: Observable, rho: DensityOperator) -> DensityOperator:
