@@ -93,8 +93,7 @@ def _anchor(index: int, d: int, eigbasis: np.ndarray, seed: int, stream_base: in
 
 def _log2_support(x: np.ndarray, clip: float = KERNEL_CLIP) -> np.ndarray:
     """Elementwise ``log2 x`` on entries above ``clip``, 0 elsewhere."""
-    keep = x > clip
-    return np.where(keep, np.log2(np.where(keep, x, 1.0)), 0.0)
+    return np.log2(x, out=np.zeros(x.shape), where=x > clip)
 
 
 def _xlog2x(x: np.ndarray, clip: float = KERNEL_CLIP) -> np.ndarray:
@@ -124,8 +123,9 @@ def _gain_terms(r: np.ndarray, s_opp: float, u: np.ndarray):
     c = _conditionals(r, u)
     p = np.einsum("...ibb->...i", c).real
     w, v = np.linalg.eigh(c)
-    value = s_opp + _xlog2x(w).sum(axis=(-2, -1)) - _xlog2x(p).sum(axis=-1)
-    return value, (p, w, v)
+    log_w, log_p = _log2_support(w), _log2_support(p)
+    value = s_opp + (w * log_w).sum(axis=(-2, -1)) - (p * log_p).sum(axis=-1)
+    return value, (w, v, log_w, log_p)
 
 
 def _gain_direction(r: np.ndarray, u: np.ndarray, parts) -> np.ndarray:
@@ -135,8 +135,8 @@ def _gain_direction(r: np.ndarray, u: np.ndarray, parts) -> np.ndarray:
     derivative along ``dU`` is ``2 Re sum_i u_i^dagger M_i du_i`` where
     ``M_i = Tr_2[rho (1 (x) L_i)]``; hence ``K = sum_i M_i u_i u_i^dagger``.
     """
-    p, w, v = parts
-    logs = np.where(w > KERNEL_CLIP, _log2_support(w) - _log2_support(p)[:, None], 0.0)
+    w, v, log_w, log_p = parts
+    logs = np.where(w > KERNEL_CLIP, log_w - log_p[:, None], 0.0)
     ell = (v * logs[:, None, :]) @ v.conj().transpose(0, 2, 1)
     m = np.einsum("abjk,ikb->iaj", r, ell)
     k = np.einsum("iaj,ji,bi->ab", m, u, u.conj())
@@ -154,8 +154,9 @@ def _joint_terms(r: np.ndarray, us):
     p = np.einsum("ibe,bj,ej->ij", c, u2.conj(), u2).real
     pa = p.sum(axis=1)
     pb = p.sum(axis=0)
-    value = _xlog2x(p, 0.0).sum() - _xlog2x(pa, 0.0).sum() - _xlog2x(pb, 0.0).sum()
-    return value, (c, p, pa, pb)
+    logs = [_log2_support(x, 0.0) for x in (p, pa, pb)]
+    value = (p * logs[0]).sum() - (pa * logs[1]).sum() - (pb * logs[2]).sum()
+    return value, (c, p, *logs)
 
 
 def _joint_directions(r: np.ndarray, us, parts):
@@ -166,10 +167,8 @@ def _joint_directions(r: np.ndarray, us, parts):
     side's outcomes by ``w``.
     """
     u1, u2 = us
-    c, p, pa, pb = parts
-    log_pa = _log2_support(pa, 0.0)[:, None]
-    log_pb = _log2_support(pb, 0.0)[None, :]
-    weights = np.where(p > 0.0, _log2_support(p, 0.0) - log_pa - log_pb, 0.0)
+    c, p, log_p, log_pa, log_pb = parts
+    weights = np.where(p > 0.0, log_p - log_pa[:, None] - log_pb[None, :], 0.0)
     d = np.einsum("bj,abce,ej->jac", u2.conj(), r, u2)
     k1 = np.einsum("ij,jac,ci,di->ad", weights, d, u1, u1.conj())
     k2 = np.einsum("ij,ibe,ej,fj->bf", weights, c, u2, u2.conj())
@@ -178,24 +177,25 @@ def _joint_directions(r: np.ndarray, us, parts):
 
 def _flat(a) -> np.ndarray:
     """A tangent tuple as one real vector; ``Re vdot`` becomes a dot product."""
+    if len(a) == 1:
+        return a[0].ravel().view(float)
     return np.concatenate([x.ravel() for x in a]).view(float)
 
 
 def _lbfgs_direction(g: np.ndarray, memory) -> np.ndarray:
     """Two-loop recursion: the inverse-Hessian estimate applied to the gradient ``g``.
 
-    ``memory`` holds pairs ``(s, y, 1 / s.y)`` for the minimization of the
-    negated objective, oldest first.
+    ``memory`` holds pairs ``(s, y, 1 / s.y, s.y / y.y)`` for the minimization
+    of the negated objective, oldest first.
     """
     q = g.copy()
     alphas = []
-    for s, y, inv_sy in reversed(memory):
+    for s, y, inv_sy, _ in reversed(memory):
         alpha = inv_sy * (s @ q)
         q -= alpha * y
         alphas.append(alpha)
-    s, y, _ = memory[-1]
-    q *= (s @ y) / (y @ y)
-    for (s, y, inv_sy), alpha in zip(memory, reversed(alphas)):
+    q *= memory[-1][3]
+    for (s, y, inv_sy, _), alpha in zip(memory, reversed(alphas)):
         q += (alpha - inv_sy * (y @ q)) * s
     return q
 
@@ -214,6 +214,7 @@ def _ascend(evaluate, direction, start, max_iterations: int):
     ``(value, us, grad_norm, evaluations)``.
     """
     us = start
+    cuts = np.cumsum([u.size for u in us])[:-1]
     value, parts = evaluate(us)
     evaluations = 1
     g = _flat(direction(us, parts))
@@ -224,19 +225,20 @@ def _ascend(evaluate, direction, start, max_iterations: int):
             break
         if memory:
             q = _lbfgs_direction(g, memory)
-            if g @ q <= 0:
-                memory.clear()
-        if not memory:
+            slope = g @ q
+        if not memory or slope <= 0:
+            memory.clear()
             q = g / max(1.0, np.sqrt(norm2))
-        slope = g @ q
-        blocks = np.split(q.view(complex), np.cumsum([u.size for u in us])[:-1])
-        rotations = [np.linalg.eigh(1j * x.reshape(u.shape)) for x, u in zip(blocks, us)]
+            slope = g @ q
+        blocks = np.split(q.view(complex), cuts) if cuts.size else (q.view(complex),)
+        eigs = [np.linalg.eigh(1j * x.reshape(u.shape)) for x, u in zip(blocks, us)]
+        rotations = [(w, v, v.conj().T) for w, v in eigs]
         floor = _EPS * max(1.0, abs(value))
         step = 1.0
         while True:
             trial = tuple(
-                (v * np.exp(-1j * step * w)) @ v.conj().T @ u
-                for (w, v), u in zip(rotations, us)
+                (v * np.exp(-1j * step * w)) @ vh @ u
+                for (w, v, vh), u in zip(rotations, us)
             )
             trial_value, trial_parts = evaluate(trial)
             evaluations += 1
@@ -252,7 +254,7 @@ def _ascend(evaluate, direction, start, max_iterations: int):
         s, y = step * q, g - g_new
         sy = s @ y
         if sy > 0:
-            memory.append((s, y, 1.0 / sy))
+            memory.append((s, y, 1.0 / sy, sy / (y @ y)))
             del memory[:-_MEMORY]
         g = g_new
     return value, us, float(np.sqrt(g @ g)), evaluations
@@ -372,11 +374,7 @@ def sup_information_gain(
 
 def _reduce_candidates(candidates) -> SupremumResult:
     # Max over restart values; the lowest index wins exact ties.
-    best_idx = 0
-    for i, cand in enumerate(candidates):
-        if cand[0] > candidates[best_idx][0]:
-            best_idx = i
-    value, basis, grad_norm, _ = candidates[best_idx]
+    value, basis, grad_norm, _ = max(candidates, key=lambda cand: cand[0])
     agreeing = sum(1 for cand in candidates if cand[0] >= value - AGREE_TOL)
     return SupremumResult(
         value=max(value, 0.0),

@@ -192,6 +192,19 @@ def test_sweep_dumps_replayable_violations(tmp_path):
         T.make_bipartite(arr, T.Dims(*dims))  # replayable as a valid state
 
 
+def test_sweep_lindblad_rounding_is_not_a_violation(tmp_path, capsys):
+    # At 2x2 the sampled incomplete observables are the identity, so the three
+    # relative entropies of sample 1 are equal; their rounding (1.96e-9) is
+    # amplified by the reference's smallest eigenvalue, 4.5e-8.
+    out = tmp_path / "v"
+    args = ["sweep", "--dims", "2x2", "--samples", "8", "--seed", "4041", "--out", str(out)]
+    assert main(args) == 0
+    lindblad = json.loads(capsys.readouterr().out)["checks"]["lindblad"]
+    assert lindblad["violations"] == 0
+    assert lindblad["worst_margin"] == 1.9643540127844972e-09
+    assert not out.exists()
+
+
 def _sweep_margins_reference(dims, samples, seed):
     """Worst margin of each sweep check, recomputed sample by sample with the
     public API and one Lüders application per channel use (ten a sample)."""
@@ -332,6 +345,33 @@ def test_discord_summary_counts_grid_as_candidate(tmp_path):
     assert json.loads(gridded.stdout)["optimization"]["restarts_agreeing"] == 5
     plain = run_cli("discord", str(path), "--restarts", "4")
     assert plain.stderr.strip().endswith("[4/4 restarts agree]")
+
+
+# ------------------------------------------------------------ usage errors
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("discord", "{bell}", "--restarts", "0"),
+        ("discord", "{bell}", "--restarts", "-2"),
+        ("sweep", "--tol", "nan", "--samples", "2", "--out", "{out}"),
+        ("twins", "{bell}", "{z}", "{z}", "--tol", "NaN"),
+    ],
+)
+def test_bad_numeric_options_are_usage_errors(args, tmp_path):
+    paths = {
+        "bell": write_bell(tmp_path / "bell.json"),
+        "z": write_observable(tmp_path / "z.json", SIGMA_Z),
+        "out": str(tmp_path / "v"),
+    }
+    res = run_cli(*(a.format(**paths) for a in args))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("twinfo: ")
+    assert res.stderr.count("\n") == 1
+    assert not (tmp_path / "v").exists()
 
 
 # ------------------------------------------------------------------ cmd_twins
