@@ -70,10 +70,8 @@ from .twins import (
     DetectableSpectrum,
     SpectralPairing,
     TwinReport,
-    check_strong_algebraic,
     construct_pure_twins,
     dephase_in_schmidt_basis,
     detectable_spectrum,
-    pair_spectra,
     verify_twins,
 )

@@ -23,7 +23,7 @@ from .entropy import (
     relative_entropy,
     von_neumann_entropy,
 )
-from .io import StateFileError, format_json, load_state_file, write_state_file
+from .io import StateFileError, complex_payload, format_json, load_state_file, write_state_file
 from .kernels import BACKEND, info_gain_side1, joint_mutual_info, swap_sides
 from .linalg import KERNEL_CLIP, Dims, frobenius, is_hermitian, partial_trace
 from .measurement import (
@@ -73,6 +73,8 @@ def _parse_dims(text: str) -> Dims:
         d1, d2 = int(parts[0]), int(parts[1])
     except ValueError:
         raise StateFileError(f"--dims expects integers, got {text!r}") from None
+    if d1 < 1 or d2 < 1:
+        raise StateFileError(f"--dims sides must be >= 1, got {text!r}")
     return Dims(d1, d2)
 
 
@@ -176,6 +178,8 @@ def cmd_report(args) -> int:
 def cmd_discord(args) -> int:
     if args.restarts < 1:
         raise StateFileError(f"--restarts must be >= 1, got {args.restarts}")
+    if args.seed < 0:
+        raise StateFileError(f"--seed must be >= 0, got {args.seed}")
     state, kind, phi = _load_bipartite(args.state)
     cfg = OptimizationConfig(
         restarts=args.restarts, seed=args.seed, grid_refine=args.grid_refine
@@ -274,14 +278,8 @@ def cmd_schmidt(args) -> int:
         {
             "input": {"path": args.state, "kind": kind},
             "coefficients": form.coefficients,
-            "basis_1_columns": [
-                [[float(z.real), float(z.imag)] for z in form.basis1[:, i]]
-                for i in range(form.basis1.shape[1])
-            ],
-            "basis_2_columns": [
-                [[float(z.real), float(z.imag)] for z in form.basis2[:, i]]
-                for i in range(form.basis2.shape[1])
-            ],
+            "basis_1_columns": complex_payload(form.basis1.T),
+            "basis_2_columns": complex_payload(form.basis2.T),
             "reconstruction_residual": residual,
         }
     )
@@ -322,6 +320,8 @@ def _relative_entropy_rounding(reference: np.ndarray) -> float:
 
 def cmd_sweep(args) -> int:
     dims = _parse_dims(args.dims)
+    if args.seed < 0:
+        raise StateFileError(f"--seed must be >= 0, got {args.seed}")
     if dims.d1 > MAX_SWEEP_DIM or dims.d2 > MAX_SWEEP_DIM:
         raise StateFileError(f"--dims sides must be <= {MAX_SWEEP_DIM}, got {args.dims}")
     if args.samples < 1:

@@ -16,9 +16,7 @@ __all__ = [
     "measured_first",
     "swap_sides",
     "kron",
-    "side1_conditionals",
     "info_gain_side1",
-    "joint_probs",
     "joint_mutual_info",
 ]
 
@@ -74,52 +72,30 @@ def kron(a, b):
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
-def side1_conditionals(rho, basis, d2):
-    """Outcome probabilities and unnormalized side-2 states for a rank-1
-    measurement on side 1.
+def info_gain_side1(rho, basis, d2, clip):
+    """Entropy reduction about side 2 from measuring ``basis`` on side 1.
 
-    ``basis`` holds the measured orthonormal vectors as columns; entry ``i``
-    of the returned stack is the (unnormalized) conditional state given
+    ``basis`` holds the measured orthonormal vectors as columns; diagonal
+    block ``i`` of ``w rho w^dagger`` is the unnormalized side-2 state given
     outcome ``i``.
     """
-    n = basis.shape[1]
+    d1, n = basis.shape
     w = kron(basis.conj().T, np.eye(d2, dtype=np.complex128))
     m = w @ rho @ w.conj().T
-    cond = np.zeros((n, d2, d2), dtype=np.complex128)
-    p = np.zeros(n)
+    gain = vn_entropy(ptrace_keep2(rho, d1, d2), clip)
     for i in range(n):
         blk = m[i * d2 : (i + 1) * d2, i * d2 : (i + 1) * d2]
-        cond[i] = blk
-        p[i] = np.trace(blk).real
-    return p, cond
-
-
-def info_gain_side1(rho, basis, d2, clip):
-    """Entropy reduction about side 2 from measuring ``basis`` on side 1."""
-    d1 = basis.shape[0]
-    p, cond = side1_conditionals(rho, basis, d2)
-    gain = vn_entropy(ptrace_keep2(rho, d1, d2), clip)
-    for i in range(p.shape[0]):
-        if p[i] > clip:
-            gain -= p[i] * vn_entropy(np.ascontiguousarray(cond[i]) / p[i], clip)
+        p = np.trace(blk).real
+        if p > clip:
+            gain -= p * vn_entropy(np.ascontiguousarray(blk) / p, clip)
     return gain
-
-
-def joint_probs(rho, basis1, basis2):
-    """Outcome table p[i, j] for simultaneous rank-1 measurements."""
-    n1 = basis1.shape[1]
-    n2 = basis2.shape[1]
-    w = kron(basis1, basis2)
-    t = rho @ w
-    p = np.sum((w.conj() * t).real, axis=0)
-    return p.reshape(n1, n2)
 
 
 def joint_mutual_info(rho, basis1, basis2, clip):
     """Classical mutual information of the simultaneous-measurement table."""
-    p = joint_probs(rho, basis1, basis2)
+    w = kron(basis1, basis2)
+    p = np.sum((w.conj() * (rho @ w)).real, axis=0).reshape(basis1.shape[1], basis2.shape[1])
     ha = entropy_bits(np.sum(p, axis=1), clip)
     hb = entropy_bits(np.sum(p, axis=0), clip)
     hab = entropy_bits(p.ravel(), clip)
     return ha + hb - hab
-

@@ -120,7 +120,7 @@ def observable_from_basis(u: np.ndarray, eigenvalues=None, tol: float = 1e-10) -
         eigenvalues = np.asarray(eigenvalues, dtype=float)
         if eigenvalues.shape != (d,):
             raise ValueError(f"expected {d} eigenvalues, got {eigenvalues.shape}")
-        if np.min(np.diff(np.sort(eigenvalues))) < tol:
+        if d > 1 and np.min(np.diff(np.sort(eigenvalues))) < tol:
             raise ValueError("eigenvalue labels must be distinct")
     order = np.argsort(eigenvalues)
     projectors = tuple(np.outer(u[:, i], u[:, i].conj()) for i in order)

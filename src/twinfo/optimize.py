@@ -37,6 +37,8 @@ _MEMORY = 5
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _EPS = np.finfo(float).eps
 _GRID_RESOLUTION = 1e-3
+# Caps the ascent iterations of each restart, which otherwise stops on stationarity.
+_MAX_ITERATIONS = 2000
 # Stream offsets keep restart seeds for the four optimized bases disjoint.
 _STREAM_GAIN_1 = 1_000
 _STREAM_GAIN_2 = 2_000
@@ -46,20 +48,17 @@ _STREAM_JOINT_2 = 4_000
 
 @dataclass(frozen=True)
 class OptimizationConfig:
-    """Multi-start settings.
-
-    ``max_iterations`` caps the ascent iterations of each restart, which
-    otherwise stops on stationarity (``GRAD_TOL``).
-    """
+    """Multi-start settings."""
 
     restarts: int = 32
-    max_iterations: int = 2000
     seed: int = 0
     grid_refine: bool = False
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -200,7 +199,7 @@ def _lbfgs_direction(g: np.ndarray, memory) -> np.ndarray:
     return q
 
 
-def _ascend(evaluate, direction, start, max_iterations: int):
+def _ascend(evaluate, direction, start):
     """Riemannian L-BFGS ascent on a product of unitary groups.
 
     ``evaluate(us) -> (value, parts)`` and ``direction(us, parts) -> As``
@@ -219,7 +218,7 @@ def _ascend(evaluate, direction, start, max_iterations: int):
     evaluations = 1
     g = _flat(direction(us, parts))
     memory = []
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         norm2 = g @ g
         if norm2 <= GRAD_TOL * GRAD_TOL:
             break
@@ -273,21 +272,19 @@ def _bloch_basis(theta: float, phi: float) -> np.ndarray:
     return np.array([[c, -s / e], [s * e, c]])
 
 
-def grid_information_gain_qubit(
-    state: BipartiteState, side: int, final_resolution: float = _GRID_RESOLUTION
-):
+def grid_information_gain_qubit(state: BipartiteState, side: int):
     """Deterministic Bloch-sphere grid maximization of the information gain.
 
     Scans (theta, phi), then zooms into the best cell until the grid step
-    falls below ``final_resolution`` radians; each grid is one batched
+    falls below ``_GRID_RESOLUTION`` radians; each grid is one batched
     evaluation.  Only valid when the measured side is a qubit.  Returns
     ``(value, basis)``.
     """
-    value, basis, _ = _grid_search(state, side, final_resolution)
+    value, basis, _ = _grid_search(state, side)
     return value, basis
 
 
-def _grid_search(state: BipartiteState, side: int, final_resolution: float):
+def _grid_search(state: BipartiteState, side: int):
     """The grid maximization of ``grid_information_gain_qubit``, also returning
     the number of points it evaluated.
 
@@ -327,7 +324,7 @@ def _grid_search(state: BipartiteState, side: int, final_resolution: float):
         if values[idx] > best[0]:
             best = (float(values[idx]), thetas[idx // n], phis[idx % n])
         step_t = (t_hi - t_lo) / (n - 1)
-        if step_t <= final_resolution:
+        if step_t <= _GRID_RESOLUTION:
             break
         _, t_c, p_c = best
         t_lo, t_hi = max(0.0, t_c - 2 * step_t), min(np.pi, t_c + 2 * step_t)
@@ -362,10 +359,10 @@ def sup_information_gain(
     candidates = []
     for i in range(cfg.restarts):
         anchor = _anchor(i, d, eigbasis, cfg.seed, stream)
-        value, us, norm, evals = _ascend(evaluate, direction, (anchor,), cfg.max_iterations)
+        value, us, norm, evals = _ascend(evaluate, direction, (anchor,))
         candidates.append((float(value), np.ascontiguousarray(us[0]), norm, evals))
     if cfg.grid_refine and d == 2:
-        value, basis, points = _grid_search(state, side, _GRID_RESOLUTION)
+        value, basis, points = _grid_search(state, side)
         _, parts = evaluate((basis,))
         norm = float(np.linalg.norm(_gain_direction(r, basis, parts)))
         candidates.append((value, basis, norm, points + 1))
@@ -410,7 +407,7 @@ def sup_joint_mutual_information(
             _anchor(i, d1, eig1, cfg.seed, _STREAM_JOINT_1),
             _anchor(i, d2, eig2, cfg.seed, _STREAM_JOINT_2),
         )
-        value, us, norm, evals = _ascend(evaluate, direction, start, cfg.max_iterations)
+        value, us, norm, evals = _ascend(evaluate, direction, start)
         pair = tuple(np.ascontiguousarray(u) for u in us)
         candidates.append((float(value), pair, norm, evals))
     return _reduce_candidates(candidates)

@@ -92,27 +92,10 @@ def detectable_spectrum(
     )
 
 
-def pair_spectra(
-    state: BipartiteState,
-    spec_a: DetectableSpectrum,
-    spec_b: DetectableSpectrum,
-    tol: float = TWIN_TOL,
-) -> SpectralPairing | None:
-    """Find the one-to-one outcome correspondence, if it exists.
-
-    Index ``i`` of ``spec_a`` pairs with ``j`` of ``spec_b`` when the
-    coincidence probability carries the full row weight,
-    ``p_ij > (1 - tol) * p_i``.  Returns None when any row lacks a partner or
-    the map is not a bijection.
-    """
-    if len(spec_a.eigenvalues) != len(spec_b.eigenvalues):
-        return None
-    table = coincidence_table(state, spec_a.projectors, spec_b.projectors)
-    return _pair_rows(table, spec_a.probabilities, tol)
-
-
 def _pair_rows(table: np.ndarray, probabilities: np.ndarray, tol: float) -> SpectralPairing | None:
-    """The pairing rule of ``pair_spectra`` applied to a coincidence table."""
+    """One-to-one outcome correspondence: row ``i`` pairs with the single column
+    ``j`` that carries its full weight, ``table[i, j] > (1 - tol) * p_i``.
+    Returns None when a row lacks a partner or the map is not a bijection."""
     pairs = []
     used = set()
     for i, p_i in enumerate(probabilities):
@@ -236,23 +219,6 @@ def verify_twins(
     )
 
 
-def check_strong_algebraic(
-    state: BipartiteState,
-    a1: SubsystemObservable,
-    b2: SubsystemObservable,
-    pairing: SpectralPairing,
-    tol: float = TWIN_TOL,
-) -> float | None:
-    """Residual of ``A1 rho = B2 rho`` on the detectable parts.
-
-    Applies only when the paired eigenvalue labels coincide; returns None
-    when they differ.
-    """
-    spec_a = detectable_spectrum(state, a1)
-    spec_b = detectable_spectrum(state, b2)
-    return _strong_algebraic(state, spec_a, spec_b, pairing, tol)
-
-
 def _strong_algebraic(
     state: BipartiteState,
     spec_a: DetectableSpectrum,
@@ -260,7 +226,8 @@ def _strong_algebraic(
     pairing: SpectralPairing,
     tol: float,
 ) -> float | None:
-    """``check_strong_algebraic`` on already computed detectable spectra."""
+    """Residual of ``A1 rho = B2 rho`` on the detectable parts; None when the
+    paired eigenvalue labels differ, where the identity does not apply."""
     for i, j in pairing.pairs:
         if abs(spec_a.eigenvalues[i] - spec_b.eigenvalues[j]) > tol:
             return None

@@ -357,6 +357,11 @@ def test_discord_summary_counts_grid_as_candidate(tmp_path):
         ("discord", "{bell}", "--restarts", "-2"),
         ("sweep", "--tol", "nan", "--samples", "2", "--out", "{out}"),
         ("twins", "{bell}", "{z}", "{z}", "--tol", "NaN"),
+        ("sweep", "--seed", "-1", "--samples", "2", "--out", "{out}"),
+        ("discord", "{bell}", "--seed", "-1", "--restarts", "3"),
+        ("discord", "{bell}", "--seed", "-1", "--restarts", "2"),
+        ("sweep", "--dims", "2x0", "--samples", "2", "--out", "{out}"),
+        ("sweep", "--dims", "0x3", "--samples", "2", "--out", "{out}"),
     ],
 )
 def test_bad_numeric_options_are_usage_errors(args, tmp_path):

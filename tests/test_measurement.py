@@ -43,6 +43,13 @@ def test_observable_from_basis_rejects_repeated_labels():
         T.observable_from_basis(np.eye(2, dtype=complex), eigenvalues=[1.0, 1.0])
 
 
+def test_observable_from_basis_one_dimensional():
+    # A single label has no neighbour to collide with.
+    obs = T.observable_from_basis(np.eye(1, dtype=complex), eigenvalues=[3.0])
+    np.testing.assert_allclose(obs.spectral.eigenvalues, [3.0])
+    assert obs.complete
+
+
 def test_luders_kills_off_diagonals():
     out = T.luders_apply(_z_obs(), _plus_state())
     np.testing.assert_allclose(out.matrix, np.eye(2) / 2, atol=1e-12)

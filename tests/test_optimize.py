@@ -221,6 +221,8 @@ def test_optimizer_is_deterministic():
 def test_config_validation():
     with pytest.raises(ValueError):
         T.OptimizationConfig(restarts=0)
+    with pytest.raises(ValueError):
+        T.OptimizationConfig(seed=-1)
 
 
 # ------------------------------------------------------- gradient ascent on U(d)
@@ -377,7 +379,7 @@ def test_batched_grid_matches_looped_grid(dims, side, pole):
     value, basis = T.grid_information_gain_qubit(state, side)
     ref_value, _, ref_points = _looped_grid(state, side)
     assert abs(value - ref_value) < 1e-12
-    assert O._grid_search(state, side, 1e-3)[2] == ref_points
+    assert O._grid_search(state, side)[2] == ref_points
     # Antipodal Bloch points are one measurement, so the two argmax points
     # may differ by rounding; the returned basis must attain the value.
     rho = np.ascontiguousarray(state.rho12.matrix)

@@ -54,9 +54,7 @@ def test_detectable_spectrum_kernel_projector():
 
 def test_pair_spectra_bell_zz(bell):
     a1, b2 = zz_observables()
-    pairing = T.pair_spectra(
-        bell, T.detectable_spectrum(bell, a1), T.detectable_spectrum(bell, b2)
-    )
+    pairing = T.verify_twins(bell, a1, b2).pairing
     assert pairing is not None
     assert pairing.pairs == ((0, 0), (1, 1))
 
@@ -64,9 +62,7 @@ def test_pair_spectra_bell_zz(bell):
 def test_pair_spectra_bell_zx_has_none(bell):
     a1 = _z1()
     b2 = _x2()
-    pairing = T.pair_spectra(
-        bell, T.detectable_spectrum(bell, a1), T.detectable_spectrum(bell, b2)
-    )
+    pairing = T.verify_twins(bell, a1, b2).pairing
     assert pairing is None
 
 
@@ -76,9 +72,7 @@ def test_pair_spectra_crossed():
     phi[2] = np.sqrt(0.25)  # |1>|0>
     state = T.bipartite_from_pure(phi, T.Dims(2, 2))
     a1, b2 = zz_observables()
-    pairing = T.pair_spectra(
-        state, T.detectable_spectrum(state, a1), T.detectable_spectrum(state, b2)
-    )
+    pairing = T.verify_twins(state, a1, b2).pairing
     # eigenvalue +1 of side 1 (|0>) pairs with eigenvalue -1 of side 2 (|1>)
     assert pairing is not None
     assert pairing.pairs == ((0, 1), (1, 0))
@@ -283,15 +277,6 @@ def test_condition_equivalence_on_small_corpus():
         ]
         assert all(flags) == is_twin
         assert report.verdict == is_twin
-        # verify_twins pairs and checks the strong identity on its own table
-        # and spectra; the public entry points must agree with it.
-        spec_a = T.detectable_spectrum(state, a1)
-        spec_b = T.detectable_spectrum(state, b2)
-        assert report.pairing == T.pair_spectra(state, spec_a, spec_b)
-        if is_twin:
-            assert report.strong_algebraic_residual == T.check_strong_algebraic(
-                state, a1, b2, report.pairing
-            )
 
 
 def _basis_vec(dims, i, j):
