@@ -18,7 +18,6 @@ from .linalg import (
     Dims,
     SpectralDecomposition,
     hermitian_eig,
-    matrix_fn_on_support,
     partial_trace,
     tensor_product,
 )

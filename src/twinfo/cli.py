@@ -25,7 +25,7 @@ from .entropy import (
 )
 from .io import StateFileError, complex_payload, format_json, load_state_file, write_state_file
 from .kernels import BACKEND, info_gain_side1, joint_mutual_info, swap_sides
-from .linalg import KERNEL_CLIP, Dims, frobenius, is_hermitian, partial_trace
+from .linalg import Dims, frobenius, is_hermitian, partial_trace
 from .measurement import (
     SubsystemObservable,
     luders_apply_subsystem,
@@ -361,9 +361,9 @@ def cmd_sweep(args) -> int:
         for k in range(2):
             u1 = np.ascontiguousarray(sample_random_unitary(dims.d1, args.seed, stream=10 * i + 1 + k))
             u2 = np.ascontiguousarray(sample_random_unitary(dims.d2, args.seed, stream=10 * i + 3 + k))
-            jmi = float(joint_mutual_info(rho, u1, u2, KERNEL_CLIP))
-            g1 = float(info_gain_side1(rho, u1, dims.d2, KERNEL_CLIP))
-            g2 = float(info_gain_side1(swapped, u2, dims.d1, KERNEL_CLIP))
+            jmi = float(joint_mutual_info(rho, u1, u2))
+            g1 = float(info_gain_side1(rho, u1, dims.d2))
+            g2 = float(info_gain_side1(swapped, u2, dims.d1))
             margin = max(
                 -jmi, jmi - g1, jmi - g2, g1 - min(mi, s2), g2 - min(mi, s1)
             )

@@ -46,7 +46,7 @@ def parse_state_payload(data: dict, source: str = "<state file>"):
     if (
         not isinstance(dims, list)
         or len(dims) != want
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
     ):
         raise StateFileError(
             f"{source}: field 'dims' must be a list of {want} positive integer(s), got {dims!r}"

@@ -1,8 +1,8 @@
 """Hot numeric kernels on raw complex128 arrays, in plain numpy.
 
-Callers are responsible for passing C-contiguous complex128 arrays.  ``clip``
-arguments implement the ``0 * log 0 = 0`` convention: eigenvalues/probabilities
-at or below the clip are treated as exact zeros.
+Callers are responsible for passing C-contiguous complex128 arrays.
+``KERNEL_CLIP`` implements the ``0 * log 0 = 0`` convention: eigenvalues and
+probabilities at or below it are treated as exact zeros.
 """
 
 import numpy as np
@@ -21,18 +21,19 @@ __all__ = [
 ]
 
 BACKEND = "numpy"
+KERNEL_CLIP = 1e-12
 
 
-def entropy_bits(p, clip):
-    """Shannon entropy (base 2) of the entries of ``p`` above ``clip``."""
-    q = p[p > clip]
+def entropy_bits(p):
+    """Shannon entropy (base 2) of the entries of ``p`` above ``KERNEL_CLIP``."""
+    q = p[p > KERNEL_CLIP]
     return -np.sum(q * np.log2(q))
 
 
-def vn_entropy(m, clip):
+def vn_entropy(m):
     """von Neumann entropy in bits of a Hermitian PSD matrix."""
     w = np.linalg.eigvalsh(m)
-    q = w[w > clip]
+    q = w[w > KERNEL_CLIP]
     return -np.sum(q * np.log2(q))
 
 
@@ -72,7 +73,7 @@ def kron(a, b):
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
-def info_gain_side1(rho, basis, d2, clip):
+def info_gain_side1(rho, basis, d2):
     """Entropy reduction about side 2 from measuring ``basis`` on side 1.
 
     ``basis`` holds the measured orthonormal vectors as columns; diagonal
@@ -82,20 +83,20 @@ def info_gain_side1(rho, basis, d2, clip):
     d1, n = basis.shape
     w = kron(basis.conj().T, np.eye(d2, dtype=np.complex128))
     m = w @ rho @ w.conj().T
-    gain = vn_entropy(ptrace_keep2(rho, d1, d2), clip)
+    gain = vn_entropy(ptrace_keep2(rho, d1, d2))
     for i in range(n):
         blk = m[i * d2 : (i + 1) * d2, i * d2 : (i + 1) * d2]
         p = np.trace(blk).real
-        if p > clip:
-            gain -= p * vn_entropy(np.ascontiguousarray(blk) / p, clip)
+        if p > KERNEL_CLIP:
+            gain -= p * vn_entropy(np.ascontiguousarray(blk) / p)
     return gain
 
 
-def joint_mutual_info(rho, basis1, basis2, clip):
+def joint_mutual_info(rho, basis1, basis2):
     """Classical mutual information of the simultaneous-measurement table."""
     w = kron(basis1, basis2)
     p = np.sum((w.conj() * (rho @ w)).real, axis=0).reshape(basis1.shape[1], basis2.shape[1])
-    ha = entropy_bits(np.sum(p, axis=1), clip)
-    hb = entropy_bits(np.sum(p, axis=0), clip)
-    hab = entropy_bits(p.ravel(), clip)
+    ha = entropy_bits(np.sum(p, axis=1))
+    hb = entropy_bits(np.sum(p, axis=0))
+    hab = entropy_bits(p.ravel())
     return ha + hb - hab

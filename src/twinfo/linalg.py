@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import kron, ptrace_keep1, ptrace_keep2
+from .kernels import KERNEL_CLIP, kron, ptrace_keep1, ptrace_keep2
 
 EIG_GROUP_TOL = 1e-8
-KERNEL_CLIP = 1e-12
 HERMITIAN_TOL = 1e-10
 
 
@@ -66,8 +65,8 @@ def frobenius(a: np.ndarray, b=None) -> float:
     return float(np.linalg.norm(a if b is None else a - b))
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return frobenius(m, dagger(m)) <= tol * (1.0 + frobenius(m))
+def is_hermitian(m: np.ndarray) -> bool:
+    return frobenius(m, dagger(m)) <= HERMITIAN_TOL * (1.0 + frobenius(m))
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -88,10 +87,10 @@ def partial_trace(m: np.ndarray, dims: Dims, keep: int) -> np.ndarray:
     raise ValueError(f"keep must be 1 or 2, got {keep}")
 
 
-def hermitian_eig(m: np.ndarray, group_tol: float = EIG_GROUP_TOL) -> SpectralDecomposition:
+def hermitian_eig(m: np.ndarray) -> SpectralDecomposition:
     """Spectral decomposition with eigenvalue grouping.
 
-    Consecutive eigenvalues closer than ``group_tol * (1 + |lambda|)`` are
+    Consecutive eigenvalues closer than ``EIG_GROUP_TOL * (1 + |lambda|)`` are
     merged into one projector, so near-degenerate spectra yield stable
     projectors instead of arbitrarily mixed eigenvectors.
     """
@@ -103,7 +102,7 @@ def hermitian_eig(m: np.ndarray, group_tol: float = EIG_GROUP_TOL) -> SpectralDe
     edges = [0]
     for i in range(1, len(w)):
         scale = 1.0 + max(abs(w[i]), abs(w[i - 1]))
-        if w[i] - w[i - 1] >= group_tol * scale:
+        if w[i] - w[i - 1] >= EIG_GROUP_TOL * scale:
             edges.append(i)
     edges.append(len(w))
 
@@ -123,20 +122,8 @@ def hermitian_eig(m: np.ndarray, group_tol: float = EIG_GROUP_TOL) -> SpectralDe
     )
 
 
-def matrix_fn_on_support(m: np.ndarray, f, clip: float = KERNEL_CLIP) -> np.ndarray:
-    """Apply ``f`` to the eigenvalues of ``m`` above ``clip``; the kernel maps to 0."""
-    if not is_hermitian(m):
-        raise ValueError("matrix_fn_on_support requires a Hermitian matrix")
+def range_projector(m: np.ndarray) -> np.ndarray:
+    """Projector onto the span of eigenvectors with eigenvalue above ``KERNEL_CLIP``."""
     w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
-    fw = np.zeros_like(w)
-    mask = w > clip
-    if np.any(mask):
-        fw[mask] = f(w[mask])
-    return (v * fw) @ v.conj().T
-
-
-def range_projector(m: np.ndarray, clip: float = KERNEL_CLIP) -> np.ndarray:
-    """Projector onto the span of eigenvectors with eigenvalue above ``clip``."""
-    w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
-    block = v[:, w > clip]
+    block = v[:, w > KERNEL_CLIP]
     return block @ block.conj().T

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import _clamp
-from .kernels import entropy_bits, vn_entropy
+from .kernels import KERNEL_CLIP, entropy_bits, vn_entropy
 from .linalg import (
-    EIG_GROUP_TOL,
-    KERNEL_CLIP,
     Dims,
     SpectralDecomposition,
     dagger,
@@ -28,6 +26,7 @@ from .linalg import (
 from .states import BipartiteState, DensityOperator, _bipartite_unchecked, _wrap_density
 
 DETECT_EPS = 1e-10
+_BASIS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,8 +64,6 @@ class JointDistribution:
     p: np.ndarray
     row_marginals: np.ndarray
     col_marginals: np.ndarray
-    row_labels: np.ndarray
-    col_labels: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -95,13 +92,13 @@ class CoherenceDecomposition:
     conditionals: tuple
 
 
-def observable_from_matrix(m: np.ndarray, group_tol: float = EIG_GROUP_TOL) -> Observable:
+def observable_from_matrix(m: np.ndarray) -> Observable:
     """Build an observable from a Hermitian matrix."""
-    spectral = hermitian_eig(np.asarray(m, dtype=np.complex128), group_tol)
+    spectral = hermitian_eig(np.asarray(m, dtype=np.complex128))
     return Observable(spectral=spectral, dim=m.shape[0])
 
 
-def observable_from_basis(u: np.ndarray, eigenvalues=None, tol: float = 1e-10) -> Observable:
+def observable_from_basis(u: np.ndarray, eigenvalues=None) -> Observable:
     """Complete observable with the columns of ``u`` as eigenvectors.
 
     Default eigenvalue labels are 1, 2, ..., d; custom labels must be
@@ -112,7 +109,7 @@ def observable_from_basis(u: np.ndarray, eigenvalues=None, tol: float = 1e-10) -
     if u.shape != (d, d):
         raise ValueError(f"basis must be square, got shape {u.shape}")
     gram = dagger(u) @ u
-    if np.linalg.norm(gram - np.eye(d)) > tol * d:
+    if np.linalg.norm(gram - np.eye(d)) > _BASIS_TOL * d:
         raise ValueError("basis columns are not orthonormal")
     if eigenvalues is None:
         eigenvalues = np.arange(1, d + 1, dtype=float)
@@ -120,7 +117,7 @@ def observable_from_basis(u: np.ndarray, eigenvalues=None, tol: float = 1e-10) -
         eigenvalues = np.asarray(eigenvalues, dtype=float)
         if eigenvalues.shape != (d,):
             raise ValueError(f"expected {d} eigenvalues, got {eigenvalues.shape}")
-        if d > 1 and np.min(np.diff(np.sort(eigenvalues))) < tol:
+        if d > 1 and np.min(np.diff(np.sort(eigenvalues))) < _BASIS_TOL:
             raise ValueError("eigenvalue labels must be distinct")
     order = np.argsort(eigenvalues)
     projectors = tuple(np.outer(u[:, i], u[:, i].conj()) for i in order)
@@ -165,12 +162,10 @@ def luders_apply_subsystem(sobs: SubsystemObservable, state: BipartiteState) -> 
     return _bipartite_unchecked(out, state.dims)
 
 
-def distant_decomposition(
-    state: BipartiteState, sobs: SubsystemObservable, epsilon: float = DETECT_EPS
-) -> DistantDecomposition:
+def distant_decomposition(state: BipartiteState, sobs: SubsystemObservable) -> DistantDecomposition:
     """Decompose the opposite-subsystem reduction by the outcomes of ``sobs``.
 
-    For each eigenvalue with probability above ``epsilon`` returns the
+    For each eigenvalue with probability above ``DETECT_EPS`` returns the
     probability and the conditional state of the other side; the rest are
     reported as undetectable.
     """
@@ -182,7 +177,7 @@ def distant_decomposition(
     ):
         sand = p_full @ state.rho12.matrix @ p_full
         prob = float(np.trace(sand).real)
-        if prob <= epsilon:
+        if prob <= DETECT_EPS:
             undetectable.append(float(a))
             continue
         cond = partial_trace(sand, state.dims, keep=keep) / prob
@@ -216,20 +211,14 @@ def joint_distribution(
     total = float(p.sum())
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"joint probabilities sum to {total:.12g}")
-    return JointDistribution(
-        p=p,
-        row_marginals=p.sum(axis=1),
-        col_marginals=p.sum(axis=0),
-        row_labels=np.array(a1.observable.spectral.eigenvalues),
-        col_labels=np.array(b2.observable.spectral.eigenvalues),
-    )
+    return JointDistribution(p=p, row_marginals=p.sum(axis=1), col_marginals=p.sum(axis=0))
 
 
-def joint_mutual_information(jd: JointDistribution, clip: float = KERNEL_CLIP) -> float:
+def joint_mutual_information(jd: JointDistribution) -> float:
     """H(A) + H(B) - H(A,B) of an outcome table, in bits."""
-    ha = float(entropy_bits(jd.row_marginals, clip))
-    hb = float(entropy_bits(jd.col_marginals, clip))
-    hab = float(entropy_bits(np.ascontiguousarray(jd.p.ravel()), clip))
+    ha = float(entropy_bits(jd.row_marginals))
+    hb = float(entropy_bits(jd.col_marginals))
+    hab = float(entropy_bits(np.ascontiguousarray(jd.p.ravel())))
     return _clamp(ha + hb - hab)
 
 
@@ -239,9 +228,9 @@ def information_gain(state: BipartiteState, sobs: SubsystemObservable) -> float:
     S(opposite) - sum_i p_i S(conditional_i); nonnegative by concavity.
     """
     opposite = state.rho2 if sobs.subsystem == 1 else state.rho1
-    gain = float(vn_entropy(opposite.matrix, KERNEL_CLIP))
+    gain = float(vn_entropy(opposite.matrix))
     for prob, cond, _ in distant_decomposition(state, sobs).outcomes:
-        gain -= prob * float(vn_entropy(cond.matrix, KERNEL_CLIP))
+        gain -= prob * float(vn_entropy(cond.matrix))
     return _clamp(gain)
 
 
@@ -251,12 +240,10 @@ def entropy_of_coherence(obs: Observable, rho: DensityOperator) -> float:
     Zero iff the observable commutes with the state.
     """
     after = luders_apply(obs, rho)
-    return _clamp(float(vn_entropy(after.matrix, KERNEL_CLIP)) - float(vn_entropy(rho.matrix, KERNEL_CLIP)))
+    return _clamp(float(vn_entropy(after.matrix)) - float(vn_entropy(rho.matrix)))
 
 
-def coherence_decomposition(
-    obs: Observable, rho: DensityOperator, clip: float = KERNEL_CLIP
-) -> CoherenceDecomposition:
+def coherence_decomposition(obs: Observable, rho: DensityOperator) -> CoherenceDecomposition:
     """Split the coherence entropy as H(A) minus the mixing deficit.
 
     Returns the observable entropy H(A) of the outcome weights and the
@@ -274,15 +261,15 @@ def coherence_decomposition(
         w = float(np.trace(sand).real)
         w = max(w, 0.0)
         weights.append(w)
-        if w > clip:
+        if w > KERNEL_CLIP:
             cond = _wrap_density(sand / w)
             conditionals.append(cond)
-            avg_entropy += w * float(vn_entropy(cond.matrix, clip))
+            avg_entropy += w * float(vn_entropy(cond.matrix))
         else:
             conditionals.append(None)
     weights = np.array(weights)
-    h_obs = float(entropy_bits(weights, clip))
-    deficit = float(vn_entropy(rho.matrix, clip)) - avg_entropy
+    h_obs = float(entropy_bits(weights))
+    deficit = float(vn_entropy(rho.matrix)) - avg_entropy
     return CoherenceDecomposition(
         h_observable=h_obs,
         deficit=deficit,

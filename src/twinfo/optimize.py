@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import mutual_information
-from .kernels import measured_first
-from .linalg import KERNEL_CLIP
+from .kernels import KERNEL_CLIP, measured_first
 from .sampling import sample_random_unitary
 from .states import BipartiteState
 
@@ -95,9 +94,9 @@ def _log2_support(x: np.ndarray, clip: float = KERNEL_CLIP) -> np.ndarray:
     return np.log2(x, out=np.zeros(x.shape), where=x > clip)
 
 
-def _xlog2x(x: np.ndarray, clip: float = KERNEL_CLIP) -> np.ndarray:
-    """Elementwise ``x log2 x`` with the ``0 log 0 = 0`` convention at ``clip``."""
-    return x * _log2_support(x, clip)
+def _xlog2x(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``x log2 x`` with the ``0 log 0 = 0`` convention at ``KERNEL_CLIP``."""
+    return x * _log2_support(x)
 
 
 def _conditionals(r: np.ndarray, u: np.ndarray) -> np.ndarray:

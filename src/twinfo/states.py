@@ -16,8 +16,8 @@ SCHMIDT_CLIP = 1e-10
 class StateValidationError(ValueError):
     """A matrix or vector violates a state invariant.
 
-    ``invariant`` names the failed check: ``shape``, ``hermitian``, ``trace``,
-    ``positivity`` or ``norm``.
+    ``invariant`` names the failed check: ``shape``, ``finite``, ``hermitian``,
+    ``trace``, ``positivity`` or ``norm``.
     """
 
     def __init__(self, invariant: str, message: str):
@@ -60,19 +60,22 @@ class SchmidtForm:
         return len(self.coefficients)
 
 
-def validate_density(m: np.ndarray, tol: float = STATE_TOL) -> DensityOperator:
+def validate_density(m: np.ndarray) -> DensityOperator:
     """Check the state invariants and wrap ``m`` as a DensityOperator."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StateValidationError("shape", f"expected a square matrix, got shape {m.shape}")
-    if frobenius(m, dagger(m)) > tol:
+    # Every comparison with NaN is False, so the checks below would pass it.
+    if not np.all(np.isfinite(m)):
+        raise StateValidationError("finite", "matrix has a non-finite (nan or inf) entry")
+    if frobenius(m, dagger(m)) > STATE_TOL:
         raise StateValidationError("hermitian", "matrix is not Hermitian within tolerance")
     tr = np.trace(m).real
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > STATE_TOL:
         raise StateValidationError("trace", f"trace is {tr:.12g}, expected 1")
     h = (m + dagger(m)) / 2.0
     lam_min = float(np.linalg.eigvalsh(h)[0])
-    if lam_min < -tol:
+    if lam_min < -STATE_TOL:
         raise StateValidationError("positivity", f"smallest eigenvalue {lam_min:.3e} is negative")
     return DensityOperator(matrix=np.ascontiguousarray(h), dim=m.shape[0])
 
@@ -107,28 +110,30 @@ def bipartite_from_pure(phi: np.ndarray, dims: Dims) -> BipartiteState:
     return make_bipartite(np.outer(phi, phi.conj()), dims)
 
 
-def purity_class(rho: DensityOperator, tol: float = PURITY_TOL) -> str:
-    """``"pure"`` iff Tr(rho^2) > 1 - tol, else ``"mixed"``."""
+def purity_class(rho: DensityOperator) -> str:
+    """``"pure"`` iff Tr(rho^2) > 1 - PURITY_TOL, else ``"mixed"``."""
     purity = float(np.trace(rho.matrix @ rho.matrix).real)
-    return "pure" if purity > 1.0 - tol else "mixed"
+    return "pure" if purity > 1.0 - PURITY_TOL else "mixed"
 
 
-def _check_unit_vector(phi: np.ndarray, dims: Dims, tol: float = STATE_TOL) -> np.ndarray:
+def _check_unit_vector(phi: np.ndarray, dims: Dims) -> np.ndarray:
     phi = np.asarray(phi, dtype=np.complex128).ravel()
     if phi.shape[0] != dims.total:
         raise StateValidationError(
             "shape", f"vector length {phi.shape[0]} does not match dims {dims.d1}x{dims.d2}"
         )
+    if not np.all(np.isfinite(phi)):
+        raise StateValidationError("finite", "vector has a non-finite (nan or inf) entry")
     norm = float(np.linalg.norm(phi))
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > STATE_TOL:
         raise StateValidationError("norm", f"vector norm is {norm:.12g}, expected 1")
     return phi
 
 
-def schmidt_decompose(phi: np.ndarray, dims: Dims, clip: float = SCHMIDT_CLIP) -> SchmidtForm:
+def schmidt_decompose(phi: np.ndarray, dims: Dims) -> SchmidtForm:
     """Schmidt decomposition of a unit vector via SVD of its coefficient matrix.
 
-    Coefficients below ``clip`` are dropped.  Phases are fixed so that the
+    Coefficients below ``SCHMIDT_CLIP`` are dropped.  Phases are fixed so that the
     first nonzero component of every ``basis1`` vector is real nonnegative,
     with the compensating phase absorbed into ``basis2``; the expansion then
     reconstructs ``phi`` exactly rather than only up to a phase.
@@ -136,7 +141,7 @@ def schmidt_decompose(phi: np.ndarray, dims: Dims, clip: float = SCHMIDT_CLIP) -
     phi = _check_unit_vector(phi, dims)
     c = phi.reshape(dims.d1, dims.d2)
     u, s, vh = np.linalg.svd(c, full_matrices=False)
-    keep = s > clip
+    keep = s > SCHMIDT_CLIP
     s = s[keep]
     basis1 = u[:, keep]
     basis2 = vh[keep, :].T.copy()

@@ -64,10 +64,8 @@ class TwinReport:
     strong_algebraic_residual: float | None
 
 
-def detectable_spectrum(
-    state: BipartiteState, sobs: SubsystemObservable, epsilon: float = DETECT_EPS
-) -> DetectableSpectrum:
-    """Restrict an observable's spectrum to eigenvalues detectable in the state."""
+def detectable_spectrum(state: BipartiteState, sobs: SubsystemObservable) -> DetectableSpectrum:
+    """Restrict an observable's spectrum to eigenvalues with probability above ``DETECT_EPS``."""
     reduced = state.rho1 if sobs.subsystem == 1 else state.rho2
     spectral = sobs.observable.spectral
     if sobs.observable.dim != reduced.dim:
@@ -80,7 +78,7 @@ def detectable_spectrum(
     probabilities = []
     for a, p in zip(spectral.eigenvalues, spectral.projectors):
         prob = float(np.trace(reduced.matrix @ p).real)
-        if prob > epsilon:
+        if prob > DETECT_EPS:
             eigenvalues.append(float(a))
             projectors.append(p)
             probabilities.append(prob)

@@ -16,17 +16,17 @@ from twinfo.io import (
     write_state_file,
 )
 from twinfo.kernels import info_gain_side1, joint_mutual_info, swap_sides
-from twinfo.linalg import KERNEL_CLIP
 
 from conftest import SIGMA_X, SIGMA_Z, bell_vector
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "twinfo.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -81,6 +81,9 @@ def test_parse_rejects_malformed_payloads():
             {"kind": "pure", "dims": [2, 1], "vector": [[0.0, 0.0], ["x", 0.0]]}
         )
     assert "vector[1]" in str(err.value)
+    with pytest.raises(StateFileError) as err:
+        parse_state_payload({"kind": "pure", "dims": [True, 2], "vector": [[1, 0], [0, 0]]})
+    assert "dims" in str(err.value)
 
 
 def test_format_json_floats_and_inf():
@@ -139,6 +142,38 @@ def test_report_malformed_json_exits_1(tmp_path):
     path.write_text("{not json")
     res = run_cli("report", str(path))
     assert res.returncode == 1
+
+
+def test_report_boolean_dims_exits_1(tmp_path):
+    path = tmp_path / "bool_dims.json"
+    path.write_text('{"kind": "density", "dims": [true, 2], "matrix": '
+                    '[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}')
+    res = run_cli("report", str(path))
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("twinfo: ")
+    assert res.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["report", "discord"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"kind": "density", "dims": [2, 1], "matrix": [[[0.5, 0], [NaN, 0]], [[0, 0], [0.5, 0]]]}',
+        '{"kind": "pure", "dims": [2, 1], "vector": [[1, 0], [NaN, 0]]}',
+    ],
+    ids=["density", "pure"],
+)
+def test_non_finite_state_exits_2(command, payload, tmp_path):
+    # The timeout turns a line search that never ends on NaN input into a failure.
+    path = tmp_path / "nan.json"
+    path.write_text(payload)
+    res = run_cli(command, str(path), timeout=60)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("twinfo: ")
+    assert "finite" in res.stderr
+    assert res.stderr.count("\n") == 1
 
 
 def test_missing_subcommand_exits_1():
@@ -227,9 +262,9 @@ def _sweep_margins_reference(dims, samples, seed):
         for k in range(2):
             u1 = np.ascontiguousarray(T.sample_random_unitary(dims.d1, seed, stream=10 * i + 1 + k))
             u2 = np.ascontiguousarray(T.sample_random_unitary(dims.d2, seed, stream=10 * i + 3 + k))
-            jmi = float(joint_mutual_info(rho, u1, u2, KERNEL_CLIP))
-            g1 = float(info_gain_side1(rho, u1, dims.d2, KERNEL_CLIP))
-            g2 = float(info_gain_side1(swapped, u2, dims.d1, KERNEL_CLIP))
+            jmi = float(joint_mutual_info(rho, u1, u2))
+            g1 = float(info_gain_side1(rho, u1, dims.d2))
+            g2 = float(info_gain_side1(swapped, u2, dims.d1))
             margin = max(-jmi, jmi - g1, jmi - g2, g1 - min(mi, s2), g2 - min(mi, s1))
             worst["chain"] = max(worst["chain"], margin)
         obs_a = T.SubsystemObservable(

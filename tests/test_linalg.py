@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import twinfo as T
-from twinfo.linalg import hermitian_eig, matrix_fn_on_support
+from twinfo.linalg import hermitian_eig
 
 from conftest import SIGMA_X, SIGMA_Z, bell_vector
 
@@ -81,7 +81,7 @@ def test_hermitian_eig_sigma_z():
 
 def test_hermitian_eig_grouping():
     m = np.diag([0.5, 0.5 + 1e-14, 0.2]).astype(complex)
-    dec = hermitian_eig(m, group_tol=1e-8)
+    dec = hermitian_eig(m)
     np.testing.assert_allclose(dec.eigenvalues, [0.2, 0.5], atol=1e-13)
     np.testing.assert_array_equal(dec.multiplicities, [1, 2])
 
@@ -107,27 +107,6 @@ def test_spectral_reconstruction_and_completeness(seed):
             expected = p if i == j else np.zeros_like(p)
             np.testing.assert_allclose(p @ q, expected, atol=1e-10)
     assert np.all(np.diff(dec.eigenvalues) > 0)
-
-
-def test_matrix_fn_log_on_maximally_mixed():
-    np.testing.assert_allclose(
-        matrix_fn_on_support(np.eye(2, dtype=complex) / 2, np.log2), -np.eye(2), atol=1e-12
-    )
-
-
-def test_matrix_fn_support_convention():
-    out = matrix_fn_on_support(np.diag([1.0, 0.0]).astype(complex), np.log2)
-    np.testing.assert_allclose(out, np.zeros((2, 2)), atol=1e-12)
-
-
-def test_matrix_fn_sqrt():
-    out = matrix_fn_on_support(np.diag([4.0, 9.0]).astype(complex), np.sqrt)
-    np.testing.assert_allclose(out, np.diag([2.0, 3.0]), atol=1e-12)
-
-
-def test_matrix_fn_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        matrix_fn_on_support(np.array([[0, 1], [0, 0]], dtype=complex), np.sqrt)
 
 
 def test_unit_trace_preserved_by_partial_trace():

@@ -4,7 +4,6 @@ import pytest
 import twinfo as T
 import twinfo.optimize as O
 from twinfo.kernels import info_gain_side1, joint_mutual_info, swap_sides
-from twinfo.linalg import KERNEL_CLIP
 
 from conftest import SIGMA_X, SIGMA_Z, bell_vector, product_state, random_state, werner_state
 
@@ -26,10 +25,10 @@ def test_kernel_objectives_match_module_operations():
     u2 = np.ascontiguousarray(T.sample_random_unitary(3, seed=33))
     a1 = T.SubsystemObservable(T.observable_from_basis(u1), 1)
     b2 = T.SubsystemObservable(T.observable_from_basis(u2), 2)
-    assert float(info_gain_side1(rho, u1, 3, KERNEL_CLIP)) == pytest.approx(
+    assert float(info_gain_side1(rho, u1, 3)) == pytest.approx(
         T.information_gain(state, a1), abs=1e-11
     )
-    assert float(joint_mutual_info(rho, u1, u2, KERNEL_CLIP)) == pytest.approx(
+    assert float(joint_mutual_info(rho, u1, u2)) == pytest.approx(
         T.joint_mutual_information(T.joint_distribution(state, a1, b2)), abs=1e-11
     )
 
@@ -289,9 +288,9 @@ def test_ascent_objectives_match_kernels(d1, d2):
         u1 = np.ascontiguousarray(T.sample_random_unitary(d1, seed=60))
         u2 = np.ascontiguousarray(T.sample_random_unitary(d2, seed=61))
         gain = O._gain_terms(r, O._opposite_entropy(r), u1)[0]
-        assert abs(gain - float(info_gain_side1(rho, u1, d2, KERNEL_CLIP))) < 1e-12
+        assert abs(gain - float(info_gain_side1(rho, u1, d2))) < 1e-12
         joint = O._joint_terms(r, (u1, u2))[0]
-        assert abs(joint - float(joint_mutual_info(rho, u1, u2, KERNEL_CLIP))) < 1e-12
+        assert abs(joint - float(joint_mutual_info(rho, u1, u2))) < 1e-12
 
 
 def test_sup_information_gain_converges_at_5x5():
@@ -309,7 +308,7 @@ def test_sup_joint_reports_stationarity():
     assert result.grad_norm < 1e-6
     u1, u2 = result.argmax_basis
     assert result.value == pytest.approx(
-        float(joint_mutual_info(np.ascontiguousarray(state.rho12.matrix), u1, u2, KERNEL_CLIP)),
+        float(joint_mutual_info(np.ascontiguousarray(state.rho12.matrix), u1, u2)),
         abs=1e-12,
     )
 
@@ -358,7 +357,7 @@ def _looped_grid(state, side, final_resolution=1e-3):
     while True:
         for t in np.linspace(t_lo, t_hi, n):
             for p in np.linspace(p_lo, p_hi, n):
-                v = float(info_gain_side1(rho, basis(t, p), d_opp, KERNEL_CLIP))
+                v = float(info_gain_side1(rho, basis(t, p), d_opp))
                 points += 1
                 if v > best[0]:
                     best = (v, t, p)
@@ -386,7 +385,7 @@ def test_batched_grid_matches_looped_grid(dims, side, pole):
     d_opp = dims[1] if side == 1 else dims[0]
     if side == 2:
         rho = np.ascontiguousarray(swap_sides(rho, *dims))
-    assert abs(float(info_gain_side1(rho, basis, d_opp, KERNEL_CLIP)) - value) < 1e-12
+    assert abs(float(info_gain_side1(rho, basis, d_opp)) - value) < 1e-12
 
 
 def test_quantum_discord_goes_through_module_sup(monkeypatch):

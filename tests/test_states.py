@@ -57,11 +57,20 @@ def test_make_bipartite_dimension_mismatch():
         T.make_bipartite(np.eye(4, dtype=complex) / 4, T.Dims(2, 3))
 
 
+def test_make_bipartite_rejects_non_finite():
+    with pytest.raises(StateValidationError) as err:
+        T.make_bipartite(np.full((4, 4), np.nan, dtype=complex), T.Dims(2, 2))
+    assert err.value.invariant == "finite"
+    with pytest.raises(StateValidationError) as err:
+        T.bipartite_from_pure(np.array([1.0, np.inf, 0.0, 0.0]), T.Dims(2, 2))
+    assert err.value.invariant == "finite"
+
+
 def test_purity_class():
     assert T.purity_class(T.validate_density(np.diag([1.0, 0.0]).astype(complex))) == "pure"
     assert T.purity_class(T.validate_density(np.eye(2, dtype=complex) / 2)) == "mixed"
     nearly = T.validate_density(np.diag([1 - 1e-14, 1e-14]).astype(complex))
-    assert T.purity_class(nearly, tol=1e-9) == "pure"
+    assert T.purity_class(nearly) == "pure"
 
 
 def test_schmidt_product_vector():
