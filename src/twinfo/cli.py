@@ -106,6 +106,8 @@ def _load_observable(path: str, expected_dim: int, subsystem: int) -> SubsystemO
             f"{path}: observable dimension {dims_list[0]} does not match "
             f"subsystem {subsystem} dimension {expected_dim}",
         )
+    if not np.all(np.isfinite(array)):
+        raise StateValidationError("finite", f"{path}: observable matrix has a non-finite entry")
     if not is_hermitian(array):
         raise StateValidationError("hermitian", f"{path}: observable matrix is not Hermitian")
     return SubsystemObservable(observable=observable_from_matrix(array), subsystem=subsystem)

@@ -14,8 +14,9 @@ means the gradient vanished (``|A| <= GRAD_TOL``) at the argmax.
 Restart 0 starts from the eigenbasis of the measured reduction (which
 attains the supremum for pure states and for Schmidt-dephased states),
 restart 1 from the standard basis, and the rest from seeded Haar-random
-bases.  For qubit subsystems a deterministic grid over the Bloch sphere
-provides an independent cross-check.
+bases.  The restarts ascend in lockstep, batched over a leading axis, and
+each takes exactly the steps it would take alone.  For qubit subsystems a
+deterministic grid over the Bloch sphere provides an independent cross-check.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ def _opposite_entropy(r: np.ndarray) -> float:
 def _gain_terms(r: np.ndarray, s_opp: float, u: np.ndarray):
     """Information gain of measuring ``u`` on side 1, with the parts its gradient needs.
 
-    Uses sum_i p_i S(C_i / p_i) = H(eig of all C_i) - H(p).
+    Uses sum_i p_i S(C_i / p_i) = H(eig of all C_i) - H(p).  ``u`` may carry
+    a leading restart axis; each row then equals the call on that row alone.
     """
     c = _conditionals(r, u)
     p = np.einsum("...ibb->...i", c).real
@@ -134,26 +136,27 @@ def _gain_direction(r: np.ndarray, u: np.ndarray, parts) -> np.ndarray:
     ``M_i = Tr_2[rho (1 (x) L_i)]``; hence ``K = sum_i M_i u_i u_i^dagger``.
     """
     w, v, log_w, log_p = parts
-    logs = np.where(w > KERNEL_CLIP, log_w - log_p[:, None], 0.0)
-    ell = (v * logs[:, None, :]) @ v.conj().transpose(0, 2, 1)
-    m = np.einsum("abjk,ikb->iaj", r, ell)
-    k = np.einsum("iaj,ji,bi->ab", m, u, u.conj())
-    return k - k.conj().T
+    logs = np.where(w > KERNEL_CLIP, log_w - log_p[..., None], 0.0)
+    ell = (v * logs[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    m = np.einsum("abjk,...ikb->...iaj", r, ell)
+    k = np.einsum("...iaj,...ji,...bi->...ab", m, u, u.conj())
+    return k - k.conj().swapaxes(-1, -2)
 
 
 def _joint_terms(r: np.ndarray, us):
     """Mutual information of the simultaneous-measurement table, with its parts.
 
     Every positive entry counts: dropping entries below ``KERNEL_CLIP`` would
-    let the value of a pure state exceed S(1).
+    let the value of a pure state exceed S(1).  Both unitaries may carry a
+    leading restart axis.
     """
     u1, u2 = us
     c = _conditionals(r, u1)
-    p = np.einsum("ibe,bj,ej->ij", c, u2.conj(), u2).real
-    pa = p.sum(axis=1)
-    pb = p.sum(axis=0)
+    p = np.einsum("...ibe,...bj,...ej->...ij", c, u2.conj(), u2).real
+    pa = p.sum(axis=-1)
+    pb = p.sum(axis=-2)
     logs = [_log2_support(x, 0.0) for x in (p, pa, pb)]
-    value = (p * logs[0]).sum() - (pa * logs[1]).sum() - (pb * logs[2]).sum()
+    value = (p * logs[0]).sum(axis=(-2, -1)) - (pa * logs[1]).sum(-1) - (pb * logs[2]).sum(-1)
     return value, (c, p, *logs)
 
 
@@ -166,18 +169,16 @@ def _joint_directions(r: np.ndarray, us, parts):
     """
     u1, u2 = us
     c, p, log_p, log_pa, log_pb = parts
-    weights = np.where(p > 0.0, log_p - log_pa[:, None] - log_pb[None, :], 0.0)
-    d = np.einsum("bj,abce,ej->jac", u2.conj(), r, u2)
-    k1 = np.einsum("ij,jac,ci,di->ad", weights, d, u1, u1.conj())
-    k2 = np.einsum("ij,ibe,ej,fj->bf", weights, c, u2, u2.conj())
-    return k1 - k1.conj().T, k2 - k2.conj().T
+    weights = np.where(p > 0.0, log_p - log_pa[..., :, None] - log_pb[..., None, :], 0.0)
+    d = np.einsum("...bj,abce,...ej->...jac", u2.conj(), r, u2)
+    k1 = np.einsum("...ij,...jac,...ci,...di->...ad", weights, d, u1, u1.conj())
+    k2 = np.einsum("...ij,...ibe,...ej,...fj->...bf", weights, c, u2, u2.conj())
+    return k1 - k1.conj().swapaxes(-1, -2), k2 - k2.conj().swapaxes(-1, -2)
 
 
 def _flat(a) -> np.ndarray:
-    """A tangent tuple as one real vector; ``Re vdot`` becomes a dot product."""
-    if len(a) == 1:
-        return a[0].ravel().view(float)
-    return np.concatenate([x.ravel() for x in a]).view(float)
+    """Stacked tangent tuples as one real vector per row; ``Re vdot`` becomes a dot product."""
+    return np.concatenate([x.reshape(len(x), -1) for x in a], axis=1).view(float)
 
 
 def _lbfgs_direction(g: np.ndarray, memory) -> np.ndarray:
@@ -198,64 +199,107 @@ def _lbfgs_direction(g: np.ndarray, memory) -> np.ndarray:
     return q
 
 
-def _ascend(evaluate, direction, start):
-    """Riemannian L-BFGS ascent on a product of unitary groups.
+def _lockstep_ascent(evaluate, direction, starts):
+    """Riemannian L-BFGS ascent on a product of unitary groups, every start in lockstep.
 
-    ``evaluate(us) -> (value, parts)`` and ``direction(us, parts) -> As``
-    act on a tuple of unitaries.  Tangent vectors live in the Lie algebra
-    (``U <- exp(D) U``), so curvature pairs from earlier iterates apply
-    without transport (Huang, Gallivan & Absil, SIAM J. Optim. 25(3), 2015).
-    The search direction comes from the two-loop recursion over the last
-    ``_MEMORY`` pairs with ``s.y > 0``; the first step, and any step whose
-    direction is not an ascent direction, uses ``A / max(1, |A|)`` with the
-    memory dropped.  Armijo backtracking halves the step from 1.  Returns
-    ``(value, us, grad_norm, evaluations)``.
+    ``starts`` holds one stack ``(n, d, d)`` per unitary factor, a row per start.
+    ``evaluate(us) -> (values, parts)`` and ``direction(us, parts) -> As`` act
+    row by row on such stacks, so the starts still iterating share one call per
+    stage, and each start takes exactly the steps it would take alone.  Tangent
+    vectors live in the Lie algebra (``U <- exp(D) U``), so curvature pairs from
+    earlier iterates apply without transport (Huang, Gallivan & Absil, SIAM J.
+    Optim. 25(3), 2015).  A start's direction comes from the two-loop recursion
+    over its last ``_MEMORY`` pairs with ``s.y > 0``; the first step, and any
+    step whose direction is not an ascent direction, uses ``A / max(1, |A|)``
+    with the memory dropped.  Armijo backtracking halves the step from 1.
+    Returns one ``(value, us, grad_norm, evaluations)`` per start, in order.
     """
-    us = start
-    cuts = np.cumsum([u.size for u in us])[:-1]
-    value, parts = evaluate(us)
-    evaluations = 1
-    g = _flat(direction(us, parts))
-    memory = []
+    us = [np.array(u) for u in starts]
+    values, parts = evaluate(tuple(us))
+    g = _flat(direction(tuple(us), parts))
+    n = len(g)
+    values, evaluations, norms2 = list(values), [1] * n, [0.0] * n
+    memories = [[] for _ in range(n)]
+    running = list(range(n))
     for _ in range(_MAX_ITERATIONS):
-        norm2 = g @ g
-        if norm2 <= GRAD_TOL * GRAD_TOL:
+        q = np.empty((len(running), g.shape[1]))
+        active, slopes = [], []
+        for i in running:
+            gi, memory = g[i], memories[i]
+            norm2 = norms2[i] = gi @ gi
+            if norm2 <= GRAD_TOL * GRAD_TOL:
+                continue
+            if memory:
+                qi = _lbfgs_direction(gi, memory)
+                slope = gi @ qi
+            if not memory or slope <= 0:
+                memory.clear()
+                qi = gi / max(1.0, np.sqrt(norm2))
+                slope = gi @ qi
+            q[len(active)] = qi
+            active.append(i)
+            slopes.append(slope)
+        running = list(active)
+        if not active:
             break
-        if memory:
-            q = _lbfgs_direction(g, memory)
-            slope = g @ q
-        if not memory or slope <= 0:
-            memory.clear()
-            q = g / max(1.0, np.sqrt(norm2))
-            slope = g @ q
-        blocks = np.split(q.view(complex), cuts) if cuts.size else (q.view(complex),)
-        eigs = [np.linalg.eigh(1j * x.reshape(u.shape)) for x, u in zip(blocks, us)]
-        rotations = [(w, v, v.conj().T) for w, v in eigs]
-        floor = _EPS * max(1.0, abs(value))
-        step = 1.0
-        while True:
+        q = q[: len(active)]
+        blocks = q.view(complex)
+        rotations = []
+        for u in us:
+            d = u.shape[-1]
+            w, v = np.linalg.eigh(1j * blocks[:, : d * d].reshape(-1, d, d))
+            rotations.append((w, v, v.conj().swapaxes(-1, -2)))
+            blocks = blocks[:, d * d :]
+        current = us if len(active) == n else [u[active] for u in us]
+        floors = [_EPS * max(1.0, abs(values[i])) for i in active]
+        steps = [1.0] * len(active)
+        rows = list(range(len(active)))  # the starts still backtracking, as indices into ``active``
+        while rows:
+            pick = slice(None) if len(rows) == len(active) else rows
+            step = np.array([steps[j] for j in rows])
             trial = tuple(
-                (v * np.exp(-1j * step * w)) @ vh @ u
-                for (w, v, vh), u in zip(rotations, us)
+                (v[pick] * np.exp(-1j * step[:, None] * w[pick])[:, None, :]) @ vh[pick] @ u[pick]
+                for (w, v, vh), u in zip(rotations, current)
             )
-            trial_value, trial_parts = evaluate(trial)
-            evaluations += 1
-            if trial_value >= value + _ARMIJO * step * slope:
-                break
-            step *= 0.5
-            if step * slope <= floor:
-                # No representable increase along this direction.
-                return value, us, float(np.sqrt(norm2)), evaluations
-        us, value, parts = trial, trial_value, trial_parts
-        g_new = _flat(direction(us, parts))
-        # s and y for the negated objective, whose gradient is -g.
-        s, y = step * q, g - g_new
-        sy = s @ y
-        if sy > 0:
-            memory.append((s, y, 1.0 / sy, sy / (y @ y)))
-            del memory[:-_MEMORY]
-        g = g_new
-    return value, us, float(np.sqrt(g @ g)), evaluations
+            trial_values, trial_parts = evaluate(trial)
+            accepted, retry = [], []
+            for k, j in enumerate(rows):
+                i = active[j]
+                evaluations[i] += 1
+                if trial_values[k] >= values[i] + _ARMIJO * steps[j] * slopes[j]:
+                    accepted.append(k)
+                    continue
+                steps[j] *= 0.5
+                if steps[j] * slopes[j] <= floors[j]:
+                    # No representable increase along this direction.
+                    running.remove(i)
+                else:
+                    retry.append(j)
+            if accepted:
+                if len(accepted) < len(rows):
+                    trial = tuple(t[accepted] for t in trial)
+                    trial_parts = tuple(x[accepted] for x in trial_parts)
+                g_new = _flat(direction(trial, trial_parts))
+                for m, k in enumerate(accepted):
+                    j, i = rows[k], active[rows[k]]
+                    # s and y for the negated objective, whose gradient is -g.
+                    s, y = steps[j] * q[j], g[i] - g_new[m]
+                    sy = s @ y
+                    if sy > 0:
+                        memories[i].append((s, y, 1.0 / sy, sy / (y @ y)))
+                        del memories[i][:-_MEMORY]
+                    g[i] = g_new[m]
+                    values[i] = trial_values[k]
+                    for u, t in zip(us, trial):
+                        u[i] = t[m]
+            rows = retry
+    for i in running:
+        norms2[i] = g[i] @ g[i]
+    return [
+        (float(values[i]), tuple(u[i].copy() for u in us), float(np.sqrt(norms2[i])),
+         evaluations[i])
+        for i in range(n)
+    ]
 
 
 def _bloch_vectors(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -355,14 +399,12 @@ def sup_information_gain(
     def direction(us, parts):
         return (_gain_direction(r, us[0], parts),)
 
-    candidates = []
-    for i in range(cfg.restarts):
-        anchor = _anchor(i, d, eigbasis, cfg.seed, stream)
-        value, us, norm, evals = _ascend(evaluate, direction, (anchor,))
-        candidates.append((float(value), np.ascontiguousarray(us[0]), norm, evals))
+    starts = np.stack([_anchor(i, d, eigbasis, cfg.seed, stream) for i in range(cfg.restarts)])
+    ascents = _lockstep_ascent(evaluate, direction, (starts,))
+    candidates = [(value, us[0], norm, evals) for value, us, norm, evals in ascents]
     if cfg.grid_refine and d == 2:
         value, basis, points = _grid_search(state, side)
-        _, parts = evaluate((basis,))
+        _, parts = _gain_terms(r, s_opp, basis)
         norm = float(np.linalg.norm(_gain_direction(r, basis, parts)))
         candidates.append((value, basis, norm, points + 1))
     return _reduce_candidates(candidates)
@@ -400,16 +442,11 @@ def sup_joint_mutual_information(
     def direction(us, parts):
         return _joint_directions(r, us, parts)
 
-    candidates = []
-    for i in range(cfg.restarts):
-        start = (
-            _anchor(i, d1, eig1, cfg.seed, _STREAM_JOINT_1),
-            _anchor(i, d2, eig2, cfg.seed, _STREAM_JOINT_2),
-        )
-        value, us, norm, evals = _ascend(evaluate, direction, start)
-        pair = tuple(np.ascontiguousarray(u) for u in us)
-        candidates.append((float(value), pair, norm, evals))
-    return _reduce_candidates(candidates)
+    starts = (
+        np.stack([_anchor(i, d1, eig1, cfg.seed, _STREAM_JOINT_1) for i in range(cfg.restarts)]),
+        np.stack([_anchor(i, d2, eig2, cfg.seed, _STREAM_JOINT_2) for i in range(cfg.restarts)]),
+    )
+    return _reduce_candidates(_lockstep_ascent(evaluate, direction, starts))
 
 
 def quantum_discord(

@@ -460,6 +460,21 @@ def test_twins_dimension_mismatch_exits_2(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+def test_twins_non_finite_observable_exits_2(entry, tmp_path):
+    # The Hermitian check compares a NaN norm, so it would misname this as "hermitian".
+    state_path = write_bell(tmp_path / "bell.json")
+    z_path = write_observable(tmp_path / "z.json", SIGMA_Z)
+    bad = tmp_path / "nan_obs.json"
+    bad.write_text('{"kind": "observable", "dims": [2], '
+                   f'"matrix": [[[1, 0], [{entry}, 0]], [[{entry}, 0], [-1, 0]]]}}')
+    res = run_cli("twins", state_path, str(bad), z_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == (f"twinfo: validation failed (finite): {bad}: "
+                          "observable matrix has a non-finite entry\n")
+
+
 # ---------------------------------------------------------------- cmd_schmidt
 
 

@@ -403,3 +403,140 @@ def test_quantum_discord_goes_through_module_sup(monkeypatch):
     discord = T.quantum_discord(state, "1to2", FAST)
     assert len(seen) == 1
     assert discord == pytest.approx(WERNER_MI - seen[0].value, abs=1e-15)
+
+
+# ---------------------------------------------------------- lockstep restarts
+
+LOCKSTEP_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]
+
+
+def _ascend_alone(evaluate, direction, start):
+    """The ascent of one start on unbatched arrays, step for step as the
+    lockstep ascent takes it; the reference for its bit identity."""
+    us = start
+    value, parts = evaluate(us)
+    evaluations = 1
+    g = np.concatenate([a.ravel() for a in direction(us, parts)]).view(float)
+    memory = []
+    for _ in range(O._MAX_ITERATIONS):
+        norm2 = g @ g
+        if norm2 <= O.GRAD_TOL * O.GRAD_TOL:
+            break
+        if memory:
+            q = O._lbfgs_direction(g, memory)
+            slope = g @ q
+        if not memory or slope <= 0:
+            memory.clear()
+            q = g / max(1.0, np.sqrt(norm2))
+            slope = g @ q
+        blocks = np.split(q.view(complex), np.cumsum([u.size for u in us])[:-1])
+        eigs = [np.linalg.eigh(1j * x.reshape(u.shape)) for x, u in zip(blocks, us)]
+        floor = O._EPS * max(1.0, abs(value))
+        step = 1.0
+        while True:
+            trial = tuple((v * np.exp(-1j * step * w)) @ v.conj().T @ u
+                          for (w, v), u in zip(eigs, us))
+            trial_value, trial_parts = evaluate(trial)
+            evaluations += 1
+            if trial_value >= value + O._ARMIJO * step * slope:
+                break
+            step *= 0.5
+            if step * slope <= floor:
+                return float(value), us, float(np.sqrt(norm2)), evaluations
+        us, value, parts = trial, trial_value, trial_parts
+        g_new = np.concatenate([a.ravel() for a in direction(us, parts)]).view(float)
+        s, y = step * q, g - g_new
+        sy = s @ y
+        if sy > 0:
+            memory.append((s, y, 1.0 / sy, sy / (y @ y)))
+            del memory[:-O._MEMORY]
+        g = g_new
+    return float(value), us, float(np.sqrt(g @ g)), evaluations
+
+
+def _lockstep_cases():
+    """States at ``LOCKSTEP_DIMS`` of rank 1, 2 and full, as ``(d1, d2, rank, r, state)``."""
+    for d1, d2 in LOCKSTEP_DIMS:
+        dims = T.Dims(d1, d2)
+        for rank in (1, 2, d1 * d2):
+            state = random_state(dims, rank, seed=7 * d1 + d2, stream=40 + rank)
+            yield d1, d2, rank, state.rho12.matrix.reshape(d1, d2, d1, d2), state
+
+
+def _stack_starts(d, eigbasis, seed, count):
+    # Row 0 is the reduction's eigenbasis, which is stationary for a pure state.
+    return np.stack([O._anchor(i, d, eigbasis, seed, 0) for i in range(count)])
+
+
+def _assert_same_ascents(lockstep, alone):
+    assert len(lockstep) == len(alone)
+    for (v0, us0, n0, e0), (v1, us1, n1, e1) in zip(lockstep, alone):
+        assert (v0, n0, e0) == (v1, n1, e1)
+        assert [u.tobytes() for u in us0] == [np.ascontiguousarray(u).tobytes() for u in us1]
+
+
+def _gain_problem(r):
+    s_opp = O._opposite_entropy(r)
+    return (lambda us: O._gain_terms(r, s_opp, us[0]),
+            lambda us, parts: (O._gain_direction(r, us[0], parts),))
+
+
+def _joint_problem(r):
+    return (lambda us: O._joint_terms(r, us),
+            lambda us, parts: O._joint_directions(r, us, parts))
+
+
+@pytest.mark.parametrize("max_iterations", [None, 3])
+def test_lockstep_ascent_equals_each_start_alone(max_iterations, monkeypatch):
+    if max_iterations is not None:
+        monkeypatch.setattr(O, "_MAX_ITERATIONS", max_iterations)
+    for d1, d2, rank, r, state in _lockstep_cases():
+        evaluate, direction = _gain_problem(r)
+        starts = _stack_starts(d1, O._eigbasis(state.rho1.matrix), d1 + rank, 4)
+        lockstep = O._lockstep_ascent(evaluate, direction, (starts,))
+        _assert_same_ascents(lockstep, [_ascend_alone(evaluate, direction, (u,)) for u in starts])
+        if rank == 1:
+            assert lockstep[0][3] == 1
+        if max_iterations is not None and rank == d1 * d2:
+            # The cap stops some start before its gradient vanishes.
+            assert any(cand[2] > O.GRAD_TOL for cand in lockstep)
+
+        evaluate, direction = _joint_problem(r)
+        starts = (_stack_starts(d1, O._eigbasis(state.rho1.matrix), d2, 3),
+                  _stack_starts(d2, O._eigbasis(state.rho2.matrix), d1 + 9, 3))
+        lockstep = O._lockstep_ascent(evaluate, direction, starts)
+        alone = [_ascend_alone(evaluate, direction, pair) for pair in zip(*starts)]
+        _assert_same_ascents(lockstep, alone)
+        if rank == 1:
+            assert lockstep[0][3] == 1
+
+
+def _rows_equal(batched, alone):
+    """Every array of ``batched`` holds the matching array of ``alone`` in its row, bit for bit."""
+    flat_b, flat_a = np.asarray(batched), np.asarray(alone)
+    assert flat_b.shape == flat_a.shape and flat_b.tobytes() == flat_a.tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 4])
+def test_batched_objectives_equal_unbatched_rows(batch):
+    for d1, d2, rank, r, state in _lockstep_cases():
+        s_opp = O._opposite_entropy(r)
+        u1 = np.stack([T.sample_random_unitary(d1, seed=batch, stream=i) for i in range(batch)])
+        u2 = np.stack([T.sample_random_unitary(d2, seed=batch, stream=9 + i) for i in range(batch)])
+        value, parts = O._gain_terms(r, s_opp, u1)
+        grad = O._gain_direction(r, u1, parts)
+        for k in range(batch):
+            value_k, parts_k = O._gain_terms(r, s_opp, u1[k])
+            _rows_equal(value[k], value_k)
+            for part, part_k in zip(parts, parts_k):
+                _rows_equal(part[k], part_k)
+            _rows_equal(grad[k], O._gain_direction(r, u1[k], parts_k))
+        value, parts = O._joint_terms(r, (u1, u2))
+        grads = O._joint_directions(r, (u1, u2), parts)
+        for k in range(batch):
+            value_k, parts_k = O._joint_terms(r, (u1[k], u2[k]))
+            _rows_equal(value[k], value_k)
+            for part, part_k in zip(parts, parts_k):
+                _rows_equal(part[k], part_k)
+            for grad, grad_k in zip(grads, O._joint_directions(r, (u1[k], u2[k]), parts_k)):
+                _rows_equal(grad[k], grad_k)
