@@ -14,13 +14,7 @@ from .entropy import (
     shannon_entropy,
     von_neumann_entropy,
 )
-from .linalg import (
-    Dims,
-    SpectralDecomposition,
-    hermitian_eig,
-    partial_trace,
-    tensor_product,
-)
+from .linalg import Dims, partial_trace, tensor_product
 from .measurement import (
     CoherenceDecomposition,
     DistantDecomposition,
@@ -67,7 +61,6 @@ from .states import (
 from .twins import (
     ConditionMismatchError,
     DetectableSpectrum,
-    SpectralPairing,
     TwinReport,
     construct_pure_twins,
     dephase_in_schmidt_basis,

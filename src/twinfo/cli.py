@@ -46,7 +46,7 @@ from .states import (
     schmidt_decompose,
     schmidt_reconstruct,
 )
-from .twins import ConditionMismatchError, verify_twins
+from .twins import TWIN_TOL, ConditionMismatchError, verify_twins
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -241,9 +241,7 @@ def cmd_twins(args) -> int:
                 "complete": twin_report.complete,
                 "spectra_match": twin_report.spectra_match,
                 "commutator_residuals": list(twin_report.commutator_residuals),
-                "pairing": None
-                if twin_report.pairing is None
-                else [list(p) for p in twin_report.pairing.pairs],
+                "pairing": twin_report.pairing,
                 "residual_a": twin_report.residual_a,
                 "residual_b": twin_report.residual_b,
                 "residual_c": twin_report.residual_c,
@@ -465,7 +463,7 @@ def build_parser() -> _Parser:
     p.add_argument("state")
     p.add_argument("obs_a", help="side-1 observable file")
     p.add_argument("obs_b", help="side-2 observable file")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=TWIN_TOL)
     p.set_defaults(func=cmd_twins)
 
     p = sub.add_parser("schmidt", help="Schmidt decomposition of a pure state")

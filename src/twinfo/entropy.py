@@ -24,6 +24,9 @@ from .states import (
 )
 
 NEGATIVE_CLAMP = 1e-9
+# A probability table may dip below 0 or miss a unit total by round-off only.
+PROB_NEGATIVE_TOL = 1e-12
+PROB_SUM_TOL = 1e-8
 SUPPORT_TOL = 1e-10
 
 
@@ -44,15 +47,15 @@ def shannon_entropy(p) -> float:
     """-sum p_i log2 p_i with the 0 log 0 = 0 convention.
 
     Rejects inputs that are not a probability distribution (entries below
-    -1e-12 or total off 1 by more than 1e-8).
+    ``-PROB_NEGATIVE_TOL`` or total off 1 by more than ``PROB_SUM_TOL``).
     """
     p = np.asarray(p, dtype=float).ravel()
     if p.size == 0:
         raise StateValidationError("distribution", "empty probability list")
-    if float(p.min()) < -1e-12:
+    if float(p.min()) < -PROB_NEGATIVE_TOL:
         raise StateValidationError("distribution", f"negative probability {p.min():.3e}")
     total = float(p.sum())
-    if abs(total - 1.0) > 1e-8:
+    if abs(total - 1.0) > PROB_SUM_TOL:
         raise StateValidationError("distribution", f"probabilities sum to {total:.12g}, expected 1")
     return _clamp(float(entropy_bits(p)))
 

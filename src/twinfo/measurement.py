@@ -1,48 +1,60 @@
 """Projective observables, nonselective measurement channels and the
 classical statistics they induce on bipartite states.
 
-Observables are spectral decompositions with distinct eigenvalue labels; the
-labels never enter any information quantity, only the projectors do.
-Subsystem measurements embed their projectors explicitly (``P (x) 1`` or
-``1 (x) P``) before applying the channel.
+An ``Observable`` is its grouped spectral form: distinct eigenvalue labels
+with orthogonal projectors.  The labels never enter any information
+quantity, only the projectors do.  A ``SubsystemObservable`` acts on one
+side of a bipartite system; ``embed`` lifts an operator on that side to
+``P (x) 1`` or ``1 (x) P`` before a channel or a trace is applied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .entropy import _clamp
+from .entropy import PROB_NEGATIVE_TOL, PROB_SUM_TOL, _clamp
 from .kernels import KERNEL_CLIP, entropy_bits, vn_entropy
-from .linalg import (
-    Dims,
-    SpectralDecomposition,
-    dagger,
-    hermitian_eig,
-    partial_trace,
-    tensor_product,
-)
+from .linalg import Dims, dagger, is_hermitian, partial_trace, tensor_product
 from .states import BipartiteState, DensityOperator, _bipartite_unchecked, _wrap_density
 
 DETECT_EPS = 1e-10
+EIG_GROUP_TOL = 1e-8
 _BASIS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class Observable:
-    """A Hermitian operator in grouped spectral form."""
+    """A Hermitian operator in grouped spectral form.
 
-    spectral: SpectralDecomposition
-    dim: int
+    ``eigenvalues`` are strictly increasing; ``projectors`` are orthogonal
+    and ``multiplicities[i]`` is the rank of ``projectors[i]``.
+    """
+
+    eigenvalues: np.ndarray
+    projectors: tuple
+    multiplicities: np.ndarray
+
+    def __len__(self):
+        return len(self.eigenvalues)
+
+    @property
+    def dim(self) -> int:
+        return self.projectors[0].shape[0]
 
     @property
     def complete(self) -> bool:
         """True iff every spectral projector has rank 1."""
-        return bool(np.all(self.spectral.multiplicities == 1))
+        return bool(np.all(self.multiplicities == 1))
 
     def matrix(self) -> np.ndarray:
-        return self.spectral.matrix()
+        """Reconstruct the operator from its spectral form."""
+        out = np.zeros_like(self.projectors[0])
+        for a, p in zip(self.eigenvalues, self.projectors):
+            out += a * p
+        return out
 
 
 @dataclass(frozen=True)
@@ -55,6 +67,15 @@ class SubsystemObservable:
     def __post_init__(self):
         if self.subsystem not in (1, 2):
             raise ValueError(f"subsystem must be 1 or 2, got {self.subsystem}")
+
+    def check_dims(self, dims: Dims) -> None:
+        """Raise ValueError unless the observable fits its side of ``dims``."""
+        side_dim = dims.d1 if self.subsystem == 1 else dims.d2
+        if self.observable.dim != side_dim:
+            raise ValueError(
+                f"observable dimension {self.observable.dim} does not match "
+                f"subsystem {self.subsystem} dimension {side_dim}"
+            )
 
 
 @dataclass(frozen=True)
@@ -93,9 +114,38 @@ class CoherenceDecomposition:
 
 
 def observable_from_matrix(m: np.ndarray) -> Observable:
-    """Build an observable from a Hermitian matrix."""
-    spectral = hermitian_eig(np.asarray(m, dtype=np.complex128))
-    return Observable(spectral=spectral, dim=m.shape[0])
+    """Observable of a Hermitian matrix, grouping near-degenerate eigenvalues.
+
+    Consecutive eigenvalues closer than ``EIG_GROUP_TOL * (1 + |lambda|)`` are
+    merged into one projector, so near-degenerate spectra yield stable
+    projectors instead of arbitrarily mixed eigenvectors.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    if not is_hermitian(m):
+        raise ValueError("observable_from_matrix requires a Hermitian matrix")
+    w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
+
+    edges = [0]
+    for i in range(1, len(w)):
+        scale = 1.0 + max(abs(w[i]), abs(w[i - 1]))
+        if w[i] - w[i - 1] >= EIG_GROUP_TOL * scale:
+            edges.append(i)
+    edges.append(len(w))
+
+    eigenvalues = []
+    projectors = []
+    multiplicities = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        block = v[:, lo:hi]
+        p = block @ block.conj().T
+        projectors.append((p + dagger(p)) / 2.0)
+        eigenvalues.append(float(np.mean(w[lo:hi])))
+        multiplicities.append(hi - lo)
+    return Observable(
+        eigenvalues=np.array(eigenvalues),
+        projectors=tuple(projectors),
+        multiplicities=np.array(multiplicities, dtype=int),
+    )
 
 
 def observable_from_basis(u: np.ndarray, eigenvalues=None) -> Observable:
@@ -121,27 +171,26 @@ def observable_from_basis(u: np.ndarray, eigenvalues=None) -> Observable:
             raise ValueError("eigenvalue labels must be distinct")
     order = np.argsort(eigenvalues)
     projectors = tuple(np.outer(u[:, i], u[:, i].conj()) for i in order)
-    spectral = SpectralDecomposition(
+    return Observable(
         eigenvalues=eigenvalues[order],
         projectors=projectors,
         multiplicities=np.ones(d, dtype=int),
     )
-    return Observable(spectral=spectral, dim=d)
 
 
-def embedded_projectors(sobs: SubsystemObservable, dims: Dims) -> list:
-    """Spectral projectors tensored with identity on the untouched side."""
-    side_dim = dims.d1 if sobs.subsystem == 1 else dims.d2
-    if sobs.observable.dim != side_dim:
-        raise ValueError(
-            f"observable dimension {sobs.observable.dim} does not match "
-            f"subsystem {sobs.subsystem} dimension {side_dim}"
-        )
-    if sobs.subsystem == 1:
-        eye = np.eye(dims.d2, dtype=np.complex128)
-        return [tensor_product(p, eye) for p in sobs.observable.spectral.projectors]
-    eye = np.eye(dims.d1, dtype=np.complex128)
-    return [tensor_product(eye, p) for p in sobs.observable.spectral.projectors]
+@cache
+def _identity(d: int) -> np.ndarray:
+    """Read-only complex identity of side ``d``, shared by every ``embed`` call."""
+    eye = np.eye(d, dtype=np.complex128)
+    eye.flags.writeable = False
+    return eye
+
+
+def embed(op: np.ndarray, side: int, dims: Dims) -> np.ndarray:
+    """``op (x) 1`` for ``side`` 1, ``1 (x) op`` for side 2 of a ``dims`` split."""
+    if side == 1:
+        return tensor_product(op, _identity(dims.d2))
+    return tensor_product(_identity(dims.d1), op)
 
 
 def luders_apply(obs: Observable, rho: DensityOperator) -> DensityOperator:
@@ -149,16 +198,18 @@ def luders_apply(obs: Observable, rho: DensityOperator) -> DensityOperator:
     if obs.dim != rho.dim:
         raise ValueError(f"dimension mismatch: observable {obs.dim}, state {rho.dim}")
     out = np.zeros_like(rho.matrix)
-    for p in obs.spectral.projectors:
+    for p in obs.projectors:
         out += p @ rho.matrix @ p
     return _wrap_density(out)
 
 
 def luders_apply_subsystem(sobs: SubsystemObservable, state: BipartiteState) -> BipartiteState:
     """Nonselective measurement of one subsystem observable on a bipartite state."""
+    sobs.check_dims(state.dims)
     out = np.zeros_like(state.rho12.matrix)
-    for p in embedded_projectors(sobs, state.dims):
-        out += p @ state.rho12.matrix @ p
+    for p in sobs.observable.projectors:
+        p_full = embed(p, sobs.subsystem, state.dims)
+        out += p_full @ state.rho12.matrix @ p_full
     return _bipartite_unchecked(out, state.dims)
 
 
@@ -169,12 +220,12 @@ def distant_decomposition(state: BipartiteState, sobs: SubsystemObservable) -> D
     probability and the conditional state of the other side; the rest are
     reported as undetectable.
     """
+    sobs.check_dims(state.dims)
     keep = 2 if sobs.subsystem == 1 else 1
     outcomes = []
     undetectable = []
-    for a, p_full in zip(
-        sobs.observable.spectral.eigenvalues, embedded_projectors(sobs, state.dims)
-    ):
+    for a, p in zip(sobs.observable.eigenvalues, sobs.observable.projectors):
+        p_full = embed(p, sobs.subsystem, state.dims)
         sand = p_full @ state.rho12.matrix @ p_full
         prob = float(np.trace(sand).real)
         if prob <= DETECT_EPS:
@@ -187,10 +238,9 @@ def distant_decomposition(state: BipartiteState, sobs: SubsystemObservable) -> D
 
 def coincidence_table(state: BipartiteState, projs1, projs2) -> np.ndarray:
     """p[i, j] = Tr[rho (P_i (x) Q_j)] for side-1 projectors ``projs1`` and side-2 ``projs2``."""
-    eye2 = np.eye(state.dims.d2, dtype=np.complex128)
     table = np.zeros((len(projs1), len(projs2)))
     for i, pa in enumerate(projs1):
-        cond = partial_trace(state.rho12.matrix @ tensor_product(pa, eye2), state.dims, keep=2)
+        cond = partial_trace(state.rho12.matrix @ embed(pa, 1, state.dims), state.dims, keep=2)
         for j, qb in enumerate(projs2):
             table[i, j] = np.trace(cond @ qb).real
     return table
@@ -202,14 +252,14 @@ def joint_distribution(
     """Outcome table p_ij = Tr[rho (P_i (x) Q_j)] over spectral projector pairs."""
     if a1.subsystem != 1 or b2.subsystem != 2:
         raise ValueError("joint_distribution expects a side-1 and a side-2 observable")
-    projs_a = a1.observable.spectral.projectors
-    projs_b = b2.observable.spectral.projectors
-    p = coincidence_table(state, projs_a, projs_b)
-    if float(p.min()) < -1e-12:
+    a1.check_dims(state.dims)
+    b2.check_dims(state.dims)
+    p = coincidence_table(state, a1.observable.projectors, b2.observable.projectors)
+    if float(p.min()) < -PROB_NEGATIVE_TOL:
         raise ValueError(f"joint probability {p.min():.3e} below clamp threshold")
     p = np.clip(p, 0.0, None)
     total = float(p.sum())
-    if abs(total - 1.0) > 1e-8:
+    if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"joint probabilities sum to {total:.12g}")
     return JointDistribution(p=p, row_marginals=p.sum(axis=1), col_marginals=p.sum(axis=0))
 
@@ -256,7 +306,7 @@ def coherence_decomposition(obs: Observable, rho: DensityOperator) -> CoherenceD
     weights = []
     conditionals = []
     avg_entropy = 0.0
-    for p in obs.spectral.projectors:
+    for p in obs.projectors:
         sand = p @ rho.matrix @ p
         w = float(np.trace(sand).real)
         w = max(w, 0.0)

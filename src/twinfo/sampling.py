@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import Dims
+from .measurement import Observable, observable_from_basis
 
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -61,9 +62,6 @@ def sample_random_observable(d: int, seed: int, stream: int = 0, complete: bool 
     With ``complete=False`` the basis vectors are merged into fewer than ``d``
     eigenspaces, so at least one projector has rank above 1.
     """
-    from .linalg import SpectralDecomposition
-    from .measurement import Observable, observable_from_basis
-
     u = sample_random_unitary(d, seed, stream)
     if complete or d == 1:
         return observable_from_basis(u)
@@ -76,9 +74,8 @@ def sample_random_observable(d: int, seed: int, stream: int = 0, complete: bool 
         block = u[:, lo:hi]
         projectors.append(block @ block.conj().T)
         multiplicities.append(hi - lo)
-    spectral = SpectralDecomposition(
+    return Observable(
         eigenvalues=np.arange(1, groups + 1, dtype=float),
         projectors=tuple(projectors),
         multiplicities=np.array(multiplicities, dtype=int),
     )
-    return Observable(spectral=spectral, dim=d)

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Dims, frobenius, range_projector, tensor_product
-from .measurement import DETECT_EPS, SubsystemObservable, coincidence_table, observable_from_matrix
+from .measurement import (
+    DETECT_EPS,
+    Observable,
+    SubsystemObservable,
+    coincidence_table,
+    embed,
+    observable_from_matrix,
+)
 from .states import BipartiteState, make_bipartite, schmidt_decompose
 
 TWIN_TOL = 1e-8
@@ -32,29 +39,26 @@ class ConditionMismatchError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DetectableSpectrum:
-    """Eigenvalues of a subsystem observable with positive probability."""
+class DetectableSpectrum(Observable):
+    """A subsystem observable restricted to its eigenvalues of positive
+    probability, with those probabilities and the support projector of the
+    reduced state."""
 
-    eigenvalues: np.ndarray
-    projectors: tuple
     probabilities: np.ndarray
     range_projector: np.ndarray
 
 
 @dataclass(frozen=True)
-class SpectralPairing:
-    """One-to-one map between two detectable spectra, as index pairs."""
-
-    pairs: tuple
-
-
-@dataclass(frozen=True)
 class TwinReport:
-    """Residuals and verdicts for a candidate twin pair."""
+    """Residuals and verdicts for a candidate twin pair.
+
+    ``pairing`` holds the one-to-one map between the two detectable spectra as
+    ``(i, j)`` index pairs, or None when there is none.
+    """
 
     commutator_residuals: tuple
     spectra_match: bool
-    pairing: SpectralPairing | None
+    pairing: tuple | None
     residual_a: float
     residual_b: float
     residual_c: float
@@ -66,31 +70,21 @@ class TwinReport:
 
 def detectable_spectrum(state: BipartiteState, sobs: SubsystemObservable) -> DetectableSpectrum:
     """Restrict an observable's spectrum to eigenvalues with probability above ``DETECT_EPS``."""
+    sobs.check_dims(state.dims)
     reduced = state.rho1 if sobs.subsystem == 1 else state.rho2
-    spectral = sobs.observable.spectral
-    if sobs.observable.dim != reduced.dim:
-        raise ValueError(
-            f"observable dimension {sobs.observable.dim} does not match "
-            f"subsystem {sobs.subsystem} dimension {reduced.dim}"
-        )
-    eigenvalues = []
-    projectors = []
-    probabilities = []
-    for a, p in zip(spectral.eigenvalues, spectral.projectors):
-        prob = float(np.trace(reduced.matrix @ p).real)
-        if prob > DETECT_EPS:
-            eigenvalues.append(float(a))
-            projectors.append(p)
-            probabilities.append(prob)
+    obs = sobs.observable
+    probabilities = np.array([np.trace(reduced.matrix @ p).real for p in obs.projectors])
+    kept = np.nonzero(probabilities > DETECT_EPS)[0]
     return DetectableSpectrum(
-        eigenvalues=np.array(eigenvalues),
-        projectors=tuple(projectors),
-        probabilities=np.array(probabilities),
+        eigenvalues=obs.eigenvalues[kept],
+        projectors=tuple(obs.projectors[i] for i in kept),
+        multiplicities=obs.multiplicities[kept],
+        probabilities=probabilities[kept],
         range_projector=range_projector(reduced.matrix),
     )
 
 
-def _pair_rows(table: np.ndarray, probabilities: np.ndarray, tol: float) -> SpectralPairing | None:
+def _pair_rows(table: np.ndarray, probabilities: np.ndarray, tol: float) -> tuple | None:
     """One-to-one outcome correspondence: row ``i`` pairs with the single column
     ``j`` that carries its full weight, ``table[i, j] > (1 - tol) * p_i``.
     Returns None when a row lacks a partner or the map is not a bijection."""
@@ -105,7 +99,7 @@ def _pair_rows(table: np.ndarray, probabilities: np.ndarray, tol: float) -> Spec
             return None
         used.add(j)
         pairs.append((i, j))
-    return SpectralPairing(pairs=tuple(pairs))
+    return tuple(pairs)
 
 
 def verify_twins(
@@ -132,14 +126,14 @@ def verify_twins(
     comm = []
     for sobs, reduced in ((a1, state.rho1), (b2, state.rho2)):
         m = sobs.observable.matrix()
-        scale = max(1.0, float(np.max(np.abs(sobs.observable.spectral.eigenvalues))))
+        scale = max(1.0, float(np.max(np.abs(sobs.observable.eigenvalues))))
         comm.append(frobenius(m @ reduced.matrix - reduced.matrix @ m) / scale)
 
     spectra_match = len(spec_a.eigenvalues) == len(spec_b.eigenvalues)
     table = coincidence_table(state, spec_a.projectors, spec_b.projectors)
     pairing = _pair_rows(table, spec_a.probabilities, tol) if spectra_match else None
     if pairing is not None:
-        align = pairing.pairs
+        align = pairing
     else:
         n = min(len(spec_a.eigenvalues), len(spec_b.eigenvalues))
         align = tuple((i, i) for i in range(n))
@@ -158,19 +152,17 @@ def verify_twins(
     res_b = 0.0
     res_c = 0.0
     res_d = 0.0
-    eye1 = np.eye(state.dims.d1, dtype=np.complex128)
-    eye2 = np.eye(state.dims.d2, dtype=np.complex128)
     for i, j in align:
-        p1 = tensor_product(spec_a.projectors[i], eye2)
-        p2 = tensor_product(eye1, spec_b.projectors[j])
+        p1 = embed(spec_a.projectors[i], 1, state.dims)
+        p2 = embed(spec_b.projectors[j], 2, state.dims)
         res_b = max(res_b, frobenius(p1 @ rho @ p1 - p2 @ rho @ p2) / rho_norm)
         res_c = max(res_c, float(abs(1.0 - table[i, j] / spec_a.probabilities[i])))
         res_d = max(res_d, frobenius(p1 @ rho - p2 @ rho) / rho_norm)
     if not spectra_match:
         # A detectable outcome left without a partner fails (b)-(d) outright:
         # its projected state must vanish and its partner has probability 0.
-        unpaired = [tensor_product(p, eye2) for p in spec_a.projectors[len(align):]]
-        unpaired += [tensor_product(eye1, q) for q in spec_b.projectors[len(align):]]
+        unpaired = [embed(p, 1, state.dims) for p in spec_a.projectors[len(align):]]
+        unpaired += [embed(q, 2, state.dims) for q in spec_b.projectors[len(align):]]
         for proj in unpaired:
             res_b = max(res_b, frobenius(proj @ rho @ proj) / rho_norm)
             res_c = 1.0
@@ -221,24 +213,18 @@ def _strong_algebraic(
     state: BipartiteState,
     spec_a: DetectableSpectrum,
     spec_b: DetectableSpectrum,
-    pairing: SpectralPairing,
+    pairing: tuple,
     tol: float,
 ) -> float | None:
     """Residual of ``A1 rho = B2 rho`` on the detectable parts; None when the
     paired eigenvalue labels differ, where the identity does not apply."""
-    for i, j in pairing.pairs:
+    for i, j in pairing:
         if abs(spec_a.eigenvalues[i] - spec_b.eigenvalues[j]) > tol:
             return None
-    a_det = np.zeros((state.dims.d1, state.dims.d1), dtype=np.complex128)
-    for a, p in zip(spec_a.eigenvalues, spec_a.projectors):
-        a_det += a * p
-    b_det = np.zeros((state.dims.d2, state.dims.d2), dtype=np.complex128)
-    for b, q in zip(spec_b.eigenvalues, spec_b.projectors):
-        b_det += b * q
-    eye1 = np.eye(state.dims.d1, dtype=np.complex128)
-    eye2 = np.eye(state.dims.d2, dtype=np.complex128)
     rho = state.rho12.matrix
-    return frobenius(tensor_product(a_det, eye2) @ rho - tensor_product(eye1, b_det) @ rho)
+    a_det = embed(spec_a.matrix(), 1, state.dims)
+    b_det = embed(spec_b.matrix(), 2, state.dims)
+    return frobenius(a_det @ rho - b_det @ rho)
 
 
 def construct_pure_twins(phi: np.ndarray, dims: Dims):

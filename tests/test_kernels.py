@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from twinfo.kernels import kron
+from twinfo.linalg import Dims
+from twinfo.measurement import embed
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -20,3 +22,14 @@ def test_kron_is_bitwise_np_kron(dtype, transposed):
         got, want = kron(a, b), np.kron(a, b)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+    # The one-side embedding is the same Kronecker product with an identity.
+    for d1, d2 in ((2, 3), (3, 2)):
+        dims = Dims(d1, d2)
+        a, b = draw(d1, d1), draw(d2, d2)
+        for got, want in (
+            (embed(a, 1, dims), np.kron(a, np.eye(d2, dtype=np.complex128))),
+            (embed(b, 2, dims), np.kron(np.eye(d1, dtype=np.complex128), b)),
+        ):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import twinfo as T
-from twinfo.linalg import hermitian_eig
 
 from conftest import SIGMA_X, SIGMA_Z, bell_vector
 
@@ -64,7 +63,7 @@ def test_partial_trace_roundtrip_random():
 
 
 def test_hermitian_eig_identity():
-    dec = hermitian_eig(np.eye(2, dtype=complex))
+    dec = T.observable_from_matrix(np.eye(2, dtype=complex))
     assert len(dec) == 1
     assert dec.eigenvalues[0] == pytest.approx(1.0)
     assert dec.multiplicities[0] == 2
@@ -72,7 +71,7 @@ def test_hermitian_eig_identity():
 
 
 def test_hermitian_eig_sigma_z():
-    dec = hermitian_eig(SIGMA_Z)
+    dec = T.observable_from_matrix(SIGMA_Z)
     np.testing.assert_allclose(dec.eigenvalues, [-1.0, 1.0])
     np.testing.assert_allclose(dec.projectors[0], np.diag([0.0, 1.0]), atol=1e-14)
     np.testing.assert_allclose(dec.projectors[1], np.diag([1.0, 0.0]), atol=1e-14)
@@ -81,14 +80,14 @@ def test_hermitian_eig_sigma_z():
 
 def test_hermitian_eig_grouping():
     m = np.diag([0.5, 0.5 + 1e-14, 0.2]).astype(complex)
-    dec = hermitian_eig(m)
+    dec = T.observable_from_matrix(m)
     np.testing.assert_allclose(dec.eigenvalues, [0.2, 0.5], atol=1e-13)
     np.testing.assert_array_equal(dec.multiplicities, [1, 2])
 
 
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(ValueError):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+        T.observable_from_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -97,7 +96,7 @@ def test_spectral_reconstruction_and_completeness(seed):
     d = 4 + seed % 3
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = (g + g.conj().T) / 2
-    dec = hermitian_eig(h)
+    dec = T.observable_from_matrix(h)
     np.testing.assert_allclose(dec.matrix(), h, atol=1e-10)
     total = sum(dec.projectors)
     np.testing.assert_allclose(total, np.eye(d), atol=1e-10)

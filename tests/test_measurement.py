@@ -29,7 +29,7 @@ def _x_obs():
 
 def test_observable_from_basis_default_labels():
     obs = T.observable_from_basis(np.eye(3, dtype=complex))
-    np.testing.assert_allclose(obs.spectral.eigenvalues, [1.0, 2.0, 3.0])
+    np.testing.assert_allclose(obs.eigenvalues, [1.0, 2.0, 3.0])
     assert obs.complete
 
 
@@ -46,7 +46,7 @@ def test_observable_from_basis_rejects_repeated_labels():
 def test_observable_from_basis_one_dimensional():
     # A single label has no neighbour to collide with.
     obs = T.observable_from_basis(np.eye(1, dtype=complex), eigenvalues=[3.0])
-    np.testing.assert_allclose(obs.spectral.eigenvalues, [3.0])
+    np.testing.assert_allclose(obs.eigenvalues, [3.0])
     assert obs.complete
 
 
@@ -66,6 +66,26 @@ def test_luders_dimension_mismatch():
         T.luders_apply(_z_obs(), T.validate_density(np.eye(3, dtype=complex) / 3))
 
 
+SUBSYSTEM_CALLS = {
+    "luders_apply_subsystem": lambda state, a1, b2: T.luders_apply_subsystem(a1, state),
+    "distant_decomposition": lambda state, a1, b2: T.distant_decomposition(state, a1),
+    "information_gain": lambda state, a1, b2: T.information_gain(state, a1),
+    "verify_twins": lambda state, a1, b2: T.verify_twins(state, a1, b2),
+    "joint_distribution": lambda state, a1, b2: T.joint_distribution(state, a1, b2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBSYSTEM_CALLS))
+def test_subsystem_dimension_mismatch(name):
+    state = random_state(T.Dims(2, 2), 4, seed=11)
+    a1 = T.SubsystemObservable(T.observable_from_basis(np.eye(3, dtype=complex)), 1)
+    b2 = T.SubsystemObservable(T.observable_from_basis(np.eye(2, dtype=complex)), 2)
+    with pytest.raises(
+        ValueError, match="observable dimension 3 does not match subsystem 1 dimension 2"
+    ):
+        SUBSYSTEM_CALLS[name](state, a1, b2)
+
+
 def test_luders_idempotent():
     dims = T.Dims(2, 3)
     rho = T.validate_density(T.sample_random_density(dims, dims.total, seed=3))
@@ -79,7 +99,7 @@ def test_luders_output_commutes_with_projectors():
     rho = T.validate_density(T.sample_random_density(T.Dims(2, 2), 4, seed=5))
     obs = T.sample_random_observable(4, seed=6, complete=False)
     out = T.luders_apply(obs, rho)
-    for p in obs.spectral.projectors:
+    for p in obs.projectors:
         assert frobenius(p @ out.matrix - out.matrix @ p) < 1e-10
 
 
@@ -147,7 +167,7 @@ def test_rank_one_conditional_factorization():
         dd = T.distant_decomposition(state, a1)
         eye2 = np.eye(3, dtype=complex)
         for (prob, cond, label), proj in zip(
-            dd.outcomes, a1.observable.spectral.projectors
+            dd.outcomes, a1.observable.projectors
         ):
             p_full = T.tensor_product(proj, eye2)
             sandwich = p_full @ state.rho12.matrix @ p_full

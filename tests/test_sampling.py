@@ -63,7 +63,7 @@ def test_unitary_is_unitary_and_deterministic():
 def test_random_observable_complete(d):
     obs = T.sample_random_observable(d, seed=2)
     assert obs.complete
-    total = sum(obs.spectral.projectors)
+    total = sum(obs.projectors)
     np.testing.assert_allclose(total, np.eye(d), atol=1e-12)
 
 
@@ -71,7 +71,7 @@ def test_random_observable_complete(d):
 def test_random_observable_incomplete(d):
     obs = T.sample_random_observable(d, seed=2, complete=False)
     assert not obs.complete
-    assert int(np.sum(obs.spectral.multiplicities)) == d
-    assert int(np.max(obs.spectral.multiplicities)) >= 2
-    total = sum(obs.spectral.projectors)
+    assert int(np.sum(obs.multiplicities)) == d
+    assert int(np.max(obs.multiplicities)) >= 2
+    total = sum(obs.projectors)
     np.testing.assert_allclose(total, np.eye(d), atol=1e-12)

@@ -56,7 +56,7 @@ def test_pair_spectra_bell_zz(bell):
     a1, b2 = zz_observables()
     pairing = T.verify_twins(bell, a1, b2).pairing
     assert pairing is not None
-    assert pairing.pairs == ((0, 0), (1, 1))
+    assert pairing == ((0, 0), (1, 1))
 
 
 def test_pair_spectra_bell_zx_has_none(bell):
@@ -75,7 +75,7 @@ def test_pair_spectra_crossed():
     pairing = T.verify_twins(state, a1, b2).pairing
     # eigenvalue +1 of side 1 (|0>) pairs with eigenvalue -1 of side 2 (|1>)
     assert pairing is not None
-    assert pairing.pairs == ((0, 1), (1, 0))
+    assert pairing == ((0, 1), (1, 0))
 
 
 def test_verify_twins_constructed_pure_and_dephased():
@@ -246,7 +246,7 @@ def test_degenerate_twin_multiplicities_coincide():
     assert not report.complete  # a detectable eigenvalue is degenerate
     spec_a = T.detectable_spectrum(state, a1)
     spec_b = T.detectable_spectrum(state, b2)
-    for i, j in report.pairing.pairs:
+    for i, j in report.pairing:
         mult_a = round(np.trace(spec_a.projectors[i]).real)
         mult_b = round(np.trace(spec_b.projectors[j]).real)
         assert mult_a == mult_b
@@ -262,7 +262,7 @@ def test_equal_probabilities_under_pairing():
         report = T.verify_twins(state, a1, b2)
         spec_a = T.detectable_spectrum(state, a1)
         spec_b = T.detectable_spectrum(state, b2)
-        for i, j in report.pairing.pairs:
+        for i, j in report.pairing:
             assert abs(spec_a.probabilities[i] - spec_b.probabilities[j]) < 1e-10
 
 
