@@ -30,7 +30,8 @@ PROB_SUM_TOL = 1e-8
 SUPPORT_TOL = 1e-10
 
 
-def _clamp(value: float) -> float:
+def clamp_nonnegative(value: float) -> float:
+    """``value`` with round-off below zero (down to ``-NEGATIVE_CLAMP``) set to 0; raises below."""
     if value < -NEGATIVE_CLAMP:
         raise ValueError(
             f"information quantity is {value:.3e} < -{NEGATIVE_CLAMP:.0e}; inputs are invalid"
@@ -40,7 +41,7 @@ def _clamp(value: float) -> float:
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """S(rho) = -Tr rho log2 rho, evaluated on eigenvalues above ``KERNEL_CLIP``."""
-    return _clamp(float(vn_entropy(rho.matrix)))
+    return clamp_nonnegative(float(vn_entropy(rho.matrix)))
 
 
 def shannon_entropy(p) -> float:
@@ -57,7 +58,7 @@ def shannon_entropy(p) -> float:
     total = float(p.sum())
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise StateValidationError("distribution", f"probabilities sum to {total:.12g}, expected 1")
-    return _clamp(float(entropy_bits(p)))
+    return clamp_nonnegative(float(entropy_bits(p)))
 
 
 def relative_entropy(sigma: DensityOperator, rho: DensityOperator) -> float:
@@ -80,7 +81,7 @@ def relative_entropy(sigma: DensityOperator, rho: DensityOperator) -> float:
     term_sigma = -float(vn_entropy(sigma.matrix))
     diag = np.sum(proj, axis=0)
     term_rho = float(np.dot(diag, np.log2(w[keep])))
-    return _clamp(term_sigma - term_rho)
+    return clamp_nonnegative(term_sigma - term_rho)
 
 
 def mutual_information(state: BipartiteState) -> float:
@@ -88,7 +89,7 @@ def mutual_information(state: BipartiteState) -> float:
     s1 = float(vn_entropy(state.rho1.matrix))
     s2 = float(vn_entropy(state.rho2.matrix))
     s12 = float(vn_entropy(state.rho12.matrix))
-    return _clamp(s1 + s2 - s12)
+    return clamp_nonnegative(s1 + s2 - s12)
 
 
 def mutual_information_via_relative(state: BipartiteState) -> float:
@@ -101,4 +102,4 @@ def entanglement_entropy(phi: np.ndarray, dims: Dims) -> float:
     """Entropy of either reduction of a pure bipartite vector."""
     phi = _check_unit_vector(phi, dims)
     s = np.linalg.svd(phi.reshape(dims.d1, dims.d2), compute_uv=False)
-    return _clamp(float(entropy_bits(s * s)))
+    return clamp_nonnegative(float(entropy_bits(s * s)))

@@ -3,6 +3,10 @@
 Callers are responsible for passing C-contiguous complex128 arrays.
 ``KERNEL_CLIP`` implements the ``0 * log 0 = 0`` convention: eigenvalues and
 probabilities at or below it are treated as exact zeros.
+
+``conditional_states`` is the projector-stack primitive for rank-k
+measurements.  Values the CLI prints to 17 digits keep the arithmetic of
+``kron``, batched over stack axes, as other contraction orders move last bits.
 """
 
 import numpy as np
@@ -16,6 +20,7 @@ __all__ = [
     "measured_first",
     "swap_sides",
     "kron",
+    "conditional_states",
     "info_gain_side1",
     "joint_mutual_info",
 ]
@@ -63,14 +68,25 @@ def swap_sides(rho, d1, d2):
 
 
 def kron(a, b):
-    """Kronecker product of two matrices, bitwise equal to ``np.kron``.
+    """Kronecker product over the last two axes (leading stack axes broadcast),
+    bitwise equal to ``np.kron`` on every slice.
 
-    Each entry is the same single product ``a[i, j] * b[k, l]``; one
+    Each entry is the same single product ``a[..., i, j] * b[..., k, l]``; one
     broadcast multiply skips ``np.kron``'s per-call Python overhead.
     """
-    m, n = a.shape
-    p, q = b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    m, n = a.shape[-2:]
+    p, q = b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (m * p, n * q))
+
+
+def conditional_states(rt, projs):
+    """Conditionals ``C_i = Tr_side[(P_i (x) 1) rho]`` and weights ``tr C_i`` for a stack
+    ``projs`` of projectors of any rank, on the measured-first tensor ``rt``."""
+    dm, do = rt.shape[:2]
+    c = projs.reshape(len(projs), dm * dm) @ rt.transpose(2, 0, 1, 3).reshape(dm * dm, do * do)
+    c = c.reshape(len(projs), do, do)
+    return np.trace(c, axis1=1, axis2=2).real, c
 
 
 def info_gain_side1(rho, basis, d2):

@@ -4,8 +4,13 @@ classical statistics they induce on bipartite states.
 An ``Observable`` is its grouped spectral form: distinct eigenvalue labels
 with orthogonal projectors.  The labels never enter any information
 quantity, only the projectors do.  A ``SubsystemObservable`` acts on one
-side of a bipartite system; ``embed`` lifts an operator on that side to
-``P (x) 1`` or ``1 (x) P`` before a channel or a trace is applied.
+side of a bipartite system; ``embed`` lifts an operator, or a stack of them,
+on that side to ``P (x) 1`` or ``1 (x) P`` before a channel or a trace is
+applied.
+
+``distant_decomposition`` and ``information_gain`` use the projector-stack
+primitive ``kernels.conditional_states``.  ``coincidence_table`` keeps its
+Kronecker arithmetic, batched: twin residuals printed to 17 digits come from it.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from functools import cache
 
 import numpy as np
 
-from .entropy import PROB_NEGATIVE_TOL, PROB_SUM_TOL, _clamp
-from .kernels import KERNEL_CLIP, entropy_bits, vn_entropy
-from .linalg import Dims, dagger, is_hermitian, partial_trace, tensor_product
+from .entropy import PROB_NEGATIVE_TOL, PROB_SUM_TOL, clamp_nonnegative
+from .kernels import KERNEL_CLIP, conditional_states, entropy_bits, measured_first, vn_entropy
+from .linalg import Dims, dagger, is_hermitian, tensor_product
 from .states import BipartiteState, DensityOperator, _bipartite_unchecked, _wrap_density
 
 DETECT_EPS = 1e-10
@@ -187,7 +192,8 @@ def _identity(d: int) -> np.ndarray:
 
 
 def embed(op: np.ndarray, side: int, dims: Dims) -> np.ndarray:
-    """``op (x) 1`` for ``side`` 1, ``1 (x) op`` for side 2 of a ``dims`` split."""
+    """``op (x) 1`` for ``side`` 1, ``1 (x) op`` for side 2 of a ``dims`` split;
+    a stack ``(n, d, d)`` lifts slice by slice."""
     if side == 1:
         return tensor_product(op, _identity(dims.d2))
     return tensor_product(_identity(dims.d1), op)
@@ -213,6 +219,13 @@ def luders_apply_subsystem(sobs: SubsystemObservable, state: BipartiteState) -> 
     return _bipartite_unchecked(out, state.dims)
 
 
+def _conditionals(state: BipartiteState, sobs: SubsystemObservable):
+    """``kernels.conditional_states`` of the spectral projectors of ``sobs``."""
+    sobs.check_dims(state.dims)
+    rt = measured_first(state.rho12.matrix, state.dims.d1, state.dims.d2, sobs.subsystem)
+    return conditional_states(rt, np.array(sobs.observable.projectors))
+
+
 def distant_decomposition(state: BipartiteState, sobs: SubsystemObservable) -> DistantDecomposition:
     """Decompose the opposite-subsystem reduction by the outcomes of ``sobs``.
 
@@ -220,30 +233,24 @@ def distant_decomposition(state: BipartiteState, sobs: SubsystemObservable) -> D
     probability and the conditional state of the other side; the rest are
     reported as undetectable.
     """
-    sobs.check_dims(state.dims)
-    keep = 2 if sobs.subsystem == 1 else 1
+    probs, conds = _conditionals(state, sobs)
     outcomes = []
     undetectable = []
-    for a, p in zip(sobs.observable.eigenvalues, sobs.observable.projectors):
-        p_full = embed(p, sobs.subsystem, state.dims)
-        sand = p_full @ state.rho12.matrix @ p_full
-        prob = float(np.trace(sand).real)
+    for a, prob, cond in zip(sobs.observable.eigenvalues, probs.tolist(), conds):
         if prob <= DETECT_EPS:
             undetectable.append(float(a))
-            continue
-        cond = partial_trace(sand, state.dims, keep=keep) / prob
-        outcomes.append((prob, _wrap_density(cond), float(a)))
+        else:
+            outcomes.append((prob, _wrap_density(cond / prob), float(a)))
     return DistantDecomposition(outcomes=tuple(outcomes), undetectable=tuple(undetectable))
 
 
 def coincidence_table(state: BipartiteState, projs1, projs2) -> np.ndarray:
-    """p[i, j] = Tr[rho (P_i (x) Q_j)] for side-1 projectors ``projs1`` and side-2 ``projs2``."""
-    table = np.zeros((len(projs1), len(projs2)))
-    for i, pa in enumerate(projs1):
-        cond = partial_trace(state.rho12.matrix @ embed(pa, 1, state.dims), state.dims, keep=2)
-        for j, qb in enumerate(projs2):
-            table[i, j] = np.trace(cond @ qb).real
-    return table
+    """p[i, j] = Tr[rho (P_i (x) Q_j)] for side-1 projectors ``projs1`` and side-2 ``projs2``,
+    bitwise as ``Tr[Tr_1[rho (P_i (x) 1)] Q_j]`` one projector pair at a time."""
+    dims = state.dims
+    m = state.rho12.matrix @ embed(np.asarray(projs1), 1, dims)
+    cond = np.einsum("nabak->nbk", m.reshape(len(m), dims.d1, dims.d2, dims.d1, dims.d2))
+    return np.trace(cond[:, None] @ np.asarray(projs2)[None], axis1=2, axis2=3).real
 
 
 def joint_distribution(
@@ -269,7 +276,7 @@ def joint_mutual_information(jd: JointDistribution) -> float:
     ha = float(entropy_bits(jd.row_marginals))
     hb = float(entropy_bits(jd.col_marginals))
     hab = float(entropy_bits(np.ascontiguousarray(jd.p.ravel())))
-    return _clamp(ha + hb - hab)
+    return clamp_nonnegative(ha + hb - hab)
 
 
 def information_gain(state: BipartiteState, sobs: SubsystemObservable) -> float:
@@ -277,11 +284,13 @@ def information_gain(state: BipartiteState, sobs: SubsystemObservable) -> float:
 
     S(opposite) - sum_i p_i S(conditional_i); nonnegative by concavity.
     """
+    probs, conds = _conditionals(state, sobs)
+    kept = probs > DETECT_EPS
+    p = probs[kept]
+    w = np.linalg.eigvalsh(conds[kept] / p[:, None, None])
+    wlog = w * np.log2(w, out=np.zeros(w.shape), where=w > KERNEL_CLIP)
     opposite = state.rho2 if sobs.subsystem == 1 else state.rho1
-    gain = float(vn_entropy(opposite.matrix))
-    for prob, cond, _ in distant_decomposition(state, sobs).outcomes:
-        gain -= prob * float(vn_entropy(cond.matrix))
-    return _clamp(gain)
+    return clamp_nonnegative(float(vn_entropy(opposite.matrix)) + float(p @ wlog.sum(axis=1)))
 
 
 def entropy_of_coherence(obs: Observable, rho: DensityOperator) -> float:
@@ -290,7 +299,7 @@ def entropy_of_coherence(obs: Observable, rho: DensityOperator) -> float:
     Zero iff the observable commutes with the state.
     """
     after = luders_apply(obs, rho)
-    return _clamp(float(vn_entropy(after.matrix)) - float(vn_entropy(rho.matrix)))
+    return clamp_nonnegative(float(vn_entropy(after.matrix)) - float(vn_entropy(rho.matrix)))
 
 
 def coherence_decomposition(obs: Observable, rho: DensityOperator) -> CoherenceDecomposition:

@@ -8,6 +8,11 @@ post-measurement states, mutual state-dependent implication, and the
 operator identity ``P1_i rho = P2_i rho``).  The report always evaluates all
 four condition residuals so their equivalence is itself checked on every
 call.
+
+Outcome probabilities, the outcome table and residuals (b) and (d) are
+batched over projector stacks with the per-slice Kronecker arithmetic of one
+projector at a time, not ``kernels.conditional_states``: the CLI prints them
+to 17 digits, and another contraction order moves their last bits.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ def detectable_spectrum(state: BipartiteState, sobs: SubsystemObservable) -> Det
     sobs.check_dims(state.dims)
     reduced = state.rho1 if sobs.subsystem == 1 else state.rho2
     obs = sobs.observable
-    probabilities = np.array([np.trace(reduced.matrix @ p).real for p in obs.projectors])
+    probabilities = np.trace(reduced.matrix @ np.array(obs.projectors), axis1=1, axis2=2).real
     kept = np.nonzero(probabilities > DETECT_EPS)[0]
     return DetectableSpectrum(
         eigenvalues=obs.eigenvalues[kept],
@@ -130,82 +135,66 @@ def verify_twins(
         comm.append(frobenius(m @ reduced.matrix - reduced.matrix @ m) / scale)
 
     spectra_match = len(spec_a.eigenvalues) == len(spec_b.eigenvalues)
-    table = coincidence_table(state, spec_a.projectors, spec_b.projectors)
+    projs_a = np.array(spec_a.projectors)
+    projs_b = np.array(spec_b.projectors)
+    table = coincidence_table(state, projs_a, projs_b)
     pairing = _pair_rows(table, spec_a.probabilities, tol) if spectra_match else None
-    if pairing is not None:
-        align = pairing
-    else:
-        n = min(len(spec_a.eigenvalues), len(spec_b.eigenvalues))
-        align = tuple((i, i) for i in range(n))
-
-    paired_cols = {i: j for i, j in align}
+    # Rows 0..n-1 pair in order; ``order`` lists side 2's aligned outcomes, then the rest.
+    n = min(len(spec_a.eigenvalues), len(spec_b.eigenvalues))
+    align = pairing if pairing is not None else tuple((i, i) for i in range(n))
+    order = np.array([j for _, j in align] + list(range(n, len(projs_b))))
+    rows, cols = np.arange(n), order[:n]
+    weight = spec_a.probabilities[:n]
+    paired = table[rows, cols]
 
     # (a) lossless/noiseless outcome channel
-    res_a = 0.0
-    for i in range(table.shape[0]):
-        for j in range(table.shape[1]):
-            if paired_cols.get(i) == j:
-                res_a = max(res_a, abs(table[i, j] - spec_a.probabilities[i]))
-            else:
-                res_a = max(res_a, table[i, j])
+    deviation = table.copy()
+    deviation[rows, cols] = abs(paired - weight)
+    row_dev = deviation.max(axis=1)
+    res_a = max(0.0, row_dev.max())
 
-    res_b = 0.0
-    res_c = 0.0
-    res_d = 0.0
-    for i, j in align:
-        p1 = embed(spec_a.projectors[i], 1, state.dims)
-        p2 = embed(spec_b.projectors[j], 2, state.dims)
-        res_b = max(res_b, frobenius(p1 @ rho @ p1 - p2 @ rho @ p2) / rho_norm)
-        res_c = max(res_c, float(abs(1.0 - table[i, j] / spec_a.probabilities[i])))
-        res_d = max(res_d, frobenius(p1 @ rho - p2 @ rho) / rho_norm)
+    # P1 rho and P2 rho once per outcome serve both (b) and (d); the first n
+    # slices of each stack are the aligned pairs, the rest are unpaired.
+    e1 = embed(projs_a, 1, state.dims)
+    e2 = embed(projs_b[order], 2, state.dims)
+    x1 = e1 @ rho
+    x2 = e2 @ rho
+    b = np.array([frobenius(m) for m in x1[:n] @ e1[:n] - x2[:n] @ e2[:n]]) / rho_norm
+    c = abs(1.0 - paired / weight)
+    d = np.array([frobenius(m) for m in x1[:n] - x2[:n]]) / rho_norm
+    res_b, res_c, res_d = (max(0.0, float(r.max())) for r in (b, c, d))
     if not spectra_match:
         # A detectable outcome left without a partner fails (b)-(d) outright:
         # its projected state must vanish and its partner has probability 0.
-        unpaired = [embed(p, 1, state.dims) for p in spec_a.projectors[len(align):]]
-        unpaired += [embed(q, 2, state.dims) for q in spec_b.projectors[len(align):]]
-        for proj in unpaired:
-            res_b = max(res_b, frobenius(proj @ rho @ proj) / rho_norm)
+        for proj_rho, proj in zip([*x1[n:], *x2[n:]], [*e1[n:], *e2[n:]]):
+            res_b = max(res_b, frobenius(proj_rho @ proj) / rho_norm)
             res_c = 1.0
-            res_d = max(res_d, frobenius(proj @ rho) / rho_norm)
+            res_d = max(res_d, frobenius(proj_rho) / rho_norm)
 
     residuals = (res_a, res_b, res_c, res_d)
-    # Unequal spectra already fail; an unpaired outcome of tiny weight then
-    # leaves (a), (b) and (d) small while (c) is 1, which is no disagreement.
-    if spectra_match and min(residuals) < tol and max(residuals) > 10.0 * tol:
-        raise ConditionMismatchError(
-            "twin conditions disagree: residuals "
-            f"a={res_a:.3e} b={res_b:.3e} c={res_c:.3e} d={res_d:.3e} at tol {tol:.0e}"
-        )
+    if spectra_match:
+        # (c) is relative to the outcome weight p_i while (a), (b) and (d)
+        # vanish with it, so an outcome of tiny weight keeps them small even
+        # when it fails outright.  The check compares them on (c)'s scale.
+        scaled = [float(r.max()) for r in (row_dev / weight, b / weight, c, d / weight)]
+        if min(scaled) < tol and max(scaled) > 10.0 * tol:
+            raise ConditionMismatchError(
+                "twin conditions disagree: residuals scaled by outcome weight "
+                "a={:.3e} b={:.3e} c={:.3e} d={:.3e} at tol {:.0e}".format(*scaled, tol)
+            )
 
-    verdict = (
-        comm[0] < tol
-        and comm[1] < tol
-        and spectra_match
-        and pairing is not None
-        and max(residuals) < tol
+    verdict = comm[0] < tol and comm[1] < tol and pairing is not None and max(residuals) < tol
+
+    complete = all(
+        (abs(np.trace(projs @ spec.range_projector, axis1=1, axis2=2).real - 1.0) < tol).all()
+        for projs, spec in ((projs_a, spec_a), (projs_b, spec_b))
     )
 
-    complete = True
-    for spec in (spec_a, spec_b):
-        for p in spec.projectors:
-            if abs(np.trace(p @ spec.range_projector).real - 1.0) >= tol:
-                complete = False
-
-    strong = None
-    if verdict and pairing is not None:
-        strong = _strong_algebraic(state, spec_a, spec_b, pairing, tol)
-
+    strong = _strong_algebraic(state, spec_a, spec_b, pairing, tol) if verdict else None
     return TwinReport(
-        commutator_residuals=(comm[0], comm[1]),
-        spectra_match=spectra_match,
-        pairing=pairing,
-        residual_a=res_a,
-        residual_b=res_b,
-        residual_c=res_c,
-        residual_d=res_d,
-        verdict=verdict,
-        complete=complete,
-        strong_algebraic_residual=strong,
+        commutator_residuals=(comm[0], comm[1]), spectra_match=spectra_match, pairing=pairing,
+        residual_a=res_a, residual_b=res_b, residual_c=res_c, residual_d=res_d,
+        verdict=verdict, complete=complete, strong_algebraic_residual=strong,
     )
 
 

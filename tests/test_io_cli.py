@@ -453,6 +453,18 @@ def test_twins_round_trip_constructed_pair(tmp_path):
     assert json.loads(res.stdout)["report"]["verdict"] is True
 
 
+def test_twins_tiny_weight_outcome_exits_4(tmp_path):
+    # sqrt(1 - e)|00> + sqrt(e)|1>|+> with Z on both sides is not a twin
+    # pair; its outcome of weight e must not read as an internal error.
+    e = 1e-9
+    phi = np.sqrt(1.0 - e) * np.array([1, 0, 0, 0]) + np.sqrt(e / 2.0) * np.array([0, 0, 1, 1])
+    state_path = write_pure(tmp_path / "phi.json", phi.astype(complex), [2, 2])
+    z_path = write_observable(tmp_path / "z.json", SIGMA_Z)
+    res = run_cli("twins", state_path, z_path, z_path)
+    assert res.returncode == 4
+    assert json.loads(res.stdout)["report"]["verdict"] is False
+
+
 def test_twins_dimension_mismatch_exits_2(tmp_path):
     state_path = write_bell(tmp_path / "bell.json")
     bad = write_observable(tmp_path / "bad.json", np.eye(3, dtype=complex))

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import twinfo as T
+from twinfo.kernels import info_gain_side1, swap_sides, vn_entropy
 from twinfo.linalg import frobenius
+from twinfo.measurement import DETECT_EPS, embed
 
 from conftest import (
     DIM_PAIRS,
@@ -274,6 +276,86 @@ def test_information_gain_schmidt_basis_reaches_opposite_entropy():
     assert T.information_gain(state, a1) == pytest.approx(
         T.von_neumann_entropy(state.rho2), abs=1e-8
     )
+
+
+def _distant_decomposition_loop(state, sobs):
+    """The decomposition from one embedded sandwich P rho P per projector; the
+    reference for the projector-stack primitive."""
+    keep = 2 if sobs.subsystem == 1 else 1
+    outcomes, undetectable = [], []
+    for a, p in zip(sobs.observable.eigenvalues, sobs.observable.projectors):
+        p_full = embed(p, sobs.subsystem, state.dims)
+        sand = p_full @ state.rho12.matrix @ p_full
+        prob = float(np.trace(sand).real)
+        if prob <= DETECT_EPS:
+            undetectable.append(float(a))
+        else:
+            outcomes.append((prob, T.partial_trace(sand, state.dims, keep=keep) / prob, float(a)))
+    return outcomes, tuple(undetectable)
+
+
+def _information_gain_loop(state, sobs):
+    opposite = state.rho2 if sobs.subsystem == 1 else state.rho1
+    gain = T.von_neumann_entropy(opposite)
+    for prob, cond, _ in _distant_decomposition_loop(state, sobs)[0]:
+        gain -= prob * float(vn_entropy(cond))
+    return gain
+
+
+def _rank_k_observable(d, seed):
+    """Random eigenbasis with a rank-ceil(d/2) and a rank-floor(d/2) eigenspace."""
+    u = T.sample_random_unitary(d, seed=seed, stream=131)
+    labels = np.where(np.arange(d) < (d + 1) // 2, 1.0, 2.0)
+    return T.observable_from_matrix((u * labels) @ u.conj().T)
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 3), (4, 5)])
+def test_information_gain_matches_basis_kernel_on_complete_observables(d1, d2):
+    dims = T.Dims(d1, d2)
+    for seed in range(3):
+        state = random_state(dims, rank=1 + seed * (dims.total - 1) // 2, seed=seed, stream=132)
+        rho = state.rho12.matrix
+        for side, d_meas, r, d_opp in ((1, d1, rho, d2), (2, d2, swap_sides(rho, d1, d2), d1)):
+            u = T.sample_random_unitary(d_meas, seed=seed, stream=133 + side)
+            sobs = T.SubsystemObservable(T.observable_from_basis(u), side)
+            assert T.information_gain(state, sobs) == pytest.approx(
+                info_gain_side1(r, u, d_opp), abs=1e-12)
+
+
+@pytest.mark.parametrize("d1, d2", [(3, 2), (3, 3), (4, 3), (4, 4), (5, 3)])
+def test_information_gain_matches_sandwich_loop_on_rank_k_observables(d1, d2):
+    dims = T.Dims(d1, d2)
+    for seed in range(3):
+        state = random_state(dims, rank=1 + seed * (dims.total - 1) // 2, seed=seed, stream=135)
+        for side, d_meas in ((1, d1), (2, d2)):
+            sobs = T.SubsystemObservable(_rank_k_observable(d_meas, seed + 10 * side), side)
+            assert sobs.observable.complete == (d_meas == 2)
+            assert T.information_gain(state, sobs) == pytest.approx(
+                _information_gain_loop(state, sobs), abs=1e-12)
+
+
+def test_distant_decomposition_matches_sandwich_loop():
+    dims = T.Dims(3, 3)
+    phi = T.sample_random_pure(T.Dims(2, 2), seed=136)
+    schmidt_rank_2 = np.zeros(9, dtype=complex)
+    schmidt_rank_2[[0, 1, 3, 4]] = phi
+    cases = [(T.bipartite_from_pure(schmidt_rank_2, dims), *T.construct_pure_twins(schmidt_rank_2, dims))]
+    for seed in range(3):
+        state = random_state(dims, rank=1 + 4 * seed, seed=seed, stream=137)
+        cases.append((state, T.SubsystemObservable(_rank_k_observable(3, seed), 1),
+                      T.SubsystemObservable(T.sample_random_observable(3, seed=seed, stream=138), 2)))
+    for state, a1, b2 in cases:
+        for sobs in (a1, b2):
+            dd = T.distant_decomposition(state, sobs)
+            outcomes, undetectable = _distant_decomposition_loop(state, sobs)
+            assert dd.undetectable == undetectable
+            assert len(dd.outcomes) == len(outcomes)
+            for (p, cond, a), (p_ref, cond_ref, a_ref) in zip(dd.outcomes, outcomes):
+                assert a == a_ref
+                assert p == pytest.approx(p_ref, abs=1e-13)
+                np.testing.assert_allclose(cond.matrix, cond_ref, rtol=0, atol=1e-13)
+    # The Schmidt twins of a Schmidt-rank-2 state leave their kernel eigenvalue undetectable.
+    assert T.distant_decomposition(cases[0][0], cases[0][1]).undetectable == (0.0,)
 
 
 def test_coherence_z_on_plus():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import twinfo as T
+from twinfo.kernels import kron
 from twinfo.linalg import frobenius
+from twinfo.measurement import embed
 from twinfo.twins import TWIN_TOL
 
 from conftest import (
@@ -10,7 +12,9 @@ from conftest import (
     SIGMA_X,
     SIGMA_Z,
     bell_vector,
+    maximally_entangled,
     random_state,
+    rotate_observable,
     twin_corpus,
     zz_observables,
 )
@@ -325,3 +329,223 @@ def test_verify_twins_unequal_spectra_tiny_unpaired_outcome():
     assert not report.spectra_match
     assert report.residual_c == 1.0
     assert max(report.residual_a, report.residual_b, report.residual_d) < TWIN_TOL
+
+
+def _tiny_weight_state(pure: bool, e: float = 1e-9):
+    """sqrt(1 - e)|00> + sqrt(e)|1>|+>, or the mixture of the two terms: outcome
+    1 of Z on side 1 has weight e, and Z on side 2 splits it in halves."""
+    v0 = _basis_vec(T.Dims(2, 2), 0, 0)
+    v1 = (_basis_vec(T.Dims(2, 2), 1, 0) + _basis_vec(T.Dims(2, 2), 1, 1)) / np.sqrt(2.0)
+    if pure:
+        return T.bipartite_from_pure(np.sqrt(1.0 - e) * v0 + np.sqrt(e) * v1, T.Dims(2, 2))
+    rho = (1.0 - e) * np.outer(v0, v0.conj()) + e * np.outer(v1, v1.conj())
+    return T.make_bipartite(rho, T.Dims(2, 2))
+
+
+@pytest.mark.parametrize("pure", [True, False])
+def test_tiny_weight_outcome_is_not_a_condition_mismatch(pure):
+    # Equal spectra, no pairing: (c) is 0.5 while (a) is of order e, below
+    # tol.  That is a failed twin pair, not a disagreement of the conditions.
+    a1, b2 = zz_observables()
+    report = T.verify_twins(_tiny_weight_state(pure), a1, b2)
+    assert report.spectra_match
+    assert report.pairing is None
+    assert not report.verdict
+    assert report.residual_a < TWIN_TOL
+    assert report.residual_c == pytest.approx(0.5)
+
+
+def test_disagreeing_conditions_still_raise(bell, monkeypatch):
+    # A corrupted outcome table fails (a) and (c) while (b) and (d) still hold.
+    true_table = T.twins.coincidence_table
+    monkeypatch.setattr(T.twins, "coincidence_table",
+                        lambda *args: true_table(*args) + np.array([[-0.05, 0.05], [0.05, -0.05]]))
+    a1, b2 = zz_observables()
+    with pytest.raises(T.ConditionMismatchError, match="twin conditions disagree"):
+        T.verify_twins(bell, a1, b2)
+
+
+# ------------------------------------------------- stacked arithmetic, bit for bit
+
+
+def _coincidence_table_loop(state, projs1, projs2):
+    """The outcome table one projector at a time; the reference for the bits
+    of the stacked ``coincidence_table``."""
+    eye2 = np.eye(state.dims.d2, dtype=complex)
+    table = np.zeros((len(projs1), len(projs2)))
+    for i, pa in enumerate(projs1):
+        cond = T.partial_trace(state.rho12.matrix @ T.tensor_product(pa, eye2), state.dims, keep=2)
+        for j, qb in enumerate(projs2):
+            table[i, j] = np.trace(cond @ qb).real
+    return table
+
+
+def _probabilities_loop(state, sobs):
+    reduced = state.rho1 if sobs.subsystem == 1 else state.rho2
+    return np.array([np.trace(reduced.matrix @ p).real for p in sobs.observable.projectors])
+
+
+def _verify_twins_loop(state, a1, b2, tol=TWIN_TOL):
+    """``verify_twins`` with a Kronecker product, matmul and trace per
+    projector, as it was computed before the projector stacks; the reference
+    for the bits of every field of the report."""
+    specs = []
+    for sobs in (a1, b2):
+        probabilities = _probabilities_loop(state, sobs)
+        kept = np.nonzero(probabilities > T.twins.DETECT_EPS)[0]
+        reduced = state.rho1 if sobs.subsystem == 1 else state.rho2
+        specs.append(T.DetectableSpectrum(
+            eigenvalues=sobs.observable.eigenvalues[kept],
+            projectors=tuple(sobs.observable.projectors[i] for i in kept),
+            multiplicities=sobs.observable.multiplicities[kept],
+            probabilities=probabilities[kept],
+            range_projector=T.twins.range_projector(reduced.matrix)))
+    spec_a, spec_b = specs
+    rho = state.rho12.matrix
+    rho_norm = frobenius(rho)
+    eye1 = np.eye(state.dims.d1, dtype=complex)
+    eye2 = np.eye(state.dims.d2, dtype=complex)
+    comm = []
+    for sobs, reduced in ((a1, state.rho1), (b2, state.rho2)):
+        m = sobs.observable.matrix()
+        scale = max(1.0, float(np.max(np.abs(sobs.observable.eigenvalues))))
+        comm.append(frobenius(m @ reduced.matrix - reduced.matrix @ m) / scale)
+    spectra_match = len(spec_a.eigenvalues) == len(spec_b.eigenvalues)
+    table = _coincidence_table_loop(state, spec_a.projectors, spec_b.projectors)
+    pairing = T.twins._pair_rows(table, spec_a.probabilities, tol) if spectra_match else None
+    n = min(len(spec_a.eigenvalues), len(spec_b.eigenvalues))
+    align = pairing if pairing is not None else tuple((i, i) for i in range(n))
+    paired_cols = dict(align)
+    res_a = 0.0
+    for i in range(table.shape[0]):
+        for j in range(table.shape[1]):
+            if paired_cols.get(i) == j:
+                res_a = max(res_a, abs(table[i, j] - spec_a.probabilities[i]))
+            else:
+                res_a = max(res_a, table[i, j])
+    res_b = res_c = res_d = 0.0
+    for i, j in align:
+        p1 = T.tensor_product(spec_a.projectors[i], eye2)
+        p2 = T.tensor_product(eye1, spec_b.projectors[j])
+        res_b = max(res_b, frobenius(p1 @ rho @ p1 - p2 @ rho @ p2) / rho_norm)
+        res_c = max(res_c, float(abs(1.0 - table[i, j] / spec_a.probabilities[i])))
+        res_d = max(res_d, frobenius(p1 @ rho - p2 @ rho) / rho_norm)
+    if not spectra_match:
+        unpaired = [T.tensor_product(p, eye2) for p in spec_a.projectors[len(align):]]
+        unpaired += [T.tensor_product(eye1, q) for q in spec_b.projectors[len(align):]]
+        for proj in unpaired:
+            res_b = max(res_b, frobenius(proj @ rho @ proj) / rho_norm)
+            res_c = 1.0
+            res_d = max(res_d, frobenius(proj @ rho) / rho_norm)
+    verdict = (comm[0] < tol and comm[1] < tol and spectra_match and pairing is not None
+               and max(res_a, res_b, res_c, res_d) < tol)
+    complete = True
+    for spec in (spec_a, spec_b):
+        for p in spec.projectors:
+            if abs(np.trace(p @ spec.range_projector).real - 1.0) >= tol:
+                complete = False
+    strong = None
+    if verdict:
+        strong = T.twins._strong_algebraic(state, spec_a, spec_b, pairing, tol)
+    return T.TwinReport(
+        commutator_residuals=(comm[0], comm[1]), spectra_match=spectra_match, pairing=pairing,
+        residual_a=res_a, residual_b=res_b, residual_c=res_c, residual_d=res_d,
+        verdict=verdict, complete=complete, strong_algebraic_residual=strong)
+
+
+def _schmidt_pair(phi, dims, groups):
+    """Side-1 and side-2 observables labelled ``g + 1`` on Schmidt-vector group ``g``."""
+    form = T.schmidt_decompose(phi, dims)
+    a = np.zeros((dims.d1, dims.d1), dtype=complex)
+    b = np.zeros((dims.d2, dims.d2), dtype=complex)
+    for label, group in enumerate(groups, start=1):
+        for i in group:
+            a += label * np.outer(form.basis1[:, i], form.basis1[:, i].conj())
+            b += label * np.outer(form.basis2[:, i], form.basis2[:, i].conj())
+    return (T.SubsystemObservable(T.observable_from_matrix(a), 1),
+            T.SubsystemObservable(T.observable_from_matrix(b), 2))
+
+
+def _two_outcome(d, seed, stream):
+    """Random eigenbasis split into a rank-``cut`` and a rank-``d - cut`` eigenspace."""
+    u = T.sample_random_unitary(d, seed=seed, stream=stream)
+    labels = np.where(np.arange(d) < 1 + seed % (d - 1), 1.0, 2.0)
+    return T.observable_from_matrix((u * labels) @ u.conj().T)
+
+
+def _family_instance(family, dims, seed):
+    """(state, a1, b2): families 0-2 are twins, 3-5 are not, 6 has unequal spectra."""
+    phi = T.sample_random_pure(dims, seed=seed, stream=121)
+    k = min(dims.d1, dims.d2)
+    singles = [[i] for i in range(k)]
+    coarse = [list(range(k - 1)), [k - 1]] if k > 2 else [[0, 1]]
+    pure = T.bipartite_from_pure(phi, dims)
+    if family == 0:  # pure state, complete Schmidt twins
+        return (pure, *_schmidt_pair(phi, dims, singles))
+    if family == 1:  # Schmidt-dephased state, rank-k twins
+        return (T.dephase_in_schmidt_basis(phi, dims), *_schmidt_pair(phi, dims, coarse))
+    if family == 2:  # pure state, rank-k twins
+        return (pure, *_schmidt_pair(phi, dims, coarse))
+    if family == 3:  # complete Schmidt twins with side 1 rotated away
+        a1, b2 = _schmidt_pair(phi, dims, singles)
+        rotated = rotate_observable(a1.observable, 0.3, seed=seed)
+        return pure, T.SubsystemObservable(rotated, 1), b2
+    if family == 4:  # full-rank random state, random rank-k observables
+        return (random_state(dims, dims.total, seed=seed, stream=122),
+                T.SubsystemObservable(_two_outcome(dims.d1, seed, 123), 1),
+                T.SubsystemObservable(_two_outcome(dims.d2, seed, 124), 2))
+    if family == 5:  # maximally entangled state, standard basis against Fourier basis
+        j = np.arange(dims.d2)
+        fourier = np.exp(2j * np.pi * np.outer(j, j) / dims.d2) / np.sqrt(dims.d2)
+        return (T.bipartite_from_pure(maximally_entangled(dims), dims),
+                T.SubsystemObservable(T.observable_from_basis(np.eye(dims.d1, dtype=complex)), 1),
+                T.SubsystemObservable(T.observable_from_basis(fourier), 2))
+    # complete Schmidt observable on side 1, both Schmidt vectors of side 2 in one eigenspace
+    a1, _ = _schmidt_pair(phi, dims, singles)
+    _, b2 = _schmidt_pair(phi, dims, [list(range(k))])
+    return pure, a1, b2
+
+
+BIT_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4), (5, 5), (6, 6), (8, 8), (3, 10), (10, 3)]
+
+
+@pytest.mark.parametrize("d1, d2", BIT_DIMS)
+def test_stacked_twin_arithmetic_equals_per_projector_loop(d1, d2):
+    dims = T.Dims(d1, d2)
+    for family in range(7):
+        for seed in (1, 2):
+            state, a1, b2 = _family_instance(family, dims, seed)
+            assert T.verify_twins(state, a1, b2) == _verify_twins_loop(state, a1, b2)
+            joint = T.joint_distribution(state, a1, b2).p
+            table = _coincidence_table_loop(state, a1.observable.projectors, b2.observable.projectors)
+            assert joint.tobytes() == np.clip(table, 0.0, None).tobytes()
+            for sobs in (a1, b2):
+                spec = T.detectable_spectrum(state, sobs)
+                expected = _probabilities_loop(state, sobs)
+                assert spec.probabilities.tobytes() == expected[expected > T.twins.DETECT_EPS].tobytes()
+
+
+def test_family_labels_hold():
+    # The corpus above exercises twins, non-twins and the unpaired branch.
+    dims = T.Dims(3, 3)
+    verdicts = [T.verify_twins(*_family_instance(family, dims, 1)) for family in range(7)]
+    assert [r.verdict for r in verdicts] == [True, True, True, False, False, False, False]
+    assert not verdicts[6].spectra_match
+
+
+def test_stacked_kron_and_embed_equal_slices():
+    rng = np.random.default_rng(12)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    a, b = cplx(4, 3, 3), cplx(4, 2, 5)
+    assert kron(a, b).tobytes() == np.array([np.kron(x, y) for x, y in zip(a, b)]).tobytes()
+    assert kron(a, b[1]).tobytes() == np.array([np.kron(x, b[1]) for x in a]).tobytes()
+    assert kron(a[2], b).tobytes() == np.array([np.kron(a[2], y) for y in b]).tobytes()
+    assert kron(a[0], b[0]).tobytes() == np.kron(a[0], b[0]).tobytes()
+    dims = T.Dims(3, 5)
+    for side, stack in ((1, cplx(4, 3, 3)), (2, cplx(2, 5, 5))):
+        lifted = embed(stack, side, dims)
+        assert lifted.shape == (len(stack), 15, 15)
+        assert lifted.tobytes() == np.array([embed(op, side, dims) for op in stack]).tobytes()

@@ -13,9 +13,10 @@ line per difference and exits 1 if there is any, 0 otherwise.
 The golden set: ``sweep --samples 8`` at 2x2, 2x3, 3x3, 4x4 and 8x8 with seeds
 0-9 and four other sweeps; ``report``, ``schmidt`` and ``discord`` (both
 directions, with and without ``--grid-refine``) on a Werner state, a Bell pair,
-random 2x3 and 3x3 mixed states and a random 3x3 pure state; four ``twins``
-runs; and malformed inputs (NaN density, NaN pure state, boolean dims, NaN
-observable).
+random 2x3 and 3x3 mixed states and a random 3x3 pure state; eight ``twins``
+runs (complete and rank-k Schmidt twins on pure and Schmidt-dephased states,
+and random two-outcome observables); and malformed inputs (NaN density, NaN
+pure state, boolean dims, NaN observable).
 """
 
 from __future__ import annotations
@@ -50,6 +51,16 @@ def _pure(rng: np.random.Generator, d: int) -> np.ndarray:
     return phi / np.linalg.norm(phi)
 
 
+def _unitary(rng: np.random.Generator, d: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _spectral(basis: np.ndarray, labels) -> np.ndarray:
+    """The observable with eigenvalue ``labels[k]`` on column ``k`` of ``basis``."""
+    return (basis * np.asarray(labels, dtype=float)) @ basis.conj().T
+
+
 def write_inputs(directory: str) -> None:
     """Write the golden-set input files into ``directory``."""
     files = {}
@@ -71,6 +82,22 @@ def write_inputs(directory: str) -> None:
     labels = np.diag([1.0, 2.0, 3.0])
     put("twin_a.json", "observable", [3], "matrix", u @ labels @ u.conj().T)
     put("twin_b.json", "observable", [3], "matrix", vh.T @ labels @ vh.conj())
+    # Rank-2 + rank-1 twins of the same state: its first two Schmidt pairs share a label.
+    put("coarse_a.json", "observable", [3], "matrix", _spectral(u, [1, 1, 2]))
+    put("coarse_b.json", "observable", [3], "matrix", _spectral(vh.T, [1, 1, 2]))
+    # A 2x3 pure state dephased in its Schmidt bases, with rank-k twins: side 2
+    # puts its second Schmidt vector and the kernel direction in one eigenspace.
+    u, s, vh = np.linalg.svd(_pure(np.random.default_rng(35), 6).reshape(2, 3))
+    dephased = sum(s[k] ** 2 * np.kron(np.outer(u[:, k], u[:, k].conj()),
+                                       np.outer(vh[k], vh[k].conj())) for k in range(2))
+    put("dephased2x3.json", "density", [2, 3], "matrix", dephased)
+    put("rank2_a.json", "observable", [2], "matrix", _spectral(u, [1, 2]))
+    put("rank2_b.json", "observable", [3], "matrix", _spectral(vh.T, [1, 2, 2]))
+    # Random two-outcome observables: rank 1 + 1 on the qubit, rank 1 + 2 on the qutrit.
+    put("two_a.json", "observable", [2], "matrix",
+        _spectral(_unitary(np.random.default_rng(36), 2), [1, 2]))
+    put("two_b.json", "observable", [3], "matrix",
+        _spectral(_unitary(np.random.default_rng(37), 3), [1, 2, 2]))
     put("z.json", "observable", [2], "matrix", np.diag([1.0, -1.0]))
     put("x.json", "observable", [2], "matrix", np.array([[0.0, 1.0], [1.0, 0.0]]))
     for name, payload in files.items():
@@ -111,6 +138,10 @@ def golden_argvs() -> list[tuple[str, ...]]:
         ("twins", "bell.json", "z.json", "x.json"),
         ("twins", "pure3x3.json", "twin_a.json", "twin_b.json"),
         ("twins", "bell.json", "twin_a.json", "twin_b.json"),
+        ("twins", "pure3x3.json", "coarse_a.json", "coarse_b.json"),
+        ("twins", "dephased2x3.json", "rank2_a.json", "rank2_b.json"),
+        ("twins", "dephased2x3.json", "two_a.json", "two_b.json"),
+        ("twins", "mixed2x3.json", "two_a.json", "two_b.json"),
     ]
     for bad in ("nan_density.json", "nan_pure.json", "bool_dims.json"):
         argvs += [("report", bad), ("discord", bad)]
