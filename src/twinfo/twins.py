@@ -172,15 +172,15 @@ def verify_twins(
             res_d = max(res_d, frobenius(proj_rho) / rho_norm)
 
     residuals = (res_a, res_b, res_c, res_d)
+    # (c) is relative to the outcome weight p_i; (a), (b) and (d) shrink with
+    # it.  A condition is met only if it holds relative to p_i, and fails only
+    # if its raw residual fails, so tiny weights and near twins do not trip it.
     if spectra_match:
-        # (c) is relative to the outcome weight p_i while (a), (b) and (d)
-        # vanish with it, so an outcome of tiny weight keeps them small even
-        # when it fails outright.  The check compares them on (c)'s scale.
-        scaled = [float(r.max()) for r in (row_dev / weight, b / weight, c, d / weight)]
-        if min(scaled) < tol and max(scaled) > 10.0 * tol:
+        relative = min(float(r.max()) for r in (row_dev / weight, b / weight, c, d / weight))
+        if relative < tol and max(residuals) > 10.0 * tol:
             raise ConditionMismatchError(
-                "twin conditions disagree: residuals scaled by outcome weight "
-                "a={:.3e} b={:.3e} c={:.3e} d={:.3e} at tol {:.0e}".format(*scaled, tol)
+                "twin conditions disagree: residuals "
+                f"a={res_a:.3e} b={res_b:.3e} c={res_c:.3e} d={res_d:.3e} at tol {tol:.0e}"
             )
 
     verdict = comm[0] < tol and comm[1] < tol and pairing is not None and max(residuals) < tol

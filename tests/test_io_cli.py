@@ -465,6 +465,18 @@ def test_twins_tiny_weight_outcome_exits_4(tmp_path):
     assert json.loads(res.stdout)["report"]["verdict"] is False
 
 
+def test_twins_near_twin_small_weight_outcome_exits_0(tmp_path):
+    # sqrt(1 - w)|00> + sqrt(w)|11> + delta|01> with Z on both sides is a twin
+    # pair within tolerance; its residuals must not read as an internal error.
+    w, delta = 0.01, 2e-9
+    phi = np.array([np.sqrt(1.0 - w), delta, 0.0, np.sqrt(w)], dtype=complex)
+    state_path = write_pure(tmp_path / "phi.json", phi, [2, 2])
+    z_path = write_observable(tmp_path / "z.json", SIGMA_Z)
+    res = run_cli("twins", state_path, z_path, z_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["report"]["verdict"] is True
+
+
 def test_twins_dimension_mismatch_exits_2(tmp_path):
     state_path = write_bell(tmp_path / "bell.json")
     bad = write_observable(tmp_path / "bad.json", np.eye(3, dtype=complex))

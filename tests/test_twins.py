@@ -355,6 +355,18 @@ def test_tiny_weight_outcome_is_not_a_condition_mismatch(pure):
     assert report.residual_c == pytest.approx(0.5)
 
 
+def test_near_twin_small_weight_outcome_stays_twins():
+    # sqrt(1 - w)|00> + sqrt(w)|11> + delta|01>: (a) is of order delta^2 while
+    # (b) and (d) are of order delta, all below tol.  Read relative to the
+    # weight w, (b) and (d) would pass 10 tol and raise on a twin pair.
+    w, delta = 0.01, 2e-9
+    phi = np.array([np.sqrt(1.0 - w), delta, 0.0, np.sqrt(w)], dtype=complex)
+    a1, b2 = zz_observables()
+    report = T.verify_twins(T.bipartite_from_pure(phi, T.Dims(2, 2)), a1, b2)
+    assert report.verdict
+    assert report.residual_d / w > 10.0 * TWIN_TOL
+
+
 def test_disagreeing_conditions_still_raise(bell, monkeypatch):
     # A corrupted outcome table fails (a) and (c) while (b) and (d) still hold.
     true_table = T.twins.coincidence_table
