@@ -7,6 +7,9 @@ probabilities at or below it are treated as exact zeros.
 ``conditional_states`` is the projector-stack primitive for rank-k
 measurements.  Values the CLI prints to 17 digits keep the arithmetic of
 ``kron``, batched over stack axes, as other contraction orders move last bits.
+
+``gain_from_conditionals`` is the library's one ``S - sum_i p_i S(C_i/p_i)``, for
+the information gain and the coherence deficit, with the bits ``sweep`` prints.
 """
 
 import numpy as np
@@ -21,7 +24,9 @@ __all__ = [
     "swap_sides",
     "kron",
     "conditional_states",
+    "gain_from_conditionals",
     "info_gain_side1",
+    "table_mutual_info",
     "joint_mutual_info",
 ]
 
@@ -37,9 +42,7 @@ def entropy_bits(p):
 
 def vn_entropy(m):
     """von Neumann entropy in bits of a Hermitian PSD matrix."""
-    w = np.linalg.eigvalsh(m)
-    q = w[w > KERNEL_CLIP]
-    return -np.sum(q * np.log2(q))
+    return entropy_bits(np.linalg.eigvalsh(m))
 
 
 def ptrace_keep1(rho, d1, d2):
@@ -89,30 +92,35 @@ def conditional_states(rt, projs):
     return np.trace(c, axis1=1, axis2=2).real, c
 
 
-def info_gain_side1(rho, basis, d2):
-    """Entropy reduction about side 2 from measuring ``basis`` on side 1.
+def gain_from_conditionals(s, probs, conds):
+    """``s - sum_i p_i S(C_i / p_i)`` in bits over a stack ``conds`` of unnormalized
+    ``C_i`` with weights ``probs`` above ``KERNEL_CLIP``.  Each row of one batched
+    ``eigvalsh`` sums only its kept eigenvalues, as ``vn_entropy`` does: a
+    zero-padded sum regroups them."""
+    kept = probs > KERNEL_CLIP
+    p = probs[kept]
+    for p_i, w in zip(p, np.linalg.eigvalsh(conds[kept] / p[:, None, None])):
+        s -= p_i * entropy_bits(w)
+    return s
 
-    ``basis`` holds the measured orthonormal vectors as columns; diagonal
-    block ``i`` of ``w rho w^dagger`` is the unnormalized side-2 state given
-    outcome ``i``.
-    """
+
+def info_gain_side1(rho, basis, d2):
+    """Entropy reduction about side 2 from measuring ``basis`` (vectors as columns) on
+    side 1; diagonal block ``i`` of ``w rho w^dagger`` is side 2's ``C_i``."""
     d1, n = basis.shape
     w = kron(basis.conj().T, np.eye(d2, dtype=np.complex128))
-    m = w @ rho @ w.conj().T
-    gain = vn_entropy(ptrace_keep2(rho, d1, d2))
-    for i in range(n):
-        blk = m[i * d2 : (i + 1) * d2, i * d2 : (i + 1) * d2]
-        p = np.trace(blk).real
-        if p > KERNEL_CLIP:
-            gain -= p * vn_entropy(np.ascontiguousarray(blk) / p)
-    return gain
+    blocks = np.einsum("ibic->ibc", (w @ rho @ w.conj().T).reshape(n, d2, n, d2))
+    probs = np.trace(blocks, axis1=1, axis2=2).real
+    return gain_from_conditionals(vn_entropy(ptrace_keep2(rho, d1, d2)), probs, blocks)
+
+
+def table_mutual_info(p):
+    """H(rows) + H(columns) - H(table) of a 2-d probability table, in bits."""
+    return entropy_bits(p.sum(axis=1)) + entropy_bits(p.sum(axis=0)) - entropy_bits(p.ravel())
 
 
 def joint_mutual_info(rho, basis1, basis2):
     """Classical mutual information of the simultaneous-measurement table."""
     w = kron(basis1, basis2)
     p = np.sum((w.conj() * (rho @ w)).real, axis=0).reshape(basis1.shape[1], basis2.shape[1])
-    ha = entropy_bits(np.sum(p, axis=1))
-    hb = entropy_bits(np.sum(p, axis=0))
-    hab = entropy_bits(p.ravel())
-    return ha + hb - hab
+    return table_mutual_info(p)

@@ -9,7 +9,8 @@ on that side to ``P (x) 1`` or ``1 (x) P`` before a channel or a trace is
 applied.
 
 ``distant_decomposition`` and ``information_gain`` use the projector-stack
-primitive ``kernels.conditional_states``.  ``coincidence_table`` keeps its
+primitive ``kernels.conditional_states``; the gain and the coherence deficit
+are ``kernels.gain_from_conditionals``.  ``coincidence_table`` keeps its
 Kronecker arithmetic, batched: twin residuals printed to 17 digits come from it.
 """
 
@@ -21,7 +22,10 @@ from functools import cache
 import numpy as np
 
 from .entropy import PROB_NEGATIVE_TOL, PROB_SUM_TOL, clamp_nonnegative
-from .kernels import KERNEL_CLIP, conditional_states, entropy_bits, measured_first, vn_entropy
+from .kernels import (
+    KERNEL_CLIP, conditional_states, entropy_bits, gain_from_conditionals, measured_first,
+    table_mutual_info, vn_entropy,
+)
 from .linalg import Dims, dagger, is_hermitian, tensor_product
 from .states import BipartiteState, DensityOperator, _bipartite_unchecked, _wrap_density
 
@@ -199,24 +203,23 @@ def embed(op: np.ndarray, side: int, dims: Dims) -> np.ndarray:
     return tensor_product(_identity(dims.d1), op)
 
 
+def _sandwich_sum(projs, m: np.ndarray) -> np.ndarray:
+    """``sum_i P_i m P_i``, accumulated one projector at a time."""
+    return sum((p @ m @ p for p in projs), np.zeros_like(m))
+
+
 def luders_apply(obs: Observable, rho: DensityOperator) -> DensityOperator:
     """Nonselective ideal measurement: rho -> sum_i P_i rho P_i."""
     if obs.dim != rho.dim:
         raise ValueError(f"dimension mismatch: observable {obs.dim}, state {rho.dim}")
-    out = np.zeros_like(rho.matrix)
-    for p in obs.projectors:
-        out += p @ rho.matrix @ p
-    return _wrap_density(out)
+    return _wrap_density(_sandwich_sum(obs.projectors, rho.matrix))
 
 
 def luders_apply_subsystem(sobs: SubsystemObservable, state: BipartiteState) -> BipartiteState:
     """Nonselective measurement of one subsystem observable on a bipartite state."""
     sobs.check_dims(state.dims)
-    out = np.zeros_like(state.rho12.matrix)
-    for p in sobs.observable.projectors:
-        p_full = embed(p, sobs.subsystem, state.dims)
-        out += p_full @ state.rho12.matrix @ p_full
-    return _bipartite_unchecked(out, state.dims)
+    projs = embed(np.array(sobs.observable.projectors), sobs.subsystem, state.dims)
+    return _bipartite_unchecked(_sandwich_sum(projs, state.rho12.matrix), state.dims)
 
 
 def _conditionals(state: BipartiteState, sobs: SubsystemObservable):
@@ -273,24 +276,18 @@ def joint_distribution(
 
 def joint_mutual_information(jd: JointDistribution) -> float:
     """H(A) + H(B) - H(A,B) of an outcome table, in bits."""
-    ha = float(entropy_bits(jd.row_marginals))
-    hb = float(entropy_bits(jd.col_marginals))
-    hab = float(entropy_bits(np.ascontiguousarray(jd.p.ravel())))
-    return clamp_nonnegative(ha + hb - hab)
+    return clamp_nonnegative(float(table_mutual_info(jd.p)))
 
 
 def information_gain(state: BipartiteState, sobs: SubsystemObservable) -> float:
     """Entropy reduction about the opposite subsystem from measuring ``sobs``.
 
-    S(opposite) - sum_i p_i S(conditional_i); nonnegative by concavity.
+    S(opposite) - sum_i p_i S(conditional_i) over outcomes of weight above
+    ``KERNEL_CLIP``; nonnegative by concavity.
     """
     probs, conds = _conditionals(state, sobs)
-    kept = probs > DETECT_EPS
-    p = probs[kept]
-    w = np.linalg.eigvalsh(conds[kept] / p[:, None, None])
-    wlog = w * np.log2(w, out=np.zeros(w.shape), where=w > KERNEL_CLIP)
-    opposite = state.rho2 if sobs.subsystem == 1 else state.rho1
-    return clamp_nonnegative(float(vn_entropy(opposite.matrix)) + float(p @ wlog.sum(axis=1)))
+    s_opp = vn_entropy((state.rho2 if sobs.subsystem == 1 else state.rho1).matrix)
+    return clamp_nonnegative(float(gain_from_conditionals(s_opp, probs, conds)))
 
 
 def entropy_of_coherence(obs: Observable, rho: DensityOperator) -> float:
@@ -312,26 +309,13 @@ def coherence_decomposition(obs: Observable, rho: DensityOperator) -> CoherenceD
     """
     if obs.dim != rho.dim:
         raise ValueError(f"dimension mismatch: observable {obs.dim}, state {rho.dim}")
-    weights = []
-    conditionals = []
-    avg_entropy = 0.0
-    for p in obs.projectors:
-        sand = p @ rho.matrix @ p
-        w = float(np.trace(sand).real)
-        w = max(w, 0.0)
-        weights.append(w)
-        if w > KERNEL_CLIP:
-            cond = _wrap_density(sand / w)
-            conditionals.append(cond)
-            avg_entropy += w * float(vn_entropy(cond.matrix))
-        else:
-            conditionals.append(None)
-    weights = np.array(weights)
-    h_obs = float(entropy_bits(weights))
-    deficit = float(vn_entropy(rho.matrix)) - avg_entropy
+    projs = np.array(obs.projectors)
+    sand = projs @ rho.matrix @ projs
+    weights = np.maximum(np.trace(sand, axis1=1, axis2=2).real, 0.0)
     return CoherenceDecomposition(
-        h_observable=h_obs,
-        deficit=deficit,
+        h_observable=float(entropy_bits(weights)),
+        deficit=float(gain_from_conditionals(vn_entropy(rho.matrix), weights, sand)),
         weights=weights,
-        conditionals=tuple(conditionals),
+        conditionals=tuple(_wrap_density(c / w) if w > KERNEL_CLIP else None
+                           for c, w in zip(sand, weights)),
     )

@@ -172,11 +172,13 @@ def verify_twins(
             res_d = max(res_d, frobenius(proj_rho) / rho_norm)
 
     residuals = (res_a, res_b, res_c, res_d)
-    # (c) is relative to the outcome weight p_i; (a), (b) and (d) shrink with
-    # it.  A condition is met only if it holds relative to p_i, and fails only
-    # if its raw residual fails, so tiny weights and near twins do not trip it.
+    # (c) is relative to the outcome weight p_i; (a), (b) and (d) shrink with it.
+    # Near twins (a) and (c) grow like delta^2, (b) and (d) like delta, so a condition
+    # is met when its sqrt(a/p_i), b/p_i, sqrt(c) or d/p_i is below tol, and fails only
+    # if its raw residual fails: tiny weights and near twins do not trip the check.
     if spectra_match:
-        relative = min(float(r.max()) for r in (row_dev / weight, b / weight, c, d / weight))
+        relative = min(float(r.max()) for r in
+                       (np.sqrt(row_dev / weight), b / weight, np.sqrt(c), d / weight))
         if relative < tol and max(residuals) > 10.0 * tol:
             raise ConditionMismatchError(
                 "twin conditions disagree: residuals "

@@ -477,6 +477,21 @@ def test_twins_near_twin_small_weight_outcome_exits_0(tmp_path):
     assert json.loads(res.stdout)["report"]["verdict"] is True
 
 
+def test_twins_near_twin_beyond_tol_exits_4(tmp_path):
+    # A pure state 7.7e-7 away from one with Schmidt twins fails (b) and (d)
+    # while (a) and (c) pass: a false verdict, not an internal error (exit 5).
+    dims = T.Dims(3, 4)
+    phi = T.sample_random_pure(dims, seed=0)
+    psi = phi + 7.7e-7 * T.sample_random_pure(dims, seed=0, stream=1)
+    a1, b2 = T.construct_pure_twins(phi, dims)
+    state_path = write_pure(tmp_path / "psi.json", psi / np.linalg.norm(psi), [3, 4])
+    a_path = write_observable(tmp_path / "a.json", a1.observable.matrix())
+    b_path = write_observable(tmp_path / "b.json", b2.observable.matrix())
+    res = run_cli("twins", state_path, a_path, b_path)
+    assert res.returncode == 4, res.stderr
+    assert json.loads(res.stdout)["report"]["verdict"] is False
+
+
 def test_twins_dimension_mismatch_exits_2(tmp_path):
     state_path = write_bell(tmp_path / "bell.json")
     bad = write_observable(tmp_path / "bad.json", np.eye(3, dtype=complex))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import twinfo as T
-from twinfo.kernels import info_gain_side1, swap_sides, vn_entropy
+from twinfo.kernels import KERNEL_CLIP, info_gain_side1, swap_sides, vn_entropy
 from twinfo.linalg import frobenius
 from twinfo.measurement import DETECT_EPS, embed
 
@@ -334,6 +334,20 @@ def test_information_gain_matches_sandwich_loop_on_rank_k_observables(d1, d2):
                 _information_gain_loop(state, sobs), abs=1e-12)
 
 
+def test_information_gain_counts_outcomes_below_the_detection_threshold():
+    # (1 - e)|0><0| (x) |0><0| + e |1><1| (x) 1/2: outcome 1 of Z on side 1 has
+    # weight e, between KERNEL_CLIP and DETECT_EPS, and a one-bit conditional.
+    e = 1e-11
+    assert KERNEL_CLIP < e < DETECT_EPS
+    rho = np.diag([1.0 - e, 0.0, e / 2.0, e / 2.0]).astype(complex)
+    state = T.make_bipartite(rho, T.Dims(2, 2))
+    a1 = T.SubsystemObservable(_z_obs(), 1)
+    assert len(T.distant_decomposition(state, a1).undetectable) == 1
+    x = e / 2.0
+    s_opp = -(x * np.log2(x) + (1.0 - x) * np.log2(1.0 - x))
+    assert T.information_gain(state, a1) == pytest.approx(s_opp - e, rel=0, abs=1e-14)
+
+
 def test_distant_decomposition_matches_sandwich_loop():
     dims = T.Dims(3, 3)
     phi = T.sample_random_pure(T.Dims(2, 2), seed=136)
@@ -415,6 +429,37 @@ def test_coherence_decomposition_identity():
         assert e_c == pytest.approx(dec.h_observable - dec.deficit, abs=1e-9)
         assert dec.deficit >= -1e-9
         assert dec.deficit <= dec.h_observable + 1e-9
+
+
+def test_coherence_decomposition_projector_orthogonal_to_support():
+    rho = T.validate_density(np.array([[0.3, 0.2, 0], [0.2, 0.7, 0], [0, 0, 0]], dtype=complex))
+    plus = np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]], dtype=complex)
+    minus = np.array([[0.5, -0.5, 0], [-0.5, 0.5, 0], [0, 0, 0]], dtype=complex)
+    kernel = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    obs = T.Observable(eigenvalues=np.array([1.0, 2.0, 3.0]), projectors=(plus, minus, kernel),
+                       multiplicities=np.ones(3, dtype=int))
+    dec = T.coherence_decomposition(obs, rho)
+    assert dec.weights[2] == 0.0
+    assert dec.conditionals[2] is None
+    assert all(c is not None for c in dec.conditionals[:2])
+    # Rank-1 conditionals leave the whole of S(rho) as the deficit.
+    assert dec.deficit == pytest.approx(T.von_neumann_entropy(rho), abs=1e-12)
+    e_c = T.entropy_of_coherence(obs, rho)
+    assert e_c == pytest.approx(dec.h_observable - dec.deficit, abs=1e-12)
+
+
+def test_luders_apply_subsystem_matches_embedded_loop_bitwise():
+    dims = T.Dims(3, 2)
+    state = random_state(dims, rank=4, seed=5, stream=139)
+    for sobs in (T.SubsystemObservable(_rank_k_observable(3, 5), 1),
+                 T.SubsystemObservable(T.sample_random_observable(2, seed=6), 2)):
+        want = np.zeros_like(state.rho12.matrix)
+        for p in sobs.observable.projectors:
+            p_full = embed(p, sobs.subsystem, dims)
+            want += p_full @ state.rho12.matrix @ p_full
+        got = T.luders_apply_subsystem(sobs, state).rho12.matrix
+        # The channel output is stored Hermitian-symmetrized.
+        assert got.tobytes() == ((want + want.conj().T) / 2.0).tobytes()
 
 
 def test_coherence_zero_iff_commuting():

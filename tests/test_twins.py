@@ -367,6 +367,23 @@ def test_near_twin_small_weight_outcome_stays_twins():
     assert report.residual_d / w > 10.0 * TWIN_TOL
 
 
+@pytest.mark.parametrize("d1, d2", [(2, 2), (3, 4)])
+@pytest.mark.parametrize("delta", [3e-7, 7.7e-7])
+def test_near_twin_beyond_tol_is_not_a_condition_mismatch(d1, d2, delta):
+    # A pure state delta away from one with Schmidt twins: (a) and (c) move by
+    # delta^2 and stay below tol, while (b) and (d) move by delta and pass 10 tol.
+    # Read at the same order the four conditions agree: not twins, no mismatch.
+    dims = T.Dims(d1, d2)
+    phi = T.sample_random_pure(dims, seed=0)
+    psi = phi + delta * T.sample_random_pure(dims, seed=0, stream=1)
+    a1, b2 = T.construct_pure_twins(phi, dims)
+    report = T.verify_twins(T.bipartite_from_pure(psi / np.linalg.norm(psi), dims), a1, b2)
+    assert report.pairing is not None
+    assert not report.verdict
+    assert max(report.residual_a, report.residual_c) < TWIN_TOL
+    assert min(report.residual_b, report.residual_d) > 10.0 * TWIN_TOL
+
+
 def test_disagreeing_conditions_still_raise(bell, monkeypatch):
     # A corrupted outcome table fails (a) and (c) while (b) and (d) still hold.
     true_table = T.twins.coincidence_table

@@ -10,8 +10,9 @@ directory that holds a copy of the inputs.  It compares stdout, stderr, the
 exit code and every file a run leaves behind (violation dumps), prints one
 line per difference and exits 1 if there is any, 0 otherwise.
 
-The golden set: ``sweep --samples 8`` at 2x2, 2x3, 3x3, 4x4 and 8x8 with seeds
-0-9 and four other sweeps; ``report``, ``schmidt`` and ``discord`` (both
+The golden set of 103 argvs: ``sweep --samples 8`` at 2x2, 2x3, 3x3, 4x4 and 8x8
+with seeds 0-9, at 1x3, 4x1, 8x2 and 5x7 (one outcome, a one-dimensional
+opposite side, unequal sides), and four other sweeps; ``report``, ``schmidt`` and ``discord`` (both
 directions, with and without ``--grid-refine``) on a Werner state, a Bell pair,
 random 2x3 and 3x3 mixed states and a random 3x3 pure state; eight ``twins``
 runs (complete and rank-k Schmidt twins on pure and Schmidt-dephased states,
@@ -122,6 +123,8 @@ def golden_argvs() -> list[tuple[str, ...]]:
     for dims in ("2x2", "2x3", "3x3", "4x4", "8x8"):
         for seed in range(10):
             argvs.append(("sweep", "--dims", dims, "--samples", "8", "--seed", str(seed)))
+    for dims in ("1x3", "4x1", "8x2", "5x7"):
+        argvs.append(("sweep", "--dims", dims, "--samples", "8"))
     argvs += [
         ("sweep", "--dims", "2x3", "--samples", "200"),
         ("sweep", "--dims", "3x2", "--samples", "50"),
