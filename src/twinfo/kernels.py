@@ -105,8 +105,12 @@ def gain_from_conditionals(s, probs, conds):
 
 
 def info_gain_side1(rho, basis, d2):
-    """Entropy reduction about side 2 from measuring ``basis`` (vectors as columns) on
-    side 1; diagonal block ``i`` of ``w rho w^dagger`` is side 2's ``C_i``."""
+    """Entropy reduction about side 2 from measuring ``basis`` on side 1.
+
+    ``basis`` holds the measured orthonormal vectors as columns; diagonal
+    block ``i`` of ``w rho w^dagger`` is the unnormalized side-2 state given
+    outcome ``i``.
+    """
     d1, n = basis.shape
     w = kron(basis.conj().T, np.eye(d2, dtype=np.complex128))
     blocks = np.einsum("ibic->ibc", (w @ rho @ w.conj().T).reshape(n, d2, n, d2))

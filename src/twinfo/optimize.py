@@ -17,9 +17,9 @@ restart 1 from the standard basis, and the rest from seeded Haar-random
 bases.  The restarts ascend in lockstep, batched over a leading axis, and
 each takes exactly the steps it would take alone.  For qubit subsystems a
 deterministic grid over the Bloch sphere provides an independent cross-check.
-The ascent and the grid share ``_gain_value``, the unnormalized gain form, not
-``kernels.gain_from_conditionals``: the gradient needs each ``C_i``'s
-eigenvectors and logs, and ``discord`` prints this form's bits.
+The ascent and the grid keep the unnormalized gain form, not the kernel
+``gain_from_conditionals``: the gradient needs each ``C_i``'s eigenvectors
+and logs, and ``discord`` prints this form's bits.
 """
 
 from __future__ import annotations
@@ -98,11 +98,9 @@ def _log2_support(x: np.ndarray, clip: float = KERNEL_CLIP) -> np.ndarray:
     return np.log2(x, out=np.zeros(x.shape), where=x > clip)
 
 
-def _gain_value(s_opp: float, w: np.ndarray, p: np.ndarray):
-    """``s_opp + sum w log2 w - sum p log2 p`` over the trailing axes of the conditional
-    eigenvalues ``w (..., n, d)`` and weights ``p (..., n)``, with ``log2 w`` and ``log2 p``."""
-    log_w, log_p = _log2_support(w), _log2_support(p)
-    return s_opp + (w * log_w).sum(axis=(-2, -1)) - (p * log_p).sum(axis=-1), log_w, log_p
+def _xlog2x(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``x log2 x`` with the ``0 log 0 = 0`` convention at ``KERNEL_CLIP``."""
+    return x * _log2_support(x)
 
 
 def _conditionals(r: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -116,8 +114,7 @@ def _conditionals(r: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _opposite_entropy(r: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(np.einsum("abak->bk", r))
-    return float(-(w * _log2_support(w)).sum())
+    return float(-_xlog2x(np.linalg.eigvalsh(np.einsum("abak->bk", r))).sum())
 
 
 def _gain_terms(r: np.ndarray, s_opp: float, u: np.ndarray):
@@ -129,7 +126,8 @@ def _gain_terms(r: np.ndarray, s_opp: float, u: np.ndarray):
     c = _conditionals(r, u)
     p = np.einsum("...ibb->...i", c).real
     w, v = np.linalg.eigh(c)
-    value, log_w, log_p = _gain_value(s_opp, w, p)
+    log_w, log_p = _log2_support(w), _log2_support(p)
+    value = s_opp + (w * log_w).sum(axis=(-2, -1)) - (p * log_p).sum(axis=-1)
     return value, (w, v, log_w, log_p)
 
 
@@ -365,7 +363,7 @@ def _grid_search(state: BipartiteState, side: int):
             w = 0.5 * p[..., None] + np.stack([half_gap, -half_gap], axis=-1)
         else:
             w = np.linalg.eigvalsh(c.reshape(-1, 2, d, d))
-        values = _gain_value(s_opp, w, p)[0]
+        values = s_opp + _xlog2x(w).sum(axis=(-2, -1)) - _xlog2x(p).sum(-1)
         points += n * n
         # argmax takes the first maximum in theta-major order; earlier levels win ties.
         idx = int(np.argmax(values))

@@ -33,6 +33,9 @@ from .measurement import (
 from .states import BipartiteState, make_bipartite, schmidt_decompose
 
 TWIN_TOL = 1e-8
+# Rounding allowance of an outcome probability: on exact twins up to 8x8 the outcome
+# table and the reduced trace differ by up to about 6 eps.
+_ROUNDING = 16 * np.finfo(float).eps
 
 
 class ConditionMismatchError(RuntimeError):
@@ -173,13 +176,15 @@ def verify_twins(
 
     residuals = (res_a, res_b, res_c, res_d)
     # (c) is relative to the outcome weight p_i; (a), (b) and (d) shrink with it.
-    # Near twins (a) and (c) grow like delta^2, (b) and (d) like delta, so a condition
-    # is met when its sqrt(a/p_i), b/p_i, sqrt(c) or d/p_i is below tol, and fails only
-    # if its raw residual fails: tiny weights and near twins do not trip the check.
+    # Near twins move (a) and (c) by delta^2 and (b) and (d) by delta, so b/p_i and
+    # d/p_i are met below tol, sqrt(a/p_i) and sqrt(c) below tol or, as tol^2 is at
+    # machine epsilon, their rounding floor sqrt(_ROUNDING / p_i).  A met condition
+    # raises only on a raw residual 10 times past its own threshold.
     if spectra_match:
-        relative = min(float(r.max()) for r in
-                       (np.sqrt(row_dev / weight), b / weight, np.sqrt(c), d / weight))
-        if relative < tol and max(residuals) > 10.0 * tol:
+        floor = np.maximum(tol, np.sqrt(_ROUNDING / weight))
+        linear = any((r < tol).all() for r in (b / weight, d / weight))
+        quadratic = any((np.sqrt(r) < floor).all() for r in (row_dev / weight, c))
+        if (linear or quadratic) and max(residuals) > 10.0 * (tol if linear else floor.max()):
             raise ConditionMismatchError(
                 "twin conditions disagree: residuals "
                 f"a={res_a:.3e} b={res_b:.3e} c={res_c:.3e} d={res_d:.3e} at tol {tol:.0e}"

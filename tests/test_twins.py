@@ -394,6 +394,26 @@ def test_disagreeing_conditions_still_raise(bell, monkeypatch):
         T.verify_twins(bell, a1, b2)
 
 
+@pytest.mark.parametrize("d1, d2", [(2, 3), (3, 3), (4, 2), (5, 4)])
+@pytest.mark.parametrize("corrupt", ["permuted", "shifted"])
+def test_disagreeing_conditions_raise_when_a_and_c_hold(d1, d2, corrupt, monkeypatch):
+    # Exact random twins with a corrupted side-2 stack: (a) and (c) hold up to
+    # rounding, of order eps and so at tol^2, while (b) and (d) fail.
+    def corrupted_embed(op, side, dims):
+        e = embed(op, side, dims)
+        if side == 1:
+            return e
+        return np.roll(e, 1, axis=0) if corrupt == "permuted" else e + 1e-3 * np.eye(e.shape[-1])
+
+    monkeypatch.setattr(T.twins, "embed", corrupted_embed)
+    dims = T.Dims(d1, d2)
+    for seed in range(5):
+        phi = T.sample_random_pure(dims, seed=seed)
+        a1, b2 = T.construct_pure_twins(phi, dims)
+        with pytest.raises(T.ConditionMismatchError, match="twin conditions disagree"):
+            T.verify_twins(T.bipartite_from_pure(phi, dims), a1, b2)
+
+
 # ------------------------------------------------- stacked arithmetic, bit for bit
 
 
