@@ -18,33 +18,23 @@ import numpy as np
 
 from . import __version__
 from .entropy import (
-    mutual_information,
-    mutual_information_via_relative,
-    relative_entropy,
+    clamp_nonnegative, mutual_information, mutual_information_via_relative, relative_entropies,
     von_neumann_entropy,
 )
 from .io import StateFileError, complex_payload, format_json, load_state_file, write_state_file
-from .kernels import BACKEND, info_gain_side1, joint_mutual_info, swap_sides
-from .linalg import Dims, frobenius, is_hermitian, partial_trace
+from .kernels import (
+    BACKEND, entropy_bits, info_gain_side1, joint_mutual_info, kron, ptrace_keep1, ptrace_keep2,
+    swap_sides, vn_entropy,
+)
+from .linalg import Dims, dagger, frobenius, is_hermitian
 from .measurement import (
-    SubsystemObservable,
-    luders_apply_subsystem,
-    observable_from_matrix,
+    SubsystemObservable, luders_sum_rows, observable_from_matrix,
 )
 from .optimize import OptimizationConfig, sup_information_gain
-from .sampling import (
-    sample_random_density,
-    sample_random_observable,
-    sample_random_unitary,
-)
+from .sampling import sample_random_density, sample_random_observables, sample_random_unitaries
 from .states import (
-    BipartiteState,
-    StateValidationError,
-    bipartite_from_pure,
-    make_bipartite,
-    purity_class,
-    schmidt_decompose,
-    schmidt_reconstruct,
+    BipartiteState, StateValidationError, bipartite_from_pure, make_bipartite, purity_class,
+    schmidt_decompose, schmidt_reconstruct, validate_densities,
 )
 from .twins import TWIN_TOL, ConditionMismatchError, verify_twins
 
@@ -56,6 +46,9 @@ EXIT_TWINS = 4
 EXIT_INTERNAL = 5
 
 MAX_SWEEP_DIM = 8
+# Matrix entries per sample stack in ``sweep``: bounds a chunk's memory, so 8x8
+# runs one sample at a time.
+SWEEP_CHUNK_ENTRIES = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,9 +72,12 @@ def _parse_dims(text: str) -> Dims:
 
 
 def _check_tol(tol: float) -> None:
-    # A NaN tolerance would pass every margin check and fail JSON output.
+    # A NaN tolerance would pass every margin check and -inf fail every one;
+    # JSON output has no form for either.
     if math.isnan(tol):
         raise StateFileError("--tol must be a number, got nan")
+    if tol == -math.inf:
+        raise StateFileError("--tol must be above -inf")
 
 
 def _load_bipartite(path: str):
@@ -304,18 +300,86 @@ class _Check:
         return False
 
 
-def _relative_entropy_rounding(reference: np.ndarray) -> float:
-    """First-order rounding allowance, in bits, of a relative entropy against ``reference``.
+def _relative_entropy_rounding(lam_min: float, n: int) -> float:
+    """First-order rounding allowance, in bits, of a relative entropy against an
+    ``n x n`` reference with smallest eigenvalue ``lam_min``.
 
     Rounding in ``log2 reference`` is amplified by ``1 / lambda_min``: about
-    ``n eps / (lambda_min ln 2)`` for an ``n x n`` reference.  A Lüders channel
-    is unital, so it never lowers ``lambda_min``; the bound holds for the
-    measured references too.  A singular reference gets no bound (infinity).
+    ``n eps / (lambda_min ln 2)``.  A Lüders channel is unital, so it never
+    lowers ``lambda_min``; the bound holds for the measured references too.  A
+    singular reference gets no bound (infinity).
     """
-    lam_min = float(np.linalg.eigvalsh(reference)[0])
     if lam_min <= 0:
         return math.inf
-    return reference.shape[0] * np.finfo(float).eps / (lam_min * math.log(2))
+    return n * np.finfo(float).eps / (lam_min * math.log(2))
+
+
+def _sweep_chunk(dims: Dims, seed: int, samples: range, tol: float):
+    """Per sample of ``samples``: its state and reference matrices and, in recording
+    order, each check's name, margin and violation bound.
+
+    Every step runs once on ``(S, D, D)`` stacks, each sample from its own
+    ``(seed, stream)`` generators; every margin is the per-sample arithmetic's,
+    bit for bit.  The validation spectra give S(12) and the reference's
+    ``lambda_min``; a channel output is computed once and reused.
+    """
+    d1, d2, n = dims.d1, dims.d2, dims.total
+    streams = [10 * i for i in samples]
+    rho_ms = [sample_random_density(dims, i % n + 1, seed, stream=s) for i, s in zip(samples, streams)]
+    ref_ms = [sample_random_density(dims, n, seed, stream=s + 7) for s in streams]
+    rho, spectrum = validate_densities(np.array(rho_ms))
+    ref, ref_spectrum = validate_densities(np.array(ref_ms))
+
+    def herm(m):
+        return (m + dagger(m)) / 2.0
+
+    rho1, rho2 = herm(ptrace_keep1(rho, d1, d2)), herm(ptrace_keep2(rho, d1, d2))
+    s1_raw, s2_raw, s12 = vn_entropy(rho1), vn_entropy(rho2), entropy_bits(spectrum)
+    s1 = [clamp_nonnegative(x) for x in s1_raw.tolist()]
+    s2 = [clamp_nonnegative(x) for x in s2_raw.tolist()]
+    mi = [clamp_nonnegative(x) for x in (s1_raw + s2_raw - s12).tolist()]
+    mi_rel = relative_entropies(rho, herm(kron(rho1, rho2)), s12)
+
+    chain = []
+    swapped = swap_sides(rho, d1, d2)
+    for k in range(2):
+        u1 = sample_random_unitaries(d1, seed, [s + 1 + k for s in streams])
+        u2 = sample_random_unitaries(d2, seed, [s + 3 + k for s in streams])
+        chain.append(list(zip(joint_mutual_info(rho, u1, u2).tolist(),
+                              info_gain_side1(rho, u1, d2).tolist(),
+                              info_gain_side1(swapped, u2, d1).tolist())))
+
+    obs_a = sample_random_observables(d1, seed, [s + 5 for s in streams], False)
+    obs_b = sample_random_observables(d2, seed, [s + 6 for s in streams], False)
+
+    def luders_a(m):
+        return herm(luders_sum_rows(obs_a, 1, dims, m))
+
+    def luders_b(m):
+        return herm(luders_sum_rows(obs_b, 2, dims, m))
+
+    after_a, after_b = luders_a(rho), luders_b(rho)
+    t_ab = luders_a(after_b)
+    diff_1 = ptrace_keep1(t_ab, d1, d2) - herm(ptrace_keep1(after_a, d1, d2))
+    diff_2 = ptrace_keep2(t_ab, d1, d2) - herm(ptrace_keep2(after_b, d1, d2))
+    ref_a = luders_a(ref)
+    after_ba = luders_b(after_a)
+    before = relative_entropies(rho, ref, s12)
+    after_one = relative_entropies(after_a, ref_a, vn_entropy(after_a))
+    after_two = relative_entropies(after_ba, luders_b(ref_a), vn_entropy(after_ba))
+
+    for j, i in enumerate(samples):
+        chains = [("chain", max(-jmi, jmi - g1, jmi - g2, g1 - min(mi[j], s2[j]),
+                                g2 - min(mi[j], s1[j])), tol)
+                  for jmi, g1, g2 in (chain[0][j], chain[1][j])]
+        yield i, rho_ms[j], ref_ms[j], [
+            ("lieb", mi[j] - 2.0 * min(s1[j], s2[j]), tol),
+            ("relative_entropy_identity", abs(mi[j] - mi_rel[j]), tol),
+            *chains,
+            ("partial_trace_identities", max(frobenius(diff_1[j]), frobenius(diff_2[j])), 1e-10),
+            ("lindblad", max(after_one[j] - before[j], after_two[j] - after_one[j]),
+             tol + _relative_entropy_rounding(float(ref_spectrum[j, 0]), n)),
+        ]
 
 
 def cmd_sweep(args) -> int:
@@ -328,7 +392,6 @@ def cmd_sweep(args) -> int:
         raise StateFileError(f"--samples must be >= 1, got {args.samples}")
     _check_tol(args.tol)
     tol = args.tol
-    total = dims.total
     checks = {
         name: _Check(name)
         for name in ("chain", "relative_entropy_identity", "partial_trace_identities", "lindblad", "lieb")
@@ -341,69 +404,15 @@ def cmd_sweep(args) -> int:
         write_state_file(path, "density", matrix, [dims.d1, dims.d2])
         dumped.append(path)
 
-    for i in range(args.samples):
-        rank = (i % total) + 1
-        rho_m = sample_random_density(dims, rank, args.seed, stream=10 * i)
-        state = make_bipartite(rho_m, dims)
-        rho = np.ascontiguousarray(state.rho12.matrix)
-        swapped = swap_sides(rho, dims.d1, dims.d2)
-        s1 = von_neumann_entropy(state.rho1)
-        s2 = von_neumann_entropy(state.rho2)
-        mi = mutual_information(state)
-
-        if checks["lieb"].record(mi - 2.0 * min(s1, s2), tol):
-            dump(i, "lieb", rho_m)
-        if checks["relative_entropy_identity"].record(
-            abs(mi - mutual_information_via_relative(state)), tol
-        ):
-            dump(i, "relative_entropy_identity", rho_m)
-
-        for k in range(2):
-            u1 = np.ascontiguousarray(sample_random_unitary(dims.d1, args.seed, stream=10 * i + 1 + k))
-            u2 = np.ascontiguousarray(sample_random_unitary(dims.d2, args.seed, stream=10 * i + 3 + k))
-            jmi = float(joint_mutual_info(rho, u1, u2))
-            g1 = float(info_gain_side1(rho, u1, dims.d2))
-            g2 = float(info_gain_side1(swapped, u2, dims.d1))
-            margin = max(
-                -jmi, jmi - g1, jmi - g2, g1 - min(mi, s2), g2 - min(mi, s1)
-            )
-            if checks["chain"].record(margin, tol):
-                dump(i, "chain", rho_m)
-
-        obs_a = SubsystemObservable(
-            sample_random_observable(dims.d1, args.seed, stream=10 * i + 5, complete=False), 1
-        )
-        obs_b = SubsystemObservable(
-            sample_random_observable(dims.d2, args.seed, stream=10 * i + 6, complete=False), 2
-        )
-        # Each channel output is computed once and reused by both checks.
-        after_a = luders_apply_subsystem(obs_a, state)
-        after_b = luders_apply_subsystem(obs_b, state)
-        t_ab = luders_apply_subsystem(obs_a, after_b)
-        res_1 = frobenius(
-            partial_trace(t_ab.rho12.matrix, dims, keep=1) - after_a.rho1.matrix
-        )
-        res_2 = frobenius(
-            partial_trace(t_ab.rho12.matrix, dims, keep=2) - after_b.rho2.matrix
-        )
-        if checks["partial_trace_identities"].record(max(res_1, res_2), 1e-10):
-            dump(i, "partial_trace_identities", rho_m)
-
-        ref_m = sample_random_density(dims, total, args.seed, stream=10 * i + 7)
-        ref = make_bipartite(ref_m, dims)
-        ref_a = luders_apply_subsystem(obs_a, ref)
-        before = relative_entropy(state.rho12, ref.rho12)
-        after_one = relative_entropy(after_a.rho12, ref_a.rho12)
-        after_two = relative_entropy(
-            luders_apply_subsystem(obs_b, after_a).rho12,
-            luders_apply_subsystem(obs_b, ref_a).rho12,
-        )
-        margin = max(after_one - before, after_two - after_one)
-        # Only a margin that would count pays for the reference's spectrum.
-        allowance = _relative_entropy_rounding(ref.rho12.matrix) if margin > tol else 0.0
-        if checks["lindblad"].record(margin, tol + allowance):
-            dump(i, "lindblad", rho_m)
-            dump(i, "lindblad_ref", ref_m)
+    chunk = max(1, SWEEP_CHUNK_ENTRIES // dims.total**2)
+    for start in range(0, args.samples, chunk):
+        samples = range(start, min(start + chunk, args.samples))
+        for i, rho_m, ref_m, records in _sweep_chunk(dims, args.seed, samples, tol):
+            for name, margin, bound in records:
+                if checks[name].record(margin, bound):
+                    dump(i, name, rho_m)
+                    if name == "lindblad":
+                        dump(i, "lindblad_ref", ref_m)
 
     total_violations = sum(c.violations for c in checks.values())
     report = _report_skeleton(

@@ -36,7 +36,7 @@ def clamp_nonnegative(value: float) -> float:
         raise ValueError(
             f"information quantity is {value:.3e} < -{NEGATIVE_CLAMP:.0e}; inputs are invalid"
         )
-    return max(value, 0.0)
+    return max(value, 0.0) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
@@ -70,18 +70,44 @@ def relative_entropy(sigma: DensityOperator, rho: DensityOperator) -> float:
     """
     if sigma.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {sigma.dim} vs {rho.dim}")
-    w, v = np.linalg.eigh(rho.matrix)
+    return _relative_entropy_eig(sigma.matrix, *np.linalg.eigh(rho.matrix))
+
+
+def _relative_entropy_eig(sigma, w, v, s_sigma=None):
+    """``relative_entropy`` from the eigenpairs ``(w, v)`` of rho; ``s_sigma`` is S(sigma)
+    when the caller already has it."""
     keep = w > KERNEL_CLIP
     vk = v[:, keep]
     # <v_k|sigma|v_k> on the range of rho; its total is sigma's weight there
-    proj = (vk.conj() * (sigma.matrix @ vk)).real
+    proj = (vk.conj() * (sigma @ vk)).real
     overlap = float(np.sum(proj))
     if 1.0 - overlap > SUPPORT_TOL:
         return math.inf
-    term_sigma = -float(vn_entropy(sigma.matrix))
+    term_sigma = -float(vn_entropy(sigma) if s_sigma is None else s_sigma)
     diag = np.sum(proj, axis=0)
     term_rho = float(np.dot(diag, np.log2(w[keep])))
     return clamp_nonnegative(term_sigma - term_rho)
+
+
+def relative_entropies(sigma: np.ndarray, rho: np.ndarray, s_sigma: np.ndarray) -> list:
+    """``relative_entropy`` of each row of the stacks ``sigma`` and ``rho`` of density
+    matrices, given S(sigma) per row, bit for bit.
+
+    Rows where rho has full support run batched; a ``(1, n) @ (n, 1)`` matmul is
+    the same BLAS dot as ``np.dot``.  A row where rho drops an eigenvalue runs
+    alone, since a matmul on a column subset moves last bits.
+    """
+    w, v = np.linalg.eigh(rho)
+    full = np.all(w > KERNEL_CLIP, axis=-1)
+    wf, vf = w[full], v[full]
+    proj = (vf.conj() * (sigma[full] @ vf)).real
+    overlap = np.sum(proj.reshape(-1, w.shape[-1] ** 2), axis=-1)
+    term_rho = (np.sum(proj, axis=-2)[:, None, :] @ np.log2(wf)[:, :, None])[:, 0, 0]
+    value = np.where(1.0 - overlap > SUPPORT_TOL, math.inf, -s_sigma[full] - term_rho)
+    out = np.empty(len(w))
+    out[full] = [clamp_nonnegative(x) for x in value.tolist()]
+    out[~full] = [_relative_entropy_eig(sigma[j], w[j], v[j], s_sigma[j]) for j in np.flatnonzero(~full)]
+    return out.tolist()
 
 
 def mutual_information(state: BipartiteState) -> float:

@@ -10,6 +10,11 @@ measurements.  Values the CLI prints to 17 digits keep the arithmetic of
 
 ``gain_from_conditionals`` is the library's one ``S - sum_i p_i S(C_i/p_i)``, for
 the information gain and the coherence deficit, with the bits ``sweep`` prints.
+
+The entropy, partial-trace and information kernels also take ``sweep``'s stacks
+with a leading sample axis, each row bitwise the unbatched call: stacked ``@``,
+``eigvalsh``, ``trace`` and sums over a last axis are equal slice by slice, and a
+row with an entry at or below ``KERNEL_CLIP`` sums alone (masking regroups sums).
 """
 
 import numpy as np
@@ -35,39 +40,47 @@ KERNEL_CLIP = 1e-12
 
 
 def entropy_bits(p):
-    """Shannon entropy (base 2) of the entries of ``p`` above ``KERNEL_CLIP``."""
-    q = p[p > KERNEL_CLIP]
-    return -np.sum(q * np.log2(q))
+    """Shannon entropy (base 2) of the entries of ``p`` above ``KERNEL_CLIP``; of
+    each row (last axis) of a stack."""
+    if p.ndim == 1:
+        q = p[p > KERNEL_CLIP]
+        return -np.sum(q * np.log2(q))
+    full = np.all(p > KERNEL_CLIP, axis=-1)
+    out = np.empty(p.shape[:-1])
+    q = p[full]
+    out[full] = -np.sum(q * np.log2(q), axis=-1)
+    out[~full] = [entropy_bits(row) for row in p[~full]]
+    return out
 
 
 def vn_entropy(m):
-    """von Neumann entropy in bits of a Hermitian PSD matrix."""
+    """von Neumann entropy in bits of a Hermitian PSD matrix, or of each in a stack."""
     return entropy_bits(np.linalg.eigvalsh(m))
 
 
 def ptrace_keep1(rho, d1, d2):
-    """Trace out subsystem 2 of a (d1*d2) x (d1*d2) matrix."""
-    return np.einsum("abcb->ac", rho.reshape(d1, d2, d1, d2))
+    """Trace out subsystem 2 of a (d1*d2) x (d1*d2) matrix, or of each in a stack."""
+    return np.einsum("...abcb->...ac", rho.reshape(rho.shape[:-2] + (d1, d2, d1, d2)))
 
 
 def ptrace_keep2(rho, d1, d2):
-    """Trace out subsystem 1 of a (d1*d2) x (d1*d2) matrix."""
-    return np.einsum("abak->bk", rho.reshape(d1, d2, d1, d2))
+    """Trace out subsystem 1 of a (d1*d2) x (d1*d2) matrix, or of each in a stack."""
+    return np.einsum("...abak->...bk", rho.reshape(rho.shape[:-2] + (d1, d2, d1, d2)))
 
 
 def measured_first(rho, d1, d2, side):
-    """Contiguous state tensor ``(d_meas, d_opp, d_meas, d_opp)`` with ``side`` first."""
-    r = rho.reshape(d1, d2, d1, d2)
+    """Contiguous state tensor ``(..., d_meas, d_opp, d_meas, d_opp)`` with ``side`` first."""
+    r = rho.reshape(rho.shape[:-2] + (d1, d2, d1, d2))
     if side == 1:
         return np.ascontiguousarray(r)
     if side == 2:
-        return np.ascontiguousarray(r.transpose(1, 0, 3, 2))
+        return np.ascontiguousarray(r.swapaxes(-4, -3).swapaxes(-2, -1))
     raise ValueError(f"side must be 1 or 2, got {side}")
 
 
 def swap_sides(rho, d1, d2):
-    """Reorder a bipartite matrix so subsystem 2 comes first."""
-    return measured_first(rho, d1, d2, 2).reshape(d1 * d2, d1 * d2)
+    """Reorder a bipartite matrix, or each in a stack, so subsystem 2 comes first."""
+    return measured_first(rho, d1, d2, 2).reshape(rho.shape)
 
 
 def kron(a, b):
@@ -96,7 +109,19 @@ def gain_from_conditionals(s, probs, conds):
     """``s - sum_i p_i S(C_i / p_i)`` in bits over a stack ``conds`` of unnormalized
     ``C_i`` with weights ``probs`` above ``KERNEL_CLIP``.  Each row of one batched
     ``eigvalsh`` sums only its kept eigenvalues, as ``vn_entropy`` does: a
-    zero-padded sum regroups them."""
+    zero-padded sum regroups them.  On stacks, a sample whose weights all pass
+    subtracts its terms in the same order, vectorized; any other runs alone."""
+    if probs.ndim > 1:
+        full = np.all(probs > KERNEL_CLIP, axis=-1)
+        out = np.array(s, dtype=float)
+        p = probs[full]
+        h = vn_entropy(conds[full] / p[..., None, None])
+        acc = out[full]
+        for i in range(p.shape[-1]):
+            acc -= p[:, i] * h[:, i]
+        out[full] = acc
+        out[~full] = [gain_from_conditionals(*a) for a in zip(out[~full], probs[~full], conds[~full])]
+        return out
     kept = probs > KERNEL_CLIP
     p = probs[kept]
     for p_i, w in zip(p, np.linalg.eigvalsh(conds[kept] / p[:, None, None])):
@@ -109,22 +134,25 @@ def info_gain_side1(rho, basis, d2):
 
     ``basis`` holds the measured orthonormal vectors as columns; diagonal
     block ``i`` of ``w rho w^dagger`` is the unnormalized side-2 state given
-    outcome ``i``.
+    outcome ``i``.  ``rho`` and ``basis`` may be stacks.
     """
-    d1, n = basis.shape
-    w = kron(basis.conj().T, np.eye(d2, dtype=np.complex128))
-    blocks = np.einsum("ibic->ibc", (w @ rho @ w.conj().T).reshape(n, d2, n, d2))
-    probs = np.trace(blocks, axis1=1, axis2=2).real
+    d1, n = basis.shape[-2:]
+    w = kron(basis.conj().swapaxes(-1, -2), np.eye(d2, dtype=np.complex128))
+    m = w @ rho @ w.conj().swapaxes(-1, -2)
+    blocks = np.einsum("...ibic->...ibc", m.reshape(m.shape[:-2] + (n, d2, n, d2)))
+    probs = np.trace(blocks, axis1=-2, axis2=-1).real
     return gain_from_conditionals(vn_entropy(ptrace_keep2(rho, d1, d2)), probs, blocks)
 
 
 def table_mutual_info(p):
-    """H(rows) + H(columns) - H(table) of a 2-d probability table, in bits."""
-    return entropy_bits(p.sum(axis=1)) + entropy_bits(p.sum(axis=0)) - entropy_bits(p.ravel())
+    """H(rows) + H(columns) - H(table) of a 2-d probability table (or a stack), in bits."""
+    flat = p.reshape(p.shape[:-2] + (-1,))
+    return entropy_bits(p.sum(axis=-1)) + entropy_bits(p.sum(axis=-2)) - entropy_bits(flat)
 
 
 def joint_mutual_info(rho, basis1, basis2):
-    """Classical mutual information of the simultaneous-measurement table."""
+    """Classical mutual information of the simultaneous-measurement table; the
+    arguments may be stacks."""
     w = kron(basis1, basis2)
-    p = np.sum((w.conj() * (rho @ w)).real, axis=0).reshape(basis1.shape[1], basis2.shape[1])
-    return table_mutual_info(p)
+    p = np.sum((w.conj() * (rho @ w)).real, axis=-2)
+    return table_mutual_info(p.reshape(p.shape[:-1] + (basis1.shape[-1], basis2.shape[-1])))

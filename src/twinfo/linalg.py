@@ -34,7 +34,8 @@ class Dims:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each in a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def frobenius(a: np.ndarray, b=None) -> float:

@@ -222,6 +222,23 @@ def luders_apply_subsystem(sobs: SubsystemObservable, state: BipartiteState) -> 
     return _bipartite_unchecked(_sandwich_sum(projs, state.rho12.matrix), state.dims)
 
 
+def luders_sum_rows(observables, side: int, dims: Dims, m: np.ndarray) -> np.ndarray:
+    """``sum_i P_i m_j P_i`` for each row ``m_j`` of a stack, with ``P_i`` the spectral
+    projectors of ``observables[j]`` lifted to ``side`` of ``dims`` (counts may
+    differ).  Accumulated projector by projector on the rows that have one, so
+    each row is ``_sandwich_sum``'s bits."""
+    counts = np.array([len(o) for o in observables])
+    out = np.zeros_like(m)
+    for i in range(counts.max()):
+        rows = np.flatnonzero(counts > i)
+        p = embed(np.array([observables[j].projectors[i] for j in rows]), side, dims)
+        if len(rows) == len(m):
+            out += p @ m @ p
+        else:
+            out[rows] += p @ m[rows] @ p
+    return out
+
+
 def _conditionals(state: BipartiteState, sobs: SubsystemObservable):
     """``kernels.conditional_states`` of the spectral projectors of ``sobs``."""
     sobs.check_dims(state.dims)

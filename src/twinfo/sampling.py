@@ -47,13 +47,23 @@ def sample_random_density(dims: Dims, rank: int, seed: int, stream: int = 0) -> 
     return (rho + rho.conj().T) / 2.0
 
 
+def _phase_fixed_qr(z):
+    """Haar unitary from a Ginibre matrix, or from each in a stack: QR with the
+    phases of ``r``'s diagonal moved into ``q``."""
+    q, r = np.linalg.qr(z)
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    phases /= np.abs(phases)
+    return q * phases[..., None, :]
+
+
 def sample_random_unitary(d: int, seed: int, stream: int = 0) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
-    rng = generator(seed, stream)
-    q, r = np.linalg.qr(_ginibre(rng, d, d))
-    phases = np.diagonal(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return _phase_fixed_qr(_ginibre(generator(seed, stream), d, d))
+
+
+def sample_random_unitaries(d: int, seed: int, streams) -> np.ndarray:
+    """``sample_random_unitary`` of each stream, stacked, from one batched QR."""
+    return _phase_fixed_qr(np.array([_ginibre(generator(seed, s), d, d) for s in streams]))
 
 
 def sample_random_observable(d: int, seed: int, stream: int = 0, complete: bool = True):
@@ -62,20 +72,23 @@ def sample_random_observable(d: int, seed: int, stream: int = 0, complete: bool 
     With ``complete=False`` the basis vectors are merged into fewer than ``d``
     eigenspaces, so at least one projector has rank above 1.
     """
-    u = sample_random_unitary(d, seed, stream)
-    if complete or d == 1:
-        return observable_from_basis(u)
-    rng = generator(seed, stream + 500_000)
-    groups = int(rng.integers(1, d))
-    cuts = [0, *sorted(rng.choice(np.arange(1, d), size=groups - 1, replace=False).tolist()), d]
-    projectors = []
-    multiplicities = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        block = u[:, lo:hi]
-        projectors.append(block @ block.conj().T)
-        multiplicities.append(hi - lo)
-    return Observable(
-        eigenvalues=np.arange(1, groups + 1, dtype=float),
-        projectors=tuple(projectors),
-        multiplicities=np.array(multiplicities, dtype=int),
-    )
+    return sample_random_observables(d, seed, [stream], complete)[0]
+
+
+def sample_random_observables(d: int, seed: int, streams, complete: bool = True) -> list:
+    """``sample_random_observable`` of each stream; the eigenbases come from one batched QR."""
+    observables = []
+    for u, stream in zip(sample_random_unitaries(d, seed, streams), streams):
+        if complete or d == 1:
+            observables.append(observable_from_basis(u))
+            continue
+        rng = generator(seed, stream + 500_000)
+        groups = int(rng.integers(1, d))
+        cuts = [0, *sorted(rng.choice(np.arange(1, d), size=groups - 1, replace=False).tolist()), d]
+        blocks = [u[:, lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+        observables.append(Observable(
+            eigenvalues=np.arange(1, groups + 1, dtype=float),
+            projectors=tuple(b @ b.conj().T for b in blocks),
+            multiplicities=np.array([b.shape[1] for b in blocks], dtype=int),
+        ))
+    return observables

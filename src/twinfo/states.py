@@ -80,6 +80,22 @@ def validate_density(m: np.ndarray) -> DensityOperator:
     return DensityOperator(matrix=np.ascontiguousarray(h), dim=m.shape[0])
 
 
+def validate_densities(m: np.ndarray):
+    """``validate_density`` of each matrix in a stack, batched: the Hermitian parts
+    (bitwise the matrices it wraps) and their ascending spectra.  A stack with an
+    invalid matrix raises ``validate_density``'s error for the first one."""
+    m = np.asarray(m, dtype=np.complex128)
+    h = (m + dagger(m)) / 2.0
+    if (np.all(np.isfinite(m)) and all(frobenius(x, dagger(x)) <= STATE_TOL for x in m)
+            and np.all(abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0) <= STATE_TOL)):
+        w = np.linalg.eigvalsh(h)
+        if np.all(w[:, 0] >= -STATE_TOL):
+            return h, w
+    for x in m:
+        validate_density(x)
+    raise AssertionError("the batched state checks disagree with validate_density")
+
+
 def _wrap_density(m: np.ndarray) -> DensityOperator:
     # Internal constructor for matrices that are valid states by construction.
     h = np.ascontiguousarray((m + dagger(m)) / 2.0)

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from twinfo.kernels import KERNEL_CLIP, info_gain_side1, kron, ptrace_keep2, swap_sides, vn_entropy
-from twinfo.linalg import Dims
-from twinfo.measurement import embed
+import twinfo as T
+from twinfo.entropy import relative_entropies
+from twinfo.kernels import (
+    KERNEL_CLIP, info_gain_side1, joint_mutual_info, kron, ptrace_keep1, ptrace_keep2, swap_sides,
+    vn_entropy,
+)
+from twinfo.linalg import Dims, dagger
+from twinfo.measurement import embed, luders_sum_rows
+from twinfo.sampling import sample_random_observables, sample_random_unitaries
+from twinfo.states import validate_densities
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -76,3 +83,72 @@ def test_conditional_entropy_kernels_match_loops_bitwise(d1):
                 z = rng.normal(size=(d_meas, d_meas)) + 1j * rng.normal(size=(d_meas, d_meas))
                 u = np.ascontiguousarray(np.linalg.qr(z)[0])
                 assert info_gain_side1(r, u, d_opp) == _info_gain_side1_loop(r, u, d_opp)
+
+
+# ------------------------------------------------ stacked kernels, row by row
+
+
+def _same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 1), (1, 3), (4, 1), (2, 2), (2, 3), (2, 4), (3, 3), (4, 4), (8, 8)])
+def test_stacked_kernels_equal_unbatched_rows_bitwise(d1, d2):
+    # One stack holds ranks 1, 2, 4 and full, so batched rows and rows that
+    # sum alone (an eigenvalue or weight at or below the clip) sit side by side.
+    # Rank 4 keeps 4 of 8 or more eigenvalues, where a zero-padded sum regroups.
+    dims = T.Dims(d1, d2)
+    n = dims.total
+    ranks = sorted({1, min(2, n), min(4, n), n})
+    rng = np.random.default_rng(n)
+    streams = [7 * k for k in range(len(ranks) + 1)]
+    rho_ms = [T.sample_random_density(dims, r, 3, stream=s) for r, s in zip(ranks, streams)]
+    # A product with side 1 in |0><0|: measured in the standard basis, every other
+    # outcome has weight 0.
+    e0 = np.zeros((d1, d1), dtype=complex)
+    e0[0, 0] = 1.0
+    rho_ms.append(kron(e0, T.sample_random_density(T.Dims(1, d2), d2, 3, stream=1)))
+    rho, spectra = validate_densities(np.array(rho_ms))
+    u1 = sample_random_unitaries(d1, 3, streams)
+    u1[-1] = np.eye(d1)
+    u2 = sample_random_unitaries(d2, 3, [s + 1 for s in streams])
+    obs = sample_random_observables(d1, 3, streams, complete=False)
+    after = luders_sum_rows(obs, 1, dims, rho)
+    refs = np.array([T.sample_random_density(dims, n, 4, stream=s) for s in streams])
+    products = kron(ptrace_keep1(rho, d1, d2), ptrace_keep2(rho, d1, d2))
+    stacked = {
+        "vn_entropy": vn_entropy(rho),
+        "ptrace_keep1": ptrace_keep1(rho, d1, d2),
+        "ptrace_keep2": ptrace_keep2(rho, d1, d2),
+        "swap_sides": swap_sides(rho, d1, d2),
+        "gain_1": info_gain_side1(rho, u1, d2),
+        "gain_2": info_gain_side1(swap_sides(rho, d1, d2), u2, d1),
+        "joint": joint_mutual_info(rho, u1, u2),
+        "relative_ref": relative_entropies(rho, refs, vn_entropy(rho)),
+        "relative_product": relative_entropies(rho, products, vn_entropy(rho)),
+        "luders": (after + dagger(after)) / 2.0,
+    }
+    for j, m in enumerate(rho_ms):
+        state = T.make_bipartite(m, dims)
+        r = state.rho12.matrix
+        _same(rho[j], r)
+        _same(spectra[j], np.linalg.eigvalsh(r))
+        _same(u1[j], np.eye(d1, dtype=complex) if j == len(ranks) else T.sample_random_unitary(d1, 3, streams[j]))
+        _same(u2[j], T.sample_random_unitary(d2, 3, streams[j] + 1))
+        sub = T.SubsystemObservable(obs[j], 1)
+        want = {
+            "vn_entropy": vn_entropy(r),
+            "ptrace_keep1": ptrace_keep1(r, d1, d2),
+            "ptrace_keep2": ptrace_keep2(r, d1, d2),
+            "swap_sides": swap_sides(r, d1, d2),
+            "gain_1": info_gain_side1(r, u1[j], d2),
+            "gain_2": info_gain_side1(swap_sides(r, d1, d2), u2[j], d1),
+            "joint": joint_mutual_info(r, u1[j], u2[j]),
+            "relative_ref": T.relative_entropy(state.rho12, T.validate_density(refs[j])),
+            "relative_product": T.relative_entropy(
+                state.rho12, T.DensityOperator(products[j], n)),
+            "luders": T.luders_apply_subsystem(sub, state).rho12.matrix,
+        }
+        for name, value in want.items():
+            _same(stacked[name][j], value)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import twinfo as T
-from twinfo.states import StateValidationError
+from twinfo.states import StateValidationError, validate_densities
 
 from conftest import DIM_PAIRS, SIGMA_X, bell_vector
 
@@ -29,6 +29,27 @@ def test_validate_rejects_non_hermitian():
     with pytest.raises(StateValidationError) as err:
         T.validate_density(m)
     assert err.value.invariant == "hermitian"
+
+
+@pytest.mark.parametrize(
+    "bad, invariant",
+    [
+        (np.diag([1.5, -0.5]), "positivity"),
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), "hermitian"),
+        (SIGMA_X, "trace"),
+        (np.array([[0.5, np.nan], [np.nan, 0.5]]), "finite"),
+    ],
+)
+def test_validate_densities_raises_the_first_invalid_matrix(bad, invariant):
+    good = np.eye(2, dtype=complex) / 2
+    h, w = validate_densities(np.array([good, good]))
+    assert h.tobytes() == np.array([good, good]).tobytes()
+    assert w.tobytes() == np.linalg.eigvalsh(h).tobytes()
+    # A later matrix failing an earlier check does not mask the first one.
+    later = np.array([[0.5, 0.1], [0.0, 0.5]]) if invariant == "positivity" else np.diag([1.5, -0.5])
+    with pytest.raises(StateValidationError) as err:
+        validate_densities(np.array([good, bad, later], dtype=complex))
+    assert err.value.invariant == invariant
 
 
 def test_bell_reductions(bell):
