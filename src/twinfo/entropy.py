@@ -70,12 +70,13 @@ def relative_entropy(sigma: DensityOperator, rho: DensityOperator) -> float:
     """
     if sigma.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {sigma.dim} vs {rho.dim}")
-    return _relative_entropy_eig(sigma.matrix, *np.linalg.eigh(rho.matrix))
+    s = sigma.matrix[None]
+    return relative_entropies(s, rho.matrix[None], vn_entropy(s))[0]
 
 
-def _relative_entropy_eig(sigma, w, v, s_sigma=None):
-    """``relative_entropy`` from the eigenpairs ``(w, v)`` of rho; ``s_sigma`` is S(sigma)
-    when the caller already has it."""
+def _relative_entropy_eig(sigma, w, v, s_sigma):
+    """``relative_entropy`` of one row from the eigenpairs ``(w, v)`` of rho, given
+    ``s_sigma`` = S(sigma)."""
     keep = w > KERNEL_CLIP
     vk = v[:, keep]
     # <v_k|sigma|v_k> on the range of rho; its total is sigma's weight there
@@ -83,15 +84,14 @@ def _relative_entropy_eig(sigma, w, v, s_sigma=None):
     overlap = float(np.sum(proj))
     if 1.0 - overlap > SUPPORT_TOL:
         return math.inf
-    term_sigma = -float(vn_entropy(sigma) if s_sigma is None else s_sigma)
     diag = np.sum(proj, axis=0)
     term_rho = float(np.dot(diag, np.log2(w[keep])))
-    return clamp_nonnegative(term_sigma - term_rho)
+    return clamp_nonnegative(-float(s_sigma) - term_rho)
 
 
 def relative_entropies(sigma: np.ndarray, rho: np.ndarray, s_sigma: np.ndarray) -> list:
     """``relative_entropy`` of each row of the stacks ``sigma`` and ``rho`` of density
-    matrices, given S(sigma) per row, bit for bit.
+    matrices, given S(sigma) per row; each row keeps the bits it has alone.
 
     Rows where rho has full support run batched; a ``(1, n) @ (n, 1)`` matmul is
     the same BLAS dot as ``np.dot``.  A row where rho drops an eigenvalue runs

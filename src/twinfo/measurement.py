@@ -2,11 +2,11 @@
 classical statistics they induce on bipartite states.
 
 An ``Observable`` is its grouped spectral form: distinct eigenvalue labels
-with orthogonal projectors.  The labels never enter any information
-quantity, only the projectors do.  A ``SubsystemObservable`` acts on one
-side of a bipartite system; ``embed`` lifts an operator, or a stack of them,
-on that side to ``P (x) 1`` or ``1 (x) P`` before a channel or a trace is
-applied.
+with orthogonal projectors, held as one ``(k, d, d)`` stack.  The labels
+never enter any information quantity, only the projectors do.  A
+``SubsystemObservable`` acts on one side of a bipartite system; ``embed``
+lifts an operator, or a stack of them, on that side to ``P (x) 1`` or
+``1 (x) P`` before a channel or a trace is applied.
 
 ``distant_decomposition`` and ``information_gain`` use the projector-stack
 primitive ``kernels.conditional_states``; the gain and the coherence deficit
@@ -38,12 +38,13 @@ _BASIS_TOL = 1e-10
 class Observable:
     """A Hermitian operator in grouped spectral form.
 
-    ``eigenvalues`` are strictly increasing; ``projectors`` are orthogonal
-    and ``multiplicities[i]`` is the rank of ``projectors[i]``.
+    ``eigenvalues`` are strictly increasing; ``projectors`` is a ``(k, d, d)``
+    stack of orthogonal projectors and ``multiplicities[i]`` is the rank of
+    ``projectors[i]``.
     """
 
     eigenvalues: np.ndarray
-    projectors: tuple
+    projectors: np.ndarray
     multiplicities: np.ndarray
 
     def __len__(self):
@@ -51,7 +52,7 @@ class Observable:
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.projectors.shape[-1]
 
     @property
     def complete(self) -> bool:
@@ -60,10 +61,7 @@ class Observable:
 
     def matrix(self) -> np.ndarray:
         """Reconstruct the operator from its spectral form."""
-        out = np.zeros_like(self.projectors[0])
-        for a, p in zip(self.eigenvalues, self.projectors):
-            out += a * p
-        return out
+        return np.sum(self.eigenvalues[:, None, None] * self.projectors, axis=0)
 
 
 @dataclass(frozen=True)
@@ -152,7 +150,7 @@ def observable_from_matrix(m: np.ndarray) -> Observable:
         multiplicities.append(hi - lo)
     return Observable(
         eigenvalues=np.array(eigenvalues),
-        projectors=tuple(projectors),
+        projectors=np.array(projectors),
         multiplicities=np.array(multiplicities, dtype=int),
     )
 
@@ -179,10 +177,10 @@ def observable_from_basis(u: np.ndarray, eigenvalues=None) -> Observable:
         if d > 1 and np.min(np.diff(np.sort(eigenvalues))) < _BASIS_TOL:
             raise ValueError("eigenvalue labels must be distinct")
     order = np.argsort(eigenvalues)
-    projectors = tuple(np.outer(u[:, i], u[:, i].conj()) for i in order)
+    cols = u[:, order].T
     return Observable(
         eigenvalues=eigenvalues[order],
-        projectors=projectors,
+        projectors=cols[:, :, None] * cols.conj()[:, None, :],
         multiplicities=np.ones(d, dtype=int),
     )
 
@@ -203,30 +201,26 @@ def embed(op: np.ndarray, side: int, dims: Dims) -> np.ndarray:
     return tensor_product(_identity(dims.d1), op)
 
 
-def _sandwich_sum(projs, m: np.ndarray) -> np.ndarray:
-    """``sum_i P_i m P_i``, accumulated one projector at a time."""
-    return sum((p @ m @ p for p in projs), np.zeros_like(m))
-
-
 def luders_apply(obs: Observable, rho: DensityOperator) -> DensityOperator:
     """Nonselective ideal measurement: rho -> sum_i P_i rho P_i."""
     if obs.dim != rho.dim:
         raise ValueError(f"dimension mismatch: observable {obs.dim}, state {rho.dim}")
-    return _wrap_density(_sandwich_sum(obs.projectors, rho.matrix))
+    m = rho.matrix
+    return _wrap_density(sum((p @ m @ p for p in obs.projectors), np.zeros_like(m)))
 
 
 def luders_apply_subsystem(sobs: SubsystemObservable, state: BipartiteState) -> BipartiteState:
     """Nonselective measurement of one subsystem observable on a bipartite state."""
     sobs.check_dims(state.dims)
-    projs = embed(np.array(sobs.observable.projectors), sobs.subsystem, state.dims)
-    return _bipartite_unchecked(_sandwich_sum(projs, state.rho12.matrix), state.dims)
+    m = luders_sum_rows([sobs.observable], sobs.subsystem, state.dims, state.rho12.matrix[None])
+    return _bipartite_unchecked(m[0], state.dims)
 
 
 def luders_sum_rows(observables, side: int, dims: Dims, m: np.ndarray) -> np.ndarray:
     """``sum_i P_i m_j P_i`` for each row ``m_j`` of a stack, with ``P_i`` the spectral
     projectors of ``observables[j]`` lifted to ``side`` of ``dims`` (counts may
     differ).  Accumulated projector by projector on the rows that have one, so
-    each row is ``_sandwich_sum``'s bits."""
+    each row keeps the bits it has alone, as in ``luders_apply_subsystem``."""
     counts = np.array([len(o) for o in observables])
     out = np.zeros_like(m)
     for i in range(counts.max()):
@@ -243,7 +237,7 @@ def _conditionals(state: BipartiteState, sobs: SubsystemObservable):
     """``kernels.conditional_states`` of the spectral projectors of ``sobs``."""
     sobs.check_dims(state.dims)
     rt = measured_first(state.rho12.matrix, state.dims.d1, state.dims.d2, sobs.subsystem)
-    return conditional_states(rt, np.array(sobs.observable.projectors))
+    return conditional_states(rt, sobs.observable.projectors)
 
 
 def distant_decomposition(state: BipartiteState, sobs: SubsystemObservable) -> DistantDecomposition:
@@ -268,9 +262,9 @@ def coincidence_table(state: BipartiteState, projs1, projs2) -> np.ndarray:
     """p[i, j] = Tr[rho (P_i (x) Q_j)] for side-1 projectors ``projs1`` and side-2 ``projs2``,
     bitwise as ``Tr[Tr_1[rho (P_i (x) 1)] Q_j]`` one projector pair at a time."""
     dims = state.dims
-    m = state.rho12.matrix @ embed(np.asarray(projs1), 1, dims)
+    m = state.rho12.matrix @ embed(projs1, 1, dims)
     cond = np.einsum("nabak->nbk", m.reshape(len(m), dims.d1, dims.d2, dims.d1, dims.d2))
-    return np.trace(cond[:, None] @ np.asarray(projs2)[None], axis1=2, axis2=3).real
+    return np.trace(cond[:, None] @ projs2[None], axis1=2, axis2=3).real
 
 
 def joint_distribution(
@@ -326,8 +320,7 @@ def coherence_decomposition(obs: Observable, rho: DensityOperator) -> CoherenceD
     """
     if obs.dim != rho.dim:
         raise ValueError(f"dimension mismatch: observable {obs.dim}, state {rho.dim}")
-    projs = np.array(obs.projectors)
-    sand = projs @ rho.matrix @ projs
+    sand = obs.projectors @ rho.matrix @ obs.projectors
     weights = np.maximum(np.trace(sand, axis1=1, axis2=2).real, 0.0)
     return CoherenceDecomposition(
         h_observable=float(entropy_bits(weights)),

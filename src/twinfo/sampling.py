@@ -47,23 +47,18 @@ def sample_random_density(dims: Dims, rank: int, seed: int, stream: int = 0) -> 
     return (rho + rho.conj().T) / 2.0
 
 
-def _phase_fixed_qr(z):
-    """Haar unitary from a Ginibre matrix, or from each in a stack: QR with the
-    phases of ``r``'s diagonal moved into ``q``."""
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    phases /= np.abs(phases)
-    return q * phases[..., None, :]
-
-
 def sample_random_unitary(d: int, seed: int, stream: int = 0) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
-    return _phase_fixed_qr(_ginibre(generator(seed, stream), d, d))
+    """Haar-distributed unitary: ``sample_random_unitaries`` of one stream."""
+    return sample_random_unitaries(d, seed, [stream])[0]
 
 
 def sample_random_unitaries(d: int, seed: int, streams) -> np.ndarray:
-    """``sample_random_unitary`` of each stream, stacked, from one batched QR."""
-    return _phase_fixed_qr(np.array([_ginibre(generator(seed, s), d, d) for s in streams]))
+    """Haar-distributed unitary of each stream, stacked: one batched QR of Ginibre
+    matrices, with the phases of ``r``'s diagonal moved into ``q``."""
+    q, r = np.linalg.qr(np.array([_ginibre(generator(seed, s), d, d) for s in streams]))
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    phases /= np.abs(phases)
+    return q * phases[..., None, :]
 
 
 def sample_random_observable(d: int, seed: int, stream: int = 0, complete: bool = True):
@@ -88,7 +83,7 @@ def sample_random_observables(d: int, seed: int, streams, complete: bool = True)
         blocks = [u[:, lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
         observables.append(Observable(
             eigenvalues=np.arange(1, groups + 1, dtype=float),
-            projectors=tuple(b @ b.conj().T for b in blocks),
+            projectors=np.array([b @ b.conj().T for b in blocks]),
             multiplicities=np.array([b.shape[1] for b in blocks], dtype=int),
         ))
     return observables

@@ -65,35 +65,42 @@ def validate_density(m: np.ndarray) -> DensityOperator:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StateValidationError("shape", f"expected a square matrix, got shape {m.shape}")
-    # Every comparison with NaN is False, so the checks below would pass it.
-    if not np.all(np.isfinite(m)):
-        raise StateValidationError("finite", "matrix has a non-finite (nan or inf) entry")
-    if frobenius(m, dagger(m)) > STATE_TOL:
-        raise StateValidationError("hermitian", "matrix is not Hermitian within tolerance")
-    tr = np.trace(m).real
-    if abs(tr - 1.0) > STATE_TOL:
-        raise StateValidationError("trace", f"trace is {tr:.12g}, expected 1")
-    h = (m + dagger(m)) / 2.0
-    lam_min = float(np.linalg.eigvalsh(h)[0])
-    if lam_min < -STATE_TOL:
-        raise StateValidationError("positivity", f"smallest eigenvalue {lam_min:.3e} is negative")
-    return DensityOperator(matrix=np.ascontiguousarray(h), dim=m.shape[0])
+    h, _ = validate_densities(m[None])
+    return DensityOperator(matrix=h[0], dim=m.shape[0])
 
 
 def validate_densities(m: np.ndarray):
-    """``validate_density`` of each matrix in a stack, batched: the Hermitian parts
-    (bitwise the matrices it wraps) and their ascending spectra.  A stack with an
-    invalid matrix raises ``validate_density``'s error for the first one."""
+    """Check the state invariants of each matrix in a stack, in order: finite,
+    Hermitian, trace, positivity.  Returns the Hermitian parts (the matrices
+    ``validate_density`` wraps) and their ascending spectra; a stack with an
+    invalid matrix raises the first failed check of the first one."""
     m = np.asarray(m, dtype=np.complex128)
+    errors = []
+
+    def cut(passed, error):
+        # Each check sees only the matrices before the first one that failed an
+        # earlier check: every comparison with NaN is False, and arithmetic on inf
+        # warns.  The last error recorded is then the first invalid matrix's.
+        nonlocal m
+        bad = np.flatnonzero(~passed)
+        if len(bad):
+            errors.append(error(bad[0]))
+            m = m[:bad[0]]
+
+    cut(np.all(np.isfinite(m), axis=(-2, -1)),
+        lambda j: StateValidationError("finite", "matrix has a non-finite (nan or inf) entry"))
+    cut(np.array([frobenius(x, dagger(x)) <= STATE_TOL for x in m], dtype=bool),
+        lambda j: StateValidationError("hermitian", "matrix is not Hermitian within tolerance"))
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    cut(abs(tr - 1.0) <= STATE_TOL,
+        lambda j: StateValidationError("trace", f"trace is {tr[j]:.12g}, expected 1"))
     h = (m + dagger(m)) / 2.0
-    if (np.all(np.isfinite(m)) and all(frobenius(x, dagger(x)) <= STATE_TOL for x in m)
-            and np.all(abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0) <= STATE_TOL)):
-        w = np.linalg.eigvalsh(h)
-        if np.all(w[:, 0] >= -STATE_TOL):
-            return h, w
-    for x in m:
-        validate_density(x)
-    raise AssertionError("the batched state checks disagree with validate_density")
+    w = np.linalg.eigvalsh(h)
+    cut(w[:, 0] >= -STATE_TOL, lambda j: StateValidationError(
+        "positivity", f"smallest eigenvalue {w[j, 0]:.3e} is negative"))
+    if errors:
+        raise errors[-1]
+    return h, w
 
 
 def _wrap_density(m: np.ndarray) -> DensityOperator:

@@ -81,11 +81,11 @@ def detectable_spectrum(state: BipartiteState, sobs: SubsystemObservable) -> Det
     sobs.check_dims(state.dims)
     reduced = state.rho1 if sobs.subsystem == 1 else state.rho2
     obs = sobs.observable
-    probabilities = np.trace(reduced.matrix @ np.array(obs.projectors), axis1=1, axis2=2).real
+    probabilities = np.trace(reduced.matrix @ obs.projectors, axis1=1, axis2=2).real
     kept = np.nonzero(probabilities > DETECT_EPS)[0]
     return DetectableSpectrum(
         eigenvalues=obs.eigenvalues[kept],
-        projectors=tuple(obs.projectors[i] for i in kept),
+        projectors=obs.projectors[kept],
         multiplicities=obs.multiplicities[kept],
         probabilities=probabilities[kept],
         range_projector=range_projector(reduced.matrix),
@@ -138,14 +138,12 @@ def verify_twins(
         comm.append(frobenius(m @ reduced.matrix - reduced.matrix @ m) / scale)
 
     spectra_match = len(spec_a.eigenvalues) == len(spec_b.eigenvalues)
-    projs_a = np.array(spec_a.projectors)
-    projs_b = np.array(spec_b.projectors)
-    table = coincidence_table(state, projs_a, projs_b)
+    table = coincidence_table(state, spec_a.projectors, spec_b.projectors)
     pairing = _pair_rows(table, spec_a.probabilities, tol) if spectra_match else None
     # Rows 0..n-1 pair in order; ``order`` lists side 2's aligned outcomes, then the rest.
     n = min(len(spec_a.eigenvalues), len(spec_b.eigenvalues))
     align = pairing if pairing is not None else tuple((i, i) for i in range(n))
-    order = np.array([j for _, j in align] + list(range(n, len(projs_b))))
+    order = np.array([j for _, j in align] + list(range(n, len(spec_b))))
     rows, cols = np.arange(n), order[:n]
     weight = spec_a.probabilities[:n]
     paired = table[rows, cols]
@@ -158,8 +156,8 @@ def verify_twins(
 
     # P1 rho and P2 rho once per outcome serve both (b) and (d); the first n
     # slices of each stack are the aligned pairs, the rest are unpaired.
-    e1 = embed(projs_a, 1, state.dims)
-    e2 = embed(projs_b[order], 2, state.dims)
+    e1 = embed(spec_a.projectors, 1, state.dims)
+    e2 = embed(spec_b.projectors[order], 2, state.dims)
     x1 = e1 @ rho
     x2 = e2 @ rho
     b = np.array([frobenius(m) for m in x1[:n] @ e1[:n] - x2[:n] @ e2[:n]]) / rho_norm
@@ -193,8 +191,8 @@ def verify_twins(
     verdict = comm[0] < tol and comm[1] < tol and pairing is not None and max(residuals) < tol
 
     complete = all(
-        (abs(np.trace(projs @ spec.range_projector, axis1=1, axis2=2).real - 1.0) < tol).all()
-        for projs, spec in ((projs_a, spec_a), (projs_b, spec_b))
+        (abs(np.trace(s.projectors @ s.range_projector, axis1=1, axis2=2).real - 1.0) < tol).all()
+        for s in (spec_a, spec_b)
     )
 
     strong = _strong_algebraic(state, spec_a, spec_b, pairing, tol) if verdict else None

@@ -436,7 +436,8 @@ def test_coherence_decomposition_projector_orthogonal_to_support():
     plus = np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]], dtype=complex)
     minus = np.array([[0.5, -0.5, 0], [-0.5, 0.5, 0], [0, 0, 0]], dtype=complex)
     kernel = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    obs = T.Observable(eigenvalues=np.array([1.0, 2.0, 3.0]), projectors=(plus, minus, kernel),
+    obs = T.Observable(eigenvalues=np.array([1.0, 2.0, 3.0]),
+                       projectors=np.array([plus, minus, kernel]),
                        multiplicities=np.ones(3, dtype=int))
     dec = T.coherence_decomposition(obs, rho)
     assert dec.weights[2] == 0.0

@@ -31,6 +31,13 @@ def test_validate_rejects_non_hermitian():
     assert err.value.invariant == "hermitian"
 
 
+def test_validate_rejects_infinite_entry():
+    # The Hermitian part would compute inf - inf; the finite check comes first.
+    with pytest.raises(StateValidationError) as err:
+        T.validate_density(np.array([[0.5, np.inf], [-np.inf, 0.5]], dtype=complex))
+    assert err.value.invariant == "finite"
+
+
 @pytest.mark.parametrize(
     "bad, invariant",
     [
@@ -38,6 +45,7 @@ def test_validate_rejects_non_hermitian():
         (np.array([[0.5, 0.1], [0.0, 0.5]]), "hermitian"),
         (SIGMA_X, "trace"),
         (np.array([[0.5, np.nan], [np.nan, 0.5]]), "finite"),
+        (np.array([[0.5, np.inf], [np.inf, 0.5]]), "finite"),
     ],
 )
 def test_validate_densities_raises_the_first_invalid_matrix(bad, invariant):

@@ -445,7 +445,7 @@ def _verify_twins_loop(state, a1, b2, tol=TWIN_TOL):
         reduced = state.rho1 if sobs.subsystem == 1 else state.rho2
         specs.append(T.DetectableSpectrum(
             eigenvalues=sobs.observable.eigenvalues[kept],
-            projectors=tuple(sobs.observable.projectors[i] for i in kept),
+            projectors=sobs.observable.projectors[kept],
             multiplicities=sobs.observable.multiplicities[kept],
             probabilities=probabilities[kept],
             range_projector=T.twins.range_projector(reduced.matrix)))

@@ -10,7 +10,7 @@ directory that holds a copy of the inputs.  It compares stdout, stderr, the
 exit code and every file a run leaves behind (violation dumps), prints one
 line per difference and exits 1 if there is any, 0 otherwise.
 
-The golden set of 106 argvs: ``sweep --samples 8`` at 2x2, 2x3, 3x3, 4x4 and 8x8
+The golden set of 107 argvs: ``sweep --samples 8`` at 2x2, 2x3, 3x3, 4x4 and 8x8
 with seeds 0-9, at 1x3, 4x1, 8x2 and 5x7 (one outcome, a one-dimensional
 opposite side, unequal sides), and seven other sweeps, three of them across
 sample-chunk boundaries; ``report``, ``schmidt`` and ``discord`` (both
@@ -18,7 +18,8 @@ directions, with and without ``--grid-refine``) on a Werner state, a Bell pair,
 random 2x3 and 3x3 mixed states and a random 3x3 pure state; eight ``twins``
 runs (complete and rank-k Schmidt twins on pure and Schmidt-dephased states,
 and random two-outcome observables); and malformed inputs (NaN density, NaN
-pure state, boolean dims, NaN observable).
+pure state, boolean dims, NaN observable, and an Infinity density under
+``report``, where arithmetic before the finite check would print a warning).
 """
 
 from __future__ import annotations
@@ -108,6 +109,8 @@ def write_inputs(directory: str) -> None:
     malformed = {
         "nan_density.json": '{"kind": "density", "dims": [2, 1], '
                             '"matrix": [[[0.5, 0], [NaN, 0]], [[0, 0], [0.5, 0]]]}',
+        "inf_density.json": '{"kind": "density", "dims": [2, 1], '
+                            '"matrix": [[[0.5, 0], [Infinity, 0]], [[Infinity, 0], [0.5, 0]]]}',
         "nan_pure.json": '{"kind": "pure", "dims": [2, 1], "vector": [[1, 0], [NaN, 0]]}',
         "bool_dims.json": '{"kind": "density", "dims": [true, 2], '
                           '"matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
@@ -152,6 +155,7 @@ def golden_argvs() -> list[tuple[str, ...]]:
     ]
     for bad in ("nan_density.json", "nan_pure.json", "bool_dims.json"):
         argvs += [("report", bad), ("discord", bad)]
+    argvs.append(("report", "inf_density.json"))
     argvs.append(("twins", "bell.json", "nan_obs.json", "z.json"))
     return argvs
 
