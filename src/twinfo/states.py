@@ -89,13 +89,15 @@ def validate_densities(m: np.ndarray):
 
     cut(np.all(np.isfinite(m), axis=(-2, -1)),
         lambda j: StateValidationError("finite", "matrix has a non-finite (nan or inf) entry"))
-    cut(np.array([frobenius(x, dagger(x)) <= STATE_TOL for x in m], dtype=bool),
-        lambda j: StateValidationError("hermitian", "matrix is not Hermitian within tolerance"))
-    tr = np.trace(m, axis1=-2, axis2=-1).real
-    cut(abs(tr - 1.0) <= STATE_TOL,
-        lambda j: StateValidationError("trace", f"trace is {tr[j]:.12g}, expected 1"))
-    h = (m + dagger(m)) / 2.0
-    w = np.linalg.eigvalsh(h)
+    # Sums of huge finite entries overflow to inf (or nan), which fails the next check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cut(np.array([frobenius(x, dagger(x)) <= STATE_TOL for x in m], dtype=bool),
+            lambda j: StateValidationError("hermitian", "matrix is not Hermitian within tolerance"))
+        tr = np.trace(m, axis1=-2, axis2=-1).real
+        cut(abs(tr - 1.0) <= STATE_TOL,
+            lambda j: StateValidationError("trace", f"trace is {tr[j]:.12g}, expected 1"))
+        h = (m + dagger(m)) / 2.0
+        w = np.linalg.eigvalsh(h)
     cut(w[:, 0] >= -STATE_TOL, lambda j: StateValidationError(
         "positivity", f"smallest eigenvalue {w[j, 0]:.3e} is negative"))
     if errors:

@@ -6,8 +6,8 @@ and a one-to-one correspondence between the detectable eigenvalues satisfies
 four equivalent conditions (perfect outcome correlation, equal
 post-measurement states, mutual state-dependent implication, and the
 operator identity ``P1_i rho = P2_i rho``).  The report always evaluates all
-four condition residuals so their equivalence is itself checked on every
-call.
+four condition residuals, and every call checks that they obey the exact
+inequalities that relate them (see ``verify_twins``).
 
 Outcome probabilities, the outcome table and residuals (b) and (d) are
 batched over projector stacks with the per-slice Kronecker arithmetic of one
@@ -33,15 +33,12 @@ from .measurement import (
 from .states import BipartiteState, make_bipartite, schmidt_decompose
 
 TWIN_TOL = 1e-8
-# Rounding allowance of an outcome probability: on exact twins up to 8x8 the outcome
-# table and the reduced trace differ by up to about 6 eps.
-_ROUNDING = 16 * np.finfo(float).eps
 
 
 class ConditionMismatchError(RuntimeError):
-    """The four twin conditions disagreed beyond tolerance.
+    """The twin-condition residuals broke a proven inequality between them.
 
-    They are mathematically equivalent, so this indicates a numerical or
+    The inequalities hold for every state, so this indicates a numerical or
     implementation problem, not a property of the input.
     """
 
@@ -122,7 +119,8 @@ def verify_twins(
     residuals by the spectral radius of the observable, so eigenvalue labels
     do not affect verdicts.  When no outcome pairing exists, residuals are
     reported under the eigenvalue-sorted alignment of the detectable spectra
-    (they then quantify how badly the conditions fail).
+    (they then quantify how badly the conditions fail).  ``tol`` sets only the
+    verdict and the pairing; ConditionMismatchError does not depend on it.
     """
     if a1.subsystem != 1 or b2.subsystem != 2:
         raise ValueError("verify_twins expects a side-1 and a side-2 observable")
@@ -151,8 +149,7 @@ def verify_twins(
     # (a) lossless/noiseless outcome channel
     deviation = table.copy()
     deviation[rows, cols] = abs(paired - weight)
-    row_dev = deviation.max(axis=1)
-    res_a = max(0.0, row_dev.max())
+    res_a = max(0.0, deviation.max())
 
     # P1 rho and P2 rho once per outcome serve both (b) and (d); the first n
     # slices of each stack are the aligned pairs, the rest are unpaired.
@@ -173,20 +170,19 @@ def verify_twins(
             res_d = max(res_d, frobenius(proj_rho) / rho_norm)
 
     residuals = (res_a, res_b, res_c, res_d)
-    # (c) is relative to the outcome weight p_i; (a), (b) and (d) shrink with it.
-    # Near twins move (a) and (c) by delta^2 and (b) and (d) by delta, so b/p_i and
-    # d/p_i are met below tol, sqrt(a/p_i) and sqrt(c) below tol or, as tol^2 is at
-    # machine epsilon, their rounding floor sqrt(_ROUNDING / p_i).  A met condition
-    # raises only on a raw residual 10 times past its own threshold.
-    if spectra_match:
-        floor = np.maximum(tol, np.sqrt(_ROUNDING / weight))
-        linear = any((r < tol).all() for r in (b / weight, d / weight))
-        quadratic = any((np.sqrt(r) < floor).all() for r in (row_dev / weight, c))
-        if (linear or quadratic) and max(residuals) > 10.0 * (tol if linear else floor.max()):
-            raise ConditionMismatchError(
-                "twin conditions disagree: residuals "
-                f"a={res_a:.3e} b={res_b:.3e} c={res_c:.3e} d={res_d:.3e} at tol {tol:.0e}"
-            )
+    # On each aligned pair, with X = P_i (x) 1 - 1 (x) Q_j, t = p_i + q_j - 2 p_ij = tr(X^2 rho),
+    # x = ||X rho|| and s = ||P rho P - Q rho Q||, every state obeys x^2 <= ||rho|| t
+    # (rho^2 <= ||rho|| rho), t <= sqrt(D) x (||X|| <= 1), s <= 2x (P rho P - Q rho Q
+    # = P rho X + X rho Q) and t <= sqrt(2D) s (tr((P rho P - Q rho Q) X) = t).
+    t = weight + spec_b.probabilities[cols] - 2.0 * paired
+    x, s = d * rho_norm, b * rho_norm
+    total = state.dims.total
+    broken = (x * x - rho_norm * t, t - np.sqrt(total) * x, s - 2.0 * x, t - np.sqrt(2.0 * total) * s)
+    if np.max(broken) > 64 * np.finfo(float).eps * total:
+        raise ConditionMismatchError(
+            "twin conditions disagree: residuals "
+            f"a={res_a:.3e} b={res_b:.3e} c={res_c:.3e} d={res_d:.3e} at tol {tol:.0e}"
+        )
 
     verdict = comm[0] < tol and comm[1] < tol and pairing is not None and max(residuals) < tol
 

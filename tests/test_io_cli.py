@@ -149,6 +149,22 @@ def test_report_bad_trace_exits_2(tmp_path):
     assert "trace" in res.stderr
 
 
+@pytest.mark.parametrize("m, invariant", [
+    ("[[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]", "trace"),
+    ("[[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]]", "positivity"),
+    ("[[[0.5, 0], [1e308, 0]], [[-1e308, 0], [0.5, 0]]]", "hermitian"),
+], ids=["trace", "positivity", "hermitian"])
+def test_report_overflowing_density_exits_2_on_one_line(m, invariant, tmp_path):
+    # Finite entries whose sums overflow fail their check with no numpy warning.
+    path = tmp_path / "overflow.json"
+    path.write_text(f'{{"kind": "density", "dims": [2, 1], "matrix": {m}}}')
+    res = run_cli("report", str(path))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"twinfo: validation failed ({invariant}): ")
+    assert res.stderr.count("\n") == 1
+
+
 def test_report_malformed_json_exits_1(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

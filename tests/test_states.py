@@ -38,6 +38,22 @@ def test_validate_rejects_infinite_entry():
     assert err.value.invariant == "finite"
 
 
+# Finite entries whose sums overflow: the trace, the Hermitian part and the
+# difference from the adjoint reach inf (and the spectrum nan) with no warning.
+OVERFLOWING = [
+    ([[1e308, 0.0], [0.0, 1e308]], "trace"),
+    ([[0.5, 1e308], [1e308, 0.5]], "positivity"),
+    ([[0.5, 1e308], [-1e308, 0.5]], "hermitian"),
+]
+
+
+@pytest.mark.parametrize("m, invariant", OVERFLOWING, ids=[inv for _, inv in OVERFLOWING])
+def test_validate_rejects_overflowing_entries(m, invariant):
+    with pytest.raises(StateValidationError) as err:
+        T.validate_density(np.array(m, dtype=complex))
+    assert err.value.invariant == invariant
+
+
 @pytest.mark.parametrize(
     "bad, invariant",
     [

@@ -357,8 +357,8 @@ def test_tiny_weight_outcome_is_not_a_condition_mismatch(pure):
 
 def test_near_twin_small_weight_outcome_stays_twins():
     # sqrt(1 - w)|00> + sqrt(w)|11> + delta|01>: (a) is of order delta^2 while
-    # (b) and (d) are of order delta, all below tol.  Read relative to the
-    # weight w, (b) and (d) would pass 10 tol and raise on a twin pair.
+    # (b) and (d) are of order delta, all below tol.  Divided by the weight w,
+    # (d) is above 10 tol, so a verdict on weight-relative residuals would fail.
     w, delta = 0.01, 2e-9
     phi = np.array([np.sqrt(1.0 - w), delta, 0.0, np.sqrt(w)], dtype=complex)
     a1, b2 = zz_observables()
@@ -371,8 +371,8 @@ def test_near_twin_small_weight_outcome_stays_twins():
 @pytest.mark.parametrize("delta", [3e-7, 7.7e-7])
 def test_near_twin_beyond_tol_is_not_a_condition_mismatch(d1, d2, delta):
     # A pure state delta away from one with Schmidt twins: (a) and (c) move by
-    # delta^2 and stay below tol, while (b) and (d) move by delta and pass 10 tol.
-    # Read at the same order the four conditions agree: not twins, no mismatch.
+    # delta^2 and stay below tol, while (b) and (d) move by delta, above 10 tol.
+    # Both stay within their proven bounds by the table: not twins, no mismatch.
     dims = T.Dims(d1, d2)
     phi = T.sample_random_pure(dims, seed=0)
     psi = phi + delta * T.sample_random_pure(dims, seed=0, stream=1)
@@ -397,8 +397,10 @@ def test_disagreeing_conditions_still_raise(bell, monkeypatch):
 @pytest.mark.parametrize("d1, d2", [(2, 3), (3, 3), (4, 2), (5, 4)])
 @pytest.mark.parametrize("corrupt", ["permuted", "shifted"])
 def test_disagreeing_conditions_raise_when_a_and_c_hold(d1, d2, corrupt, monkeypatch):
-    # Exact random twins with a corrupted side-2 stack: (a) and (c) hold up to
-    # rounding, of order eps and so at tol^2, while (b) and (d) fail.
+    # Exact random twins, pure or Schmidt-dephased, with a corrupted side-2 stack:
+    # the outcome table is exact, so (a) and (c) hold up to rounding, while (b)
+    # and (d) fail and break the bound ||X rho||^2 <= ||rho|| t.  The check reads
+    # no tol, so a loose one does not hide the fault.
     def corrupted_embed(op, side, dims):
         e = embed(op, side, dims)
         if side == 1:
@@ -409,6 +411,31 @@ def test_disagreeing_conditions_raise_when_a_and_c_hold(d1, d2, corrupt, monkeyp
     dims = T.Dims(d1, d2)
     for seed in range(5):
         phi = T.sample_random_pure(dims, seed=seed)
+        a1, b2 = T.construct_pure_twins(phi, dims)
+        for state in (T.bipartite_from_pure(phi, dims), T.dephase_in_schmidt_basis(phi, dims)):
+            for tol in (TWIN_TOL, 1e-2):
+                with pytest.raises(T.ConditionMismatchError, match="twin conditions disagree"):
+                    T.verify_twins(state, a1, b2, tol=tol)
+
+
+@pytest.mark.parametrize("d1, d2", [(d1, d2) for d1 in range(2, 6) for d2 in range(2, 6)])
+def test_corrupted_table_raises(d1, d2, monkeypatch):
+    # Moving 1e-10 from each aligned entry (i, i) of the table of these Schmidt
+    # twins to its neighbour raises t by 2e-10 while ||X rho|| stays at
+    # rounding: t <= sqrt(D) ||X rho|| breaks.
+    true_table = T.twins.coincidence_table
+
+    def moved(*args):
+        table = true_table(*args).copy()
+        for i in range(min(table.shape)):
+            table[i, i] -= 1e-10
+            table[i, (i + 1) % table.shape[1]] += 1e-10
+        return table
+
+    monkeypatch.setattr(T.twins, "coincidence_table", moved)
+    dims = T.Dims(d1, d2)
+    for seed in range(3):
+        phi = T.sample_random_pure(dims, seed=seed, stream=7)
         a1, b2 = T.construct_pure_twins(phi, dims)
         with pytest.raises(T.ConditionMismatchError, match="twin conditions disagree"):
             T.verify_twins(T.bipartite_from_pure(phi, dims), a1, b2)

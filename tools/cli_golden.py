@@ -10,14 +10,15 @@ directory that holds a copy of the inputs.  It compares stdout, stderr, the
 exit code and every file a run leaves behind (violation dumps), prints one
 line per difference and exits 1 if there is any, 0 otherwise.
 
-The golden set of 107 argvs: ``sweep --samples 8`` at 2x2, 2x3, 3x3, 4x4 and 8x8
+The golden set of 109 argvs: ``sweep --samples 8`` at 2x2, 2x3, 3x3, 4x4 and 8x8
 with seeds 0-9, at 1x3, 4x1, 8x2 and 5x7 (one outcome, a one-dimensional
 opposite side, unequal sides), and seven other sweeps, three of them across
 sample-chunk boundaries; ``report``, ``schmidt`` and ``discord`` (both
 directions, with and without ``--grid-refine``) on a Werner state, a Bell pair,
-random 2x3 and 3x3 mixed states and a random 3x3 pure state; eight ``twins``
+random 2x3 and 3x3 mixed states and a random 3x3 pure state; ten ``twins``
 runs (complete and rank-k Schmidt twins on pure and Schmidt-dephased states,
-and random two-outcome observables); and malformed inputs (NaN density, NaN
+complete twins at ``--tol 1e-2``, a pair with unequal detectable spectra, and
+random two-outcome observables); and malformed inputs (NaN density, NaN
 pure state, boolean dims, NaN observable, and an Infinity density under
 ``report``, where arithmetic before the finite check would print a warning).
 """
@@ -147,6 +148,8 @@ def golden_argvs() -> list[tuple[str, ...]]:
         ("twins", "bell.json", "z.json", "z.json"),
         ("twins", "bell.json", "z.json", "x.json"),
         ("twins", "pure3x3.json", "twin_a.json", "twin_b.json"),
+        ("twins", "pure3x3.json", "twin_a.json", "twin_b.json", "--tol", "1e-2"),
+        ("twins", "pure3x3.json", "twin_a.json", "coarse_b.json"),
         ("twins", "bell.json", "twin_a.json", "twin_b.json"),
         ("twins", "pure3x3.json", "coarse_a.json", "coarse_b.json"),
         ("twins", "dephased2x3.json", "rank2_a.json", "rank2_b.json"),
