@@ -524,6 +524,18 @@ def test_twins_near_twin_small_weight_outcome_exits_0(tmp_path):
     assert json.loads(res.stdout)["report"]["verdict"] is True
 
 
+def test_twins_slightly_negative_density_is_not_an_internal_error(tmp_path):
+    # diag(1 + e, -e, 0, 0) passes validation; with Z on both sides it is a
+    # twin pair, and the negative eigenvalue must not read as exit 5.
+    e = 1e-11
+    state_path = tmp_path / "rho.json"
+    write_state_file(state_path, "density", np.diag([1.0 + e, -e, 0.0, 0.0]).astype(complex), [2, 2])
+    z_path = write_observable(tmp_path / "z.json", SIGMA_Z)
+    res = run_cli("twins", str(state_path), z_path, z_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["report"]["verdict"] is True
+
+
 def test_twins_near_twin_beyond_tol_exits_4(tmp_path):
     # A pure state 7.7e-7 away from one with Schmidt twins fails (b) and (d)
     # while (a) and (c) pass: a false verdict, not an internal error (exit 5).

@@ -357,8 +357,8 @@ def test_tiny_weight_outcome_is_not_a_condition_mismatch(pure):
 
 def test_near_twin_small_weight_outcome_stays_twins():
     # sqrt(1 - w)|00> + sqrt(w)|11> + delta|01>: (a) is of order delta^2 while
-    # (b) and (d) are of order delta, all below tol.  Divided by the weight w,
-    # (d) is above 10 tol, so a verdict on weight-relative residuals would fail.
+    # (b) and (d) are of order delta, all below tol, and each stays within its
+    # bound: twins with no mismatch, although (d) / w is above 10 tol.
     w, delta = 0.01, 2e-9
     phi = np.array([np.sqrt(1.0 - w), delta, 0.0, np.sqrt(w)], dtype=complex)
     a1, b2 = zz_observables()
@@ -416,6 +416,30 @@ def test_disagreeing_conditions_raise_when_a_and_c_hold(d1, d2, corrupt, monkeyp
             for tol in (TWIN_TOL, 1e-2):
                 with pytest.raises(T.ConditionMismatchError, match="twin conditions disagree"):
                     T.verify_twins(state, a1, b2, tol=tol)
+
+
+def test_slightly_negative_state_is_not_a_condition_mismatch():
+    # diag(1 + e, -e, 0, 0) passes validation for e below STATE_TOL.  With Z on
+    # both sides, t = -e and ||X rho|| = e, so ||X rho||^2 <= ||rho|| t fails by
+    # about e; the allowance for the negative part of rho covers it.
+    e = 1e-11
+    a1, b2 = zz_observables()
+    state = T.make_bipartite(np.diag([1.0 + e, -e, 0.0, 0.0]).astype(complex), T.Dims(2, 2))
+    assert T.verify_twins(state, a1, b2).verdict is True
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 3), (4, 5)])
+@pytest.mark.parametrize("digits", [11, 12])
+def test_rounded_twin_state_is_not_a_condition_mismatch(d1, d2, digits):
+    # A pure state rounded to 11 or 12 decimals has rounding eigenvalues
+    # of either sign on its kernel, where X = P (x) 1 - 1 (x) Q is supported.
+    dims = T.Dims(d1, d2)
+    for seed in range(5):
+        phi = T.sample_random_pure(dims, seed=seed, stream=11)
+        a1, b2 = T.construct_pure_twins(phi, dims)
+        rounded = np.round(np.outer(phi, phi.conj()), digits)
+        rounded /= np.trace(rounded).real
+        T.verify_twins(T.make_bipartite(rounded, dims), a1, b2)
 
 
 @pytest.mark.parametrize("d1, d2", [(d1, d2) for d1 in range(2, 6) for d2 in range(2, 6)])
