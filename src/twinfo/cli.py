@@ -138,17 +138,15 @@ def _state_block(state: BipartiteState, phi) -> dict:
     }
 
 
-def _report_skeleton(command: str, seed, config: dict) -> dict:
-    return {
+def _emit(command: str, seed, config: dict, body: dict, summary_lines) -> None:
+    report = {
         "tool": "twinfo",
         "version": __version__,
         "command": command,
         "seed": seed,
         "config": {"backend": BACKEND, **config},
+        **body,
     }
-
-
-def _emit(report: dict, summary_lines) -> None:
     print(format_json(report))
     for line in summary_lines:
         print(line, file=sys.stderr)
@@ -156,14 +154,11 @@ def _emit(report: dict, summary_lines) -> None:
 
 def cmd_report(args) -> int:
     state, kind, phi = _load_bipartite(args.state)
-    report = _report_skeleton("report", None, {})
     block = _state_block(state, phi)
-    report.update(
-        {"input": {"path": args.state, "kind": kind}, "state": block,
-         "optimization": None, "twins": None}
-    )
     _emit(
-        report,
+        "report", None, {},
+        {"input": {"path": args.state, "kind": kind}, "state": block,
+         "optimization": None, "twins": None},
         [
             f"{args.state}: {block['purity']} state on {state.dims.d1}x{state.dims.d2}",
             f"S(1)={block['entropy_1']:.6g}  S(2)={block['entropy_2']:.6g}  "
@@ -189,12 +184,9 @@ def cmd_discord(args) -> int:
     candidates = args.restarts + int(args.grid_refine and measured == 2)
     mi = mutual_information(state)
     discord = mi - sup.value
-    report = _report_skeleton(
-        "discord",
-        args.seed,
+    _emit(
+        "discord", args.seed,
         {"direction": args.direction, "restarts": args.restarts, "grid_refine": args.grid_refine},
-    )
-    report.update(
         {
             "input": {"path": args.state, "kind": kind},
             "state": _state_block(state, phi),
@@ -209,10 +201,7 @@ def cmd_discord(args) -> int:
                 "evaluations": sup.evaluations,
             },
             "twins": None,
-        }
-    )
-    _emit(
-        report,
+        },
         [
             f"{args.state}: I(1:2)={mi:.6g}  sup gain={sup.value:.6g}  "
             f"discord({args.direction})={discord:.6g}  "
@@ -228,24 +217,21 @@ def cmd_twins(args) -> int:
     a1 = _load_observable(args.obs_a, state.dims.d1, subsystem=1)
     b2 = _load_observable(args.obs_b, state.dims.d2, subsystem=2)
     twin_report = verify_twins(state, a1, b2, tol=args.tol)
-    report = _report_skeleton("twins", None, {"tol": args.tol})
-    report.update(
-        {
-            "input": {"state": args.state, "observable_1": args.obs_a, "observable_2": args.obs_b},
-            "report": {
-                "verdict": twin_report.verdict,
-                "complete": twin_report.complete,
-                "spectra_match": twin_report.spectra_match,
-                "commutator_residuals": list(twin_report.commutator_residuals),
-                "pairing": twin_report.pairing,
-                "residual_a": twin_report.residual_a,
-                "residual_b": twin_report.residual_b,
-                "residual_c": twin_report.residual_c,
-                "residual_d": twin_report.residual_d,
-                "strong_algebraic_residual": twin_report.strong_algebraic_residual,
-            },
-        }
-    )
+    body = {
+        "input": {"state": args.state, "observable_1": args.obs_a, "observable_2": args.obs_b},
+        "report": {
+            "verdict": twin_report.verdict,
+            "complete": twin_report.complete,
+            "spectra_match": twin_report.spectra_match,
+            "commutator_residuals": list(twin_report.commutator_residuals),
+            "pairing": twin_report.pairing,
+            "residual_a": twin_report.residual_a,
+            "residual_b": twin_report.residual_b,
+            "residual_c": twin_report.residual_c,
+            "residual_d": twin_report.residual_d,
+            "strong_algebraic_residual": twin_report.strong_algebraic_residual,
+        },
+    }
     lines = [
         f"verdict: {'twins' if twin_report.verdict else 'not twins'}"
         f" (complete: {twin_report.complete})"
@@ -255,7 +241,7 @@ def cmd_twins(args) -> int:
             f"residuals: a={twin_report.residual_a:.3e} b={twin_report.residual_b:.3e} "
             f"c={twin_report.residual_c:.3e} d={twin_report.residual_d:.3e}"
         )
-    _emit(report, lines)
+    _emit("twins", None, {"tol": args.tol}, body, lines)
     return EXIT_OK if twin_report.verdict else EXIT_TWINS
 
 
@@ -269,17 +255,15 @@ def cmd_schmidt(args) -> int:
     vec = phi if phi is not None else _pure_vector(state)
     form = schmidt_decompose(vec, state.dims)
     residual = frobenius(schmidt_reconstruct(form) - vec)
-    report = _report_skeleton("schmidt", None, {})
-    report.update(
-        {
-            "input": {"path": args.state, "kind": kind},
-            "coefficients": form.coefficients,
-            "basis_1_columns": complex_payload(form.basis1.T),
-            "basis_2_columns": complex_payload(form.basis2.T),
-            "reconstruction_residual": residual,
-        }
-    )
-    _emit(report, [f"{len(form)} Schmidt coefficient(s), reconstruction residual {residual:.3e}"])
+    body = {
+        "input": {"path": args.state, "kind": kind},
+        "coefficients": form.coefficients,
+        "basis_1_columns": complex_payload(form.basis1.T),
+        "basis_2_columns": complex_payload(form.basis2.T),
+        "reconstruction_residual": residual,
+    }
+    _emit("schmidt", None, {}, body,
+          [f"{len(form)} Schmidt coefficient(s), reconstruction residual {residual:.3e}"])
     return EXIT_OK
 
 
@@ -399,9 +383,12 @@ def cmd_sweep(args) -> int:
     dumped = []
 
     def dump(sample: int, check: str, matrix: np.ndarray) -> None:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"sample{sample:04d}_{check}.json")
-        write_state_file(path, "density", matrix, [dims.d1, dims.d2])
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            write_state_file(path, "density", matrix, [dims.d1, dims.d2])
+        except OSError as exc:
+            raise StateFileError(f"--out: cannot write a violation dump: {exc}") from None
         dumped.append(path)
 
     chunk = max(1, SWEEP_CHUNK_ENTRIES // dims.total**2)
@@ -415,12 +402,14 @@ def cmd_sweep(args) -> int:
                         dump(i, "lindblad_ref", ref_m)
 
     total_violations = sum(c.violations for c in checks.values())
-    report = _report_skeleton(
-        "sweep",
-        args.seed,
+    lines = [
+        f"{name}: {c.evaluations} evaluations, {c.violations} violations"
+        for name, c in checks.items()
+    ]
+    lines.append(f"{total_violations} violations")
+    _emit(
+        "sweep", args.seed,
         {"dims": [dims.d1, dims.d2], "samples": args.samples, "tol": tol, "out": args.out},
-    )
-    report.update(
         {
             "checks": {
                 name: {
@@ -432,14 +421,9 @@ def cmd_sweep(args) -> int:
             },
             "total_violations": total_violations,
             "violation_files": dumped,
-        }
+        },
+        lines,
     )
-    lines = [
-        f"{name}: {c.evaluations} evaluations, {c.violations} violations"
-        for name, c in checks.items()
-    ]
-    lines.append(f"{total_violations} violations")
-    _emit(report, lines)
     return EXIT_SWEEP if total_violations else EXIT_OK
 
 

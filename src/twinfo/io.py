@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -27,7 +28,11 @@ def _as_complex(entry, field: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
     ):
         raise StateFileError(f"{field}: expected an [re, im] pair, got {entry!r}")
-    return complex(entry[0], entry[1])
+    try:
+        return complex(entry[0], entry[1])
+    except OverflowError:
+        # An integer beyond the float range: name the field, as its repr can itself raise.
+        raise StateFileError(f"{field}: entry is beyond the float range") from None
 
 
 def parse_state_payload(data: dict, source: str = "<state file>"):
@@ -51,7 +56,9 @@ def parse_state_payload(data: dict, source: str = "<state file>"):
         raise StateFileError(
             f"{source}: field 'dims' must be a list of {want} positive integer(s), got {dims!r}"
         )
-    total = int(np.prod(dims))
+    total = math.prod(dims)
+    if total > sys.maxsize:  # no list is that long, and its digits may be too many to print
+        raise StateFileError(f"{source}: field 'dims' asks for more entries than a list can hold")
 
     if kind == "pure":
         vec = data.get("vector")
@@ -59,7 +66,7 @@ def parse_state_payload(data: dict, source: str = "<state file>"):
             raise StateFileError(
                 f"{source}: field 'vector' must be a list of {total} [re, im] pairs"
             )
-        out = np.array([_as_complex(entry, f"vector[{i}]") for i, entry in enumerate(vec)])
+        out = np.array([_as_complex(x, f"{source}: vector[{i}]") for i, x in enumerate(vec)])
         return kind, out, dims
 
     mat = data.get("matrix")
@@ -69,7 +76,7 @@ def parse_state_payload(data: dict, source: str = "<state file>"):
     for i, row in enumerate(mat):
         if not isinstance(row, list) or len(row) != total:
             raise StateFileError(f"{source}: matrix[{i}] must be a list of {total} [re, im] pairs")
-        rows.append([_as_complex(entry, f"matrix[{i}][{j}]") for j, entry in enumerate(row)])
+        rows.append([_as_complex(x, f"{source}: matrix[{i}][{j}]") for j, x in enumerate(row)])
     return kind, np.array(rows), dims
 
 
@@ -82,25 +89,23 @@ def load_state_file(path: str):
         raise StateFileError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise StateFileError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        # Not UTF-8, arrays nested too deeply, or an integer literal over 4300 digits.
+        raise StateFileError(f"{path}: {exc}") from None
     return parse_state_payload(data, source=path)
 
 
 def complex_payload(array: np.ndarray):
     """Nested [re, im] pairs for a complex vector or matrix."""
-    array = np.asarray(array)
-    if array.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in array]
-    return [[[float(z.real), float(z.imag)] for z in row] for row in array]
-
-
-def state_file_dict(kind: str, array: np.ndarray, dims) -> dict:
-    payload_key = "vector" if kind == "pure" else "matrix"
-    return {"kind": kind, "dims": list(dims), payload_key: complex_payload(array)}
+    a = np.asarray(array, dtype=np.complex128)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def write_state_file(path: str, kind: str, array: np.ndarray, dims) -> None:
+    payload_key = "vector" if kind == "pure" else "matrix"
+    data = {"kind": kind, "dims": list(dims), payload_key: complex_payload(array)}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_json(state_file_dict(kind, array, dims)))
+        fh.write(format_json(data))
         fh.write("\n")
 
 
@@ -116,18 +121,10 @@ def _format_float(x: float) -> str:
 
 def _write_json(obj, pieces: list, indent: int) -> None:
     pad = "  " * indent
-    if obj is None:
-        pieces.append("null")
-    elif obj is True:
-        pieces.append("true")
-    elif obj is False:
-        pieces.append("false")
-    elif isinstance(obj, str):
+    if obj is None or isinstance(obj, (bool, str)):
         pieces.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        pieces.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        pieces.append(_format_float(float(obj)))
+    elif isinstance(obj, (int, float, np.integer, np.floating)):
+        pieces.append(_scalar(obj))
     elif isinstance(obj, dict):
         if not obj:
             pieces.append("{}")

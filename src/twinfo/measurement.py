@@ -11,7 +11,9 @@ lifts an operator, or a stack of them, on that side to ``P (x) 1`` or
 ``distant_decomposition`` and ``information_gain`` use the projector-stack
 primitive ``kernels.conditional_states``; the gain and the coherence deficit
 are ``kernels.gain_from_conditionals``.  ``coincidence_table`` keeps its
-Kronecker arithmetic, batched: twin residuals printed to 17 digits come from it.
+Kronecker arithmetic, batched, and traces side 1 out with ``kernels.ptrace_keep2``:
+twin residuals printed to 17 digits come from it.  ``luders_apply`` sums the
+stacked sandwich ``P_i rho P_i`` that ``coherence_decomposition`` also forms.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .entropy import PROB_NEGATIVE_TOL, PROB_SUM_TOL, clamp_nonnegative
 from .kernels import (
     KERNEL_CLIP, conditional_states, entropy_bits, gain_from_conditionals, measured_first,
-    table_mutual_info, vn_entropy,
+    ptrace_keep2, table_mutual_info, vn_entropy,
 )
 from .linalg import Dims, dagger, is_hermitian, tensor_product
 from .states import BipartiteState, DensityOperator, _bipartite_unchecked, _wrap_density
@@ -205,8 +207,7 @@ def luders_apply(obs: Observable, rho: DensityOperator) -> DensityOperator:
     """Nonselective ideal measurement: rho -> sum_i P_i rho P_i."""
     if obs.dim != rho.dim:
         raise ValueError(f"dimension mismatch: observable {obs.dim}, state {rho.dim}")
-    m = rho.matrix
-    return _wrap_density(sum((p @ m @ p for p in obs.projectors), np.zeros_like(m)))
+    return _wrap_density(np.sum(obs.projectors @ rho.matrix @ obs.projectors, axis=0))
 
 
 def luders_apply_subsystem(sobs: SubsystemObservable, state: BipartiteState) -> BipartiteState:
@@ -261,9 +262,8 @@ def distant_decomposition(state: BipartiteState, sobs: SubsystemObservable) -> D
 def coincidence_table(state: BipartiteState, projs1, projs2) -> np.ndarray:
     """p[i, j] = Tr[rho (P_i (x) Q_j)] for side-1 projectors ``projs1`` and side-2 ``projs2``,
     bitwise as ``Tr[Tr_1[rho (P_i (x) 1)] Q_j]`` one projector pair at a time."""
-    dims = state.dims
-    m = state.rho12.matrix @ embed(projs1, 1, dims)
-    cond = np.einsum("nabak->nbk", m.reshape(len(m), dims.d1, dims.d2, dims.d1, dims.d2))
+    m = state.rho12.matrix @ embed(projs1, 1, state.dims)
+    cond = ptrace_keep2(m, state.dims.d1, state.dims.d2)
     return np.trace(cond[:, None] @ projs2[None], axis1=2, axis2=3).real
 
 

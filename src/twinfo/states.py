@@ -98,8 +98,9 @@ def validate_densities(m: np.ndarray):
             lambda j: StateValidationError("trace", f"trace is {tr[j]:.12g}, expected 1"))
         h = (m + dagger(m)) / 2.0
         w = np.linalg.eigvalsh(h)
-    cut(w[:, 0] >= -STATE_TOL, lambda j: StateValidationError(
-        "positivity", f"smallest eigenvalue {w[j, 0]:.3e} is negative"))
+    cut(w[:, 0] >= -STATE_TOL, lambda j: StateValidationError("positivity", (
+        f"smallest eigenvalue {w[j, 0]:.3e} is negative" if np.isfinite(w[j, 0])
+        else "spectrum is not finite")))
     if errors:
         raise errors[-1]
     return h, w
@@ -150,7 +151,8 @@ def _check_unit_vector(phi: np.ndarray, dims: Dims) -> np.ndarray:
     if not np.all(np.isfinite(phi)):
         raise StateValidationError("finite", "vector has a non-finite (nan or inf) entry")
     norm = float(np.linalg.norm(phi))
-    if abs(norm - 1.0) > STATE_TOL:
+    # The squared norm is the trace of |phi><phi|, held to the same tolerance.
+    if abs(norm * norm - 1.0) > STATE_TOL:
         raise StateValidationError("norm", f"vector norm is {norm:.12g}, expected 1")
     return phi
 
@@ -179,11 +181,11 @@ def schmidt_decompose(phi: np.ndarray, dims: Dims) -> SchmidtForm:
     return SchmidtForm(coefficients=s, basis1=basis1, basis2=basis2)
 
 
+def _schmidt_products(form: SchmidtForm) -> np.ndarray:
+    """The product vectors |i>_1 |i>_2 of a SchmidtForm, one row each."""
+    return (form.basis1.T[:, :, None] * form.basis2.T[:, None, :]).reshape(len(form), -1)
+
+
 def schmidt_reconstruct(form: SchmidtForm) -> np.ndarray:
     """Rebuild the vector sum_i s_i |i>_1 |i>_2 from a SchmidtForm."""
-    d1, k = form.basis1.shape
-    d2 = form.basis2.shape[0]
-    out = np.zeros(d1 * d2, dtype=np.complex128)
-    for i in range(k):
-        out += form.coefficients[i] * np.kron(form.basis1[:, i], form.basis2[:, i])
-    return out
+    return np.sum(form.coefficients[:, None] * _schmidt_products(form), axis=0)

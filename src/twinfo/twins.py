@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Dims, frobenius, range_projector, tensor_product
+from .linalg import Dims, frobenius, range_projector
 from .measurement import (
     DETECT_EPS,
     Observable,
@@ -30,7 +30,7 @@ from .measurement import (
     embed,
     observable_from_matrix,
 )
-from .states import BipartiteState, make_bipartite, schmidt_decompose
+from .states import BipartiteState, _schmidt_products, make_bipartite, schmidt_decompose
 
 TWIN_TOL = 1e-8
 
@@ -226,28 +226,20 @@ def construct_pure_twins(phi: np.ndarray, dims: Dims):
     directions outside the Schmidt span fall into the eigenvalue-0 kernel.
     """
     form = schmidt_decompose(phi, dims)
-    a = np.zeros((dims.d1, dims.d1), dtype=np.complex128)
-    b = np.zeros((dims.d2, dims.d2), dtype=np.complex128)
-    for i in range(len(form)):
-        label = float(i + 1)
-        a += label * np.outer(form.basis1[:, i], form.basis1[:, i].conj())
-        b += label * np.outer(form.basis2[:, i], form.basis2[:, i].conj())
-    return (
-        SubsystemObservable(observable=observable_from_matrix(a), subsystem=1),
-        SubsystemObservable(observable=observable_from_matrix(b), subsystem=2),
+    labels = np.arange(1.0, len(form) + 1)
+    return tuple(
+        SubsystemObservable(observable_from_matrix((b * labels) @ b.conj().T), side)
+        for side, b in ((1, form.basis1), (2, form.basis2))
     )
 
 
 def dephase_in_schmidt_basis(phi: np.ndarray, dims: Dims) -> BipartiteState:
-    """The mixed state sum_i r_i |i><i| (x) |i><i| in the Schmidt bases of ``phi``.
+    """The mixed state sum_i r_i |i><i| (x) |i><i| in the Schmidt bases of ``phi``,
+    formed as V diag(r) V^dagger with the product vectors |i>_1 |i>_2 as columns of V.
 
     Equals the output of the nonselective measurement of either Schmidt twin
     on the pure state.
     """
     form = schmidt_decompose(phi, dims)
-    out = np.zeros((dims.total, dims.total), dtype=np.complex128)
-    for i in range(len(form)):
-        p1 = np.outer(form.basis1[:, i], form.basis1[:, i].conj())
-        p2 = np.outer(form.basis2[:, i], form.basis2[:, i].conj())
-        out += form.coefficients[i] ** 2 * tensor_product(p1, p2)
-    return make_bipartite(out, dims)
+    v = _schmidt_products(form).T
+    return make_bipartite((v * form.coefficients**2) @ v.conj().T, dims)

@@ -10,6 +10,7 @@ import twinfo as T
 from twinfo.cli import main
 from twinfo.io import (
     StateFileError,
+    complex_payload,
     format_json,
     load_state_file,
     parse_state_payload,
@@ -97,6 +98,51 @@ def test_format_json_floats_and_inf():
     assert json.loads(format_json({"x": third}))["x"] == third
 
 
+def test_format_json_bytes():
+    # The CLI's stdout bytes, pinned scalar by scalar and for each container layout.
+    assert format_json(None) == "null"
+    assert format_json(True) == "true"
+    assert format_json(False) == "false"
+    assert format_json('say "hé"') == '"say \\"h\\u00e9\\""'
+    assert format_json(np.int64(-7)) == "-7"
+    assert format_json(np.float64(0.1)) == "0.10000000000000001"
+    assert format_json(-0.0) == "-0"
+    assert format_json(math.inf) == '"inf"'
+    assert format_json((1, 2.5)) == "[1, 2.5]"
+    assert format_json([np.int64(3), 1.0 / 3.0, -0.0]) == "[3, 0.33333333333333331, -0]"
+    assert format_json([[0.5, -0.0], [1, 2e-300]]) == (
+        "[\n  [0.5, -0],\n  [1, 2.0000000000000001e-300]\n]"
+    )
+    assert format_json({}) == "{}"
+    assert format_json([]) == "[]"
+    assert format_json({"a": {}, "b": [], "c": [True, None]}) == (
+        '{\n  "a": {},\n  "b": [],\n  "c": [\n    true,\n    null\n  ]\n}'
+    )
+    with pytest.raises(TypeError):
+        format_json(np.bool_(True))
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            format_json(bad)
+
+
+def test_complex_payload_matches_entrywise_pairs():
+    def entrywise(array):
+        array = np.asarray(array)
+        if array.ndim == 1:
+            return [[float(z.real), float(z.imag)] for z in array]
+        return [[[float(z.real), float(z.imag)] for z in row] for row in array]
+
+    rng = np.random.default_rng(5)
+    real = rng.normal(size=(3, 3))
+    real[0, 1] = -0.0
+    cplx = real + 1j * rng.normal(size=(3, 3))
+    cplx[1, 2] = complex(0.25, -0.0)
+    cplx[2, 0] = complex(-0.0, -0.0)
+    for array in (real[0], real, cplx[1], cplx, cplx.T):
+        # repr tells -0.0 from 0.0 and a float from an int.
+        assert repr(complex_payload(array)) == repr(entrywise(array))
+
+
 # ------------------------------------------------------------------ cmd_report
 
 
@@ -163,6 +209,17 @@ def test_report_overflowing_density_exits_2_on_one_line(m, invariant, tmp_path):
     assert res.stdout == ""
     assert res.stderr.startswith(f"twinfo: validation failed ({invariant}): ")
     assert res.stderr.count("\n") == 1
+    if invariant == "positivity":
+        # The Hermitian part overflows to inf, so its spectrum is NaN: not "negative".
+        assert res.stderr.endswith(": spectrum is not finite\n")
+
+
+def test_report_pure_norm_beyond_tolerance_squared_fails_as_norm(tmp_path):
+    # |phi| - 1 = 0.9e-10 is within STATE_TOL, but the trace of |phi><phi| is not.
+    phi = np.array([1, 0, 0, 0], dtype=complex) * (1.0 + 0.9e-10)
+    res = run_cli("report", write_pure(tmp_path / "long.json", phi, [2, 2]))
+    assert res.returncode == 2
+    assert res.stderr.startswith("twinfo: validation failed (norm): vector norm is ")
 
 
 def test_report_malformed_json_exits_1(tmp_path):
@@ -170,6 +227,26 @@ def test_report_malformed_json_exits_1(tmp_path):
     path.write_text("{not json")
     res = run_cli("report", str(path))
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize("content", [
+    b'{"kind": "pure", "dims": [1, 1], "vector": [[1, 0]], "note": "\xff"}',
+    b'{"kind": "pure", "dims": [1, 1], "vector": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+    b'{"kind": "pure", "dims": [1, 1], "vector": [[1' + b"0" * 4300 + b', 0]]}',
+    b'{"kind": "pure", "dims": [1, 1], "vector": [[1' + b"0" * 400 + b', 0]]}',
+    b'{"kind": "density", "dims": [8589934592, 8589934592], "matrix": []}',
+    b'{"kind": "density", "dims": [1' + b"0" * 3000 + b", 1" + b"0" * 3000 + b'], "matrix": []}',
+], ids=["not_utf8", "nested_deep", "long_integer", "integer_beyond_float", "dims_product_wraps",
+        "dims_product_too_long_to_print"])
+def test_report_malformed_file_exits_1_on_one_line(content, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    res = run_cli("report", str(path))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith(f"twinfo: {path}: ")
+    assert res.stderr.count("\n") == 1
 
 
 def test_report_boolean_dims_exits_1(tmp_path):
@@ -253,6 +330,18 @@ def test_sweep_dumps_replayable_violations(tmp_path):
         kind, arr, dims = load_state_file(name)
         assert kind == "density"
         T.make_bipartite(arr, T.Dims(*dims))  # replayable as a valid state
+
+
+def test_sweep_unwritable_out_exits_1_on_one_line(tmp_path):
+    # --out names a file, so the first violation dump cannot make its directory.
+    out = tmp_path / "taken"
+    out.write_text("")
+    res = run_cli("sweep", "--dims", "2x2", "--samples", "2", "--tol", "-1", "--out", str(out))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("twinfo: --out: ")
+    assert res.stderr.count("\n") == 1
 
 
 def test_sweep_lindblad_rounding_is_not_a_violation(tmp_path, capsys):
