@@ -27,16 +27,13 @@ from .kernels import (
     swap_sides, vn_entropy,
 )
 from .linalg import Dims, dagger, frobenius, is_hermitian
-from .measurement import (
-    SubsystemObservable, luders_sum_rows, observable_from_matrix,
-)
-from .optimize import OptimizationConfig, sup_information_gain
-from .sampling import sample_random_density, sample_random_observables, sample_random_unitaries
 from .states import (
     BipartiteState, StateValidationError, bipartite_from_pure, make_bipartite, purity_class,
     schmidt_decompose, schmidt_reconstruct, validate_densities,
 )
-from .twins import TWIN_TOL, ConditionMismatchError, verify_twins
+
+# Modules that only some commands run (measurement, optimize, sampling, twins)
+# are imported by those commands, to keep the start-up of the others short.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,7 +89,9 @@ def _load_bipartite(path: str):
     return make_bipartite(array, dims), kind, None
 
 
-def _load_observable(path: str, expected_dim: int, subsystem: int) -> SubsystemObservable:
+def _load_observable(path: str, expected_dim: int, subsystem: int):
+    from .measurement import SubsystemObservable, observable_from_matrix
+
     kind, array, dims_list = load_state_file(path)
     if kind != "observable":
         raise StateValidationError("kind", f"{path}: expected an observable file, got {kind}")
@@ -169,6 +168,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_discord(args) -> int:
+    from .optimize import OptimizationConfig, sup_information_gain
+
     if args.restarts < 1:
         raise StateFileError(f"--restarts must be >= 1, got {args.restarts}")
     if args.seed < 0:
@@ -212,11 +213,18 @@ def cmd_discord(args) -> int:
 
 
 def cmd_twins(args) -> int:
-    _check_tol(args.tol)
+    from .twins import TWIN_TOL, ConditionMismatchError, verify_twins
+
+    tol = TWIN_TOL if args.tol is None else args.tol
+    _check_tol(tol)
     state, kind, _ = _load_bipartite(args.state)
     a1 = _load_observable(args.obs_a, state.dims.d1, subsystem=1)
     b2 = _load_observable(args.obs_b, state.dims.d2, subsystem=2)
-    twin_report = verify_twins(state, a1, b2, tol=args.tol)
+    try:
+        twin_report = verify_twins(state, a1, b2, tol=tol)
+    except ConditionMismatchError as exc:
+        print(f"twinfo: internal consistency error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     body = {
         "input": {"state": args.state, "observable_1": args.obs_a, "observable_2": args.obs_b},
         "report": {
@@ -241,7 +249,7 @@ def cmd_twins(args) -> int:
             f"residuals: a={twin_report.residual_a:.3e} b={twin_report.residual_b:.3e} "
             f"c={twin_report.residual_c:.3e} d={twin_report.residual_d:.3e}"
         )
-    _emit("twins", None, {"tol": args.tol}, body, lines)
+    _emit("twins", None, {"tol": tol}, body, lines)
     return EXIT_OK if twin_report.verdict else EXIT_TWINS
 
 
@@ -307,6 +315,9 @@ def _sweep_chunk(dims: Dims, seed: int, samples: range, tol: float):
     bit for bit.  The validation spectra give S(12) and the reference's
     ``lambda_min``; a channel output is computed once and reused.
     """
+    from .measurement import luders_sum_rows
+    from .sampling import sample_random_density, sample_random_observables, sample_random_unitaries
+
     d1, d2, n = dims.d1, dims.d2, dims.total
     streams = [10 * i for i in samples]
     rho_ms = [sample_random_density(dims, i % n + 1, seed, stream=s) for i, s in zip(samples, streams)]
@@ -324,14 +335,12 @@ def _sweep_chunk(dims: Dims, seed: int, samples: range, tol: float):
     mi = [clamp_nonnegative(x) for x in (s1_raw + s2_raw - s12).tolist()]
     mi_rel = relative_entropies(rho, herm(kron(rho1, rho2)), s12)
 
-    chain = []
-    swapped = swap_sides(rho, d1, d2)
-    for k in range(2):
-        u1 = sample_random_unitaries(d1, seed, [s + 1 + k for s in streams])
-        u2 = sample_random_unitaries(d2, seed, [s + 3 + k for s in streams])
-        chain.append(list(zip(joint_mutual_info(rho, u1, u2).tolist(),
-                              info_gain_side1(rho, u1, d2).tolist(),
-                              info_gain_side1(swapped, u2, d1).tolist())))
+    # The chain's two draws of bases, k = 0 and 1, on a leading axis of the stacks.
+    u1 = sample_random_unitaries(d1, seed, [s + 1 + k for k in (0, 1) for s in streams])
+    u2 = sample_random_unitaries(d2, seed, [s + 3 + k for k in (0, 1) for s in streams])
+    u1, u2 = u1.reshape(2, -1, d1, d1), u2.reshape(2, -1, d2, d2)
+    chain = np.stack([joint_mutual_info(rho, u1, u2), info_gain_side1(rho, u1, d2),
+                      info_gain_side1(swap_sides(rho, d1, d2), u2, d1)], axis=-1).swapaxes(0, 1).tolist()
 
     obs_a = sample_random_observables(d1, seed, [s + 5 for s in streams], False)
     obs_b = sample_random_observables(d2, seed, [s + 6 for s in streams], False)
@@ -355,7 +364,7 @@ def _sweep_chunk(dims: Dims, seed: int, samples: range, tol: float):
     for j, i in enumerate(samples):
         chains = [("chain", max(-jmi, jmi - g1, jmi - g2, g1 - min(mi[j], s2[j]),
                                 g2 - min(mi[j], s1[j])), tol)
-                  for jmi, g1, g2 in (chain[0][j], chain[1][j])]
+                  for jmi, g1, g2 in chain[j]]
         yield i, rho_ms[j], ref_ms[j], [
             ("lieb", mi[j] - 2.0 * min(s1[j], s2[j]), tol),
             ("relative_entropy_identity", abs(mi[j] - mi_rel[j]), tol),
@@ -456,7 +465,7 @@ def build_parser() -> _Parser:
     p.add_argument("state")
     p.add_argument("obs_a", help="side-1 observable file")
     p.add_argument("obs_b", help="side-2 observable file")
-    p.add_argument("--tol", type=float, default=TWIN_TOL)
+    p.add_argument("--tol", type=float)  # default: twins.TWIN_TOL, read by cmd_twins
     p.set_defaults(func=cmd_twins)
 
     p = sub.add_parser("schmidt", help="Schmidt decomposition of a pure state")
@@ -476,9 +485,6 @@ def main(argv=None) -> int:
     except StateValidationError as exc:
         print(f"twinfo: validation failed ({exc.invariant}): {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ConditionMismatchError as exc:
-        print(f"twinfo: internal consistency error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

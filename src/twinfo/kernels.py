@@ -110,10 +110,11 @@ def gain_from_conditionals(s, probs, conds):
     ``C_i`` with weights ``probs`` above ``KERNEL_CLIP``.  Each row of one batched
     ``eigvalsh`` sums only its kept eigenvalues, as ``vn_entropy`` does: a
     zero-padded sum regroups them.  On stacks, a sample whose weights all pass
-    subtracts its terms in the same order, vectorized; any other runs alone."""
+    subtracts its terms in the same order, vectorized; any other runs alone.  ``s``
+    broadcasts over the leading axes of ``probs``."""
     if probs.ndim > 1:
         full = np.all(probs > KERNEL_CLIP, axis=-1)
-        out = np.array(s, dtype=float)
+        out = np.array(np.broadcast_to(s, probs.shape[:-1]), dtype=float)
         p = probs[full]
         h = vn_entropy(conds[full] / p[..., None, None])
         acc = out[full]
@@ -134,7 +135,7 @@ def info_gain_side1(rho, basis, d2):
 
     ``basis`` holds the measured orthonormal vectors as columns; diagonal
     block ``i`` of ``w rho w^dagger`` is the unnormalized side-2 state given
-    outcome ``i``.  ``rho`` and ``basis`` may be stacks.
+    outcome ``i``.  ``rho`` and ``basis`` may be stacks whose leading axes broadcast.
     """
     d1, n = basis.shape[-2:]
     w = kron(basis.conj().swapaxes(-1, -2), np.eye(d2, dtype=np.complex128))

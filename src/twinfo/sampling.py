@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import Dims
-from .measurement import Observable, observable_from_basis
 
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -72,6 +71,9 @@ def sample_random_observable(d: int, seed: int, stream: int = 0, complete: bool 
 
 def sample_random_observables(d: int, seed: int, streams, complete: bool = True) -> list:
     """``sample_random_observable`` of each stream; the eigenbases come from one batched QR."""
+    # Imported on use, so that sampling states and unitaries loads no measurement module.
+    from .measurement import Observable, observable_from_basis
+
     observables = []
     for u, stream in zip(sample_random_unitaries(d, seed, streams), streams):
         if complete or d == 1:

@@ -577,6 +577,21 @@ def test_twins_bell_zx_exits_4(tmp_path):
     assert report["pairing"] is None
 
 
+def test_twins_condition_mismatch_exits_5_on_one_line(tmp_path, monkeypatch, capsys):
+    # A corrupted outcome table makes the twin conditions disagree (as in test_twins).
+    true_table = T.twins.coincidence_table
+    monkeypatch.setattr(T.twins, "coincidence_table",
+                        lambda *args: true_table(*args) + np.array([[-0.05, 0.05], [0.05, -0.05]]))
+    state_path = write_bell(tmp_path / "bell.json")
+    z_path = write_observable(tmp_path / "z.json", SIGMA_Z)
+    assert main(["twins", state_path, z_path, z_path]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("twinfo: internal consistency error: twin conditions disagree")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
 def test_twins_round_trip_constructed_pair(tmp_path):
     dims = T.Dims(2, 3)
     phi = T.sample_random_pure(dims, seed=64)
