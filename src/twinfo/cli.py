@@ -29,7 +29,7 @@ from .kernels import (
 from .linalg import Dims, dagger, frobenius, is_hermitian
 from .states import (
     BipartiteState, StateValidationError, bipartite_from_pure, make_bipartite, purity_class,
-    schmidt_decompose, schmidt_reconstruct, validate_densities,
+    schmidt_decompose, schmidt_reconstruct,
 )
 
 # Modules that only some commands run (measurement, optimize, sampling, twins)
@@ -105,7 +105,11 @@ def _load_observable(path: str, expected_dim: int, subsystem: int):
         raise StateValidationError("finite", f"{path}: observable matrix has a non-finite entry")
     if not is_hermitian(array):
         raise StateValidationError("hermitian", f"{path}: observable matrix is not Hermitian")
-    return SubsystemObservable(observable=observable_from_matrix(array), subsystem=subsystem)
+    try:
+        observable = observable_from_matrix(array)
+    except ValueError as exc:  # a Hermitian matrix whose spectrum overflows
+        raise StateValidationError("finite", f"{path}: {exc}") from None
+    return SubsystemObservable(observable=observable, subsystem=subsystem)
 
 
 def _pure_vector(state: BipartiteState) -> np.ndarray:
@@ -184,7 +188,7 @@ def cmd_discord(args) -> int:
     measured = state.dims.d1 if side == 1 else state.dims.d2
     candidates = args.restarts + int(args.grid_refine and measured == 2)
     mi = mutual_information(state)
-    discord = mi - sup.value
+    discord = clamp_nonnegative(mi - sup.value)
     _emit(
         "discord", args.seed,
         {"direction": args.direction, "restarts": args.restarts, "grid_refine": args.grid_refine},
@@ -216,7 +220,8 @@ def cmd_twins(args) -> int:
     from .twins import TWIN_TOL, ConditionMismatchError, verify_twins
 
     tol = TWIN_TOL if args.tol is None else args.tol
-    _check_tol(tol)
+    if not 0.0 < tol < 1.0:  # also rejects nan
+        raise StateFileError(f"--tol must lie in (0, 1), got {tol}")
     state, kind, _ = _load_bipartite(args.state)
     a1 = _load_observable(args.obs_a, state.dims.d1, subsystem=1)
     b2 = _load_observable(args.obs_b, state.dims.d2, subsystem=2)
@@ -312,7 +317,7 @@ def _sweep_chunk(dims: Dims, seed: int, samples: range, tol: float):
 
     Every step runs once on ``(S, D, D)`` stacks, each sample from its own
     ``(seed, stream)`` generators; every margin is the per-sample arithmetic's,
-    bit for bit.  The validation spectra give S(12) and the reference's
+    bit for bit.  The states' spectra give S(12) and the reference's
     ``lambda_min``; a channel output is computed once and reused.
     """
     from .measurement import luders_sum_rows
@@ -322,8 +327,9 @@ def _sweep_chunk(dims: Dims, seed: int, samples: range, tol: float):
     streams = [10 * i for i in samples]
     rho_ms = [sample_random_density(dims, i % n + 1, seed, stream=s) for i, s in zip(samples, streams)]
     ref_ms = [sample_random_density(dims, n, seed, stream=s + 7) for s in streams]
-    rho, spectrum = validate_densities(np.array(rho_ms))
-    ref, ref_spectrum = validate_densities(np.array(ref_ms))
+    # Sampled states are valid by construction, and already (m + m^dagger) / 2.
+    rho, ref = np.array(rho_ms), np.array(ref_ms)
+    spectrum, ref_spectrum = np.linalg.eigvalsh(rho), np.linalg.eigvalsh(ref)
 
     def herm(m):
         return (m + dagger(m)) / 2.0

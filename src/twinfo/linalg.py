@@ -44,7 +44,11 @@ def frobenius(a: np.ndarray, b=None) -> float:
 
 
 def is_hermitian(m: np.ndarray) -> bool:
-    return frobenius(m, dagger(m)) <= HERMITIAN_TOL * (1.0 + frobenius(m))
+    """Whether ``m`` is Hermitian within ``HERMITIAN_TOL``; False when its
+    difference from the adjoint overflows (or holds nan)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = frobenius(m, dagger(m))
+        return bool(np.isfinite(diff)) and diff <= HERMITIAN_TOL * (1.0 + frobenius(m))
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

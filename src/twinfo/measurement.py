@@ -132,7 +132,11 @@ def observable_from_matrix(m: np.ndarray) -> Observable:
     m = np.asarray(m, dtype=np.complex128)
     if not is_hermitian(m):
         raise ValueError("observable_from_matrix requires a Hermitian matrix")
-    w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
+    # Huge finite entries overflow in the Hermitian part and leave a nan spectrum.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("observable spectrum is not finite")
 
     edges = [0]
     for i in range(1, len(w)):

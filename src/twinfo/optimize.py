@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import mutual_information
+from .entropy import clamp_nonnegative, mutual_information
 from .kernels import KERNEL_CLIP, measured_first
 from .sampling import sample_random_unitary
 from .states import BipartiteState
@@ -463,7 +463,7 @@ def quantum_discord(
     side = _direction_side(direction)
     total = mutual_information(state)
     gain = sup_information_gain(state, side, cfg).value
-    return total - gain
+    return clamp_nonnegative(total - gain)
 
 
 def _direction_side(direction: str) -> int:

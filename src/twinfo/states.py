@@ -61,49 +61,27 @@ class SchmidtForm:
 
 
 def validate_density(m: np.ndarray) -> DensityOperator:
-    """Check the state invariants and wrap ``m`` as a DensityOperator."""
+    """Check the state invariants, in order: shape, finite, Hermitian, trace,
+    positivity; raise the first that fails, else wrap the Hermitian part of ``m``."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StateValidationError("shape", f"expected a square matrix, got shape {m.shape}")
-    h, _ = validate_densities(m[None])
-    return DensityOperator(matrix=h[0], dim=m.shape[0])
-
-
-def validate_densities(m: np.ndarray):
-    """Check the state invariants of each matrix in a stack, in order: finite,
-    Hermitian, trace, positivity.  Returns the Hermitian parts (the matrices
-    ``validate_density`` wraps) and their ascending spectra; a stack with an
-    invalid matrix raises the first failed check of the first one."""
-    m = np.asarray(m, dtype=np.complex128)
-    errors = []
-
-    def cut(passed, error):
-        # Each check sees only the matrices before the first one that failed an
-        # earlier check: every comparison with NaN is False, and arithmetic on inf
-        # warns.  The last error recorded is then the first invalid matrix's.
-        nonlocal m
-        bad = np.flatnonzero(~passed)
-        if len(bad):
-            errors.append(error(bad[0]))
-            m = m[:bad[0]]
-
-    cut(np.all(np.isfinite(m), axis=(-2, -1)),
-        lambda j: StateValidationError("finite", "matrix has a non-finite (nan or inf) entry"))
-    # Sums of huge finite entries overflow to inf (or nan), which fails the next check.
+    if not np.all(np.isfinite(m)):
+        raise StateValidationError("finite", "matrix has a non-finite (nan or inf) entry")
+    # Sums of huge finite entries overflow to inf or nan, which each check fails.
     with np.errstate(over="ignore", invalid="ignore"):
-        cut(np.array([frobenius(x, dagger(x)) <= STATE_TOL for x in m], dtype=bool),
-            lambda j: StateValidationError("hermitian", "matrix is not Hermitian within tolerance"))
-        tr = np.trace(m, axis1=-2, axis2=-1).real
-        cut(abs(tr - 1.0) <= STATE_TOL,
-            lambda j: StateValidationError("trace", f"trace is {tr[j]:.12g}, expected 1"))
+        if not frobenius(m, dagger(m)) <= STATE_TOL:
+            raise StateValidationError("hermitian", "matrix is not Hermitian within tolerance")
+        tr = np.trace(m).real
+        if not abs(tr - 1.0) <= STATE_TOL:
+            raise StateValidationError("trace", f"trace is {tr:.12g}, expected 1")
         h = (m + dagger(m)) / 2.0
-        w = np.linalg.eigvalsh(h)
-    cut(w[:, 0] >= -STATE_TOL, lambda j: StateValidationError("positivity", (
-        f"smallest eigenvalue {w[j, 0]:.3e} is negative" if np.isfinite(w[j, 0])
-        else "spectrum is not finite")))
-    if errors:
-        raise errors[-1]
-    return h, w
+        lam_min = np.linalg.eigvalsh(h)[0]
+    if not lam_min >= -STATE_TOL:
+        raise StateValidationError("positivity", (
+            f"smallest eigenvalue {lam_min:.3e} is negative" if np.isfinite(lam_min)
+            else "spectrum is not finite"))
+    return DensityOperator(matrix=np.ascontiguousarray(h), dim=m.shape[0])
 
 
 def _wrap_density(m: np.ndarray) -> DensityOperator:
@@ -123,7 +101,8 @@ def make_bipartite(m: np.ndarray, dims: Dims) -> BipartiteState:
 
 
 def _bipartite_unchecked(m: np.ndarray, dims: Dims) -> BipartiteState:
-    # For matrices that are valid states by construction (channel outputs).
+    # For matrices that are valid states by construction: channel outputs, and
+    # projectors and Schmidt-dephased states of checked unit vectors.
     rho = _wrap_density(m)
     r1 = _wrap_density(partial_trace(rho.matrix, dims, keep=1))
     r2 = _wrap_density(partial_trace(rho.matrix, dims, keep=2))
@@ -133,7 +112,7 @@ def _bipartite_unchecked(m: np.ndarray, dims: Dims) -> BipartiteState:
 def bipartite_from_pure(phi: np.ndarray, dims: Dims) -> BipartiteState:
     """Projector onto a unit vector, as a BipartiteState."""
     phi = _check_unit_vector(phi, dims)
-    return make_bipartite(np.outer(phi, phi.conj()), dims)
+    return _bipartite_unchecked(np.outer(phi, phi.conj()), dims)
 
 
 def purity_class(rho: DensityOperator) -> str:

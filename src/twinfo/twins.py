@@ -30,7 +30,7 @@ from .measurement import (
     embed,
     observable_from_matrix,
 )
-from .states import BipartiteState, _schmidt_products, make_bipartite, schmidt_decompose
+from .states import BipartiteState, _bipartite_unchecked, _schmidt_products, schmidt_decompose
 
 TWIN_TOL = 1e-8
 
@@ -124,6 +124,8 @@ def verify_twins(
     """
     if a1.subsystem != 1 or b2.subsystem != 2:
         raise ValueError("verify_twins expects a side-1 and a side-2 observable")
+    if not 0.0 < tol < 1.0:  # at 1 or above every column pairs, at 0 or below no residual passes
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     spec_a = detectable_spectrum(state, a1)
     spec_b = detectable_spectrum(state, b2)
     rho = state.rho12.matrix
@@ -242,4 +244,4 @@ def dephase_in_schmidt_basis(phi: np.ndarray, dims: Dims) -> BipartiteState:
     """
     form = schmidt_decompose(phi, dims)
     v = _schmidt_products(form).T
-    return make_bipartite((v * form.coefficients**2) @ v.conj().T, dims)
+    return _bipartite_unchecked((v * form.coefficients**2) @ v.conj().T, dims)

@@ -497,8 +497,21 @@ def test_discord_product_state(tmp_path):
     res = run_cli("discord", str(path), "--restarts", "3", "--direction", "2to1")
     assert res.returncode == 0
     report = json.loads(res.stdout)
-    assert abs(report["optimization"]["quantum_discord"]) < 1e-6
+    assert 0.0 <= report["optimization"]["quantum_discord"] < 1e-6
     assert abs(report["state"]["mutual_information"]) < 1e-9
+
+
+@pytest.mark.parametrize("direction", ["1to2", "2to1"])
+def test_discord_clamps_round_off_at_zero(direction, tmp_path):
+    # On this product state the ascent's supremum exceeds I = 0 by round-off.
+    product = T.tensor_product(np.diag([0.7, 0.3]), np.diag([0.6, 0.4])).astype(complex)
+    path = tmp_path / "prod.json"
+    write_state_file(path, "density", product, [2, 2])
+    res = run_cli("discord", str(path), "--restarts", "3", "--direction", direction)
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["optimization"]["quantum_discord"] >= 0.0
+    cfg = T.OptimizationConfig(restarts=3)
+    assert T.quantum_discord(T.make_bipartite(product, T.Dims(2, 2)), direction, cfg) >= 0.0
 
 
 def test_discord_summary_counts_grid_as_candidate(tmp_path):
@@ -533,6 +546,11 @@ def test_discord_summary_counts_grid_as_candidate(tmp_path):
         ("sweep", "--dims", "0x3", "--samples", "2", "--out", "{out}"),
         ("sweep", "--tol=-inf", "--samples", "2", "--out", "{out}"),
         ("twins", "{bell}", "{z}", "{z}", "--tol=-inf"),
+        # Outside (0, 1) every column pairs (tol >= 1) or no residual passes (tol <= 0).
+        ("twins", "{bell}", "{z}", "{z}", "--tol", "0"),
+        ("twins", "{bell}", "{z}", "{z}", "--tol", "1"),
+        ("twins", "{bell}", "{z}", "{z}", "--tol", "2"),
+        ("twins", "{bell}", "{z}", "{z}", "--tol", "inf"),
     ],
 )
 def test_bad_numeric_options_are_usage_errors(args, tmp_path):
@@ -675,6 +693,27 @@ def test_twins_non_finite_observable_exits_2(entry, tmp_path):
     assert res.stdout == ""
     assert res.stderr == (f"twinfo: validation failed (finite): {bad}: "
                           "observable matrix has a non-finite entry\n")
+
+
+# Finite entries whose Hermitian part or difference from the adjoint overflows.
+OVERFLOWING_OBSERVABLES = [
+    ([[1e308, 0.0], [0.0, -1e308]], "finite"),
+    ([[0.5, 1e308], [1e308, 0.5]], "finite"),
+    ([[0.5, 1e308], [-1e308, 0.5]], "hermitian"),
+]
+
+
+@pytest.mark.parametrize("m, invariant", OVERFLOWING_OBSERVABLES, ids=["diagonal", "symmetric", "skew"])
+def test_twins_overflowing_observable_exits_2(m, invariant, tmp_path):
+    state_path = write_bell(tmp_path / "bell.json")
+    z_path = write_observable(tmp_path / "z.json", SIGMA_Z)
+    bad = write_observable(tmp_path / "huge.json", np.array(m, dtype=complex))
+    res = run_cli("twins", state_path, bad, z_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"twinfo: validation failed ({invariant}): {bad}: ")
+    assert res.stderr.count("\n") == 1
+    assert "Warning" not in res.stderr
 
 
 # ---------------------------------------------------------------- cmd_schmidt

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,18 @@ def test_hermitian_eig_grouping():
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(ValueError):
         T.observable_from_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("m", [
+    [[1e308, 0.0], [0.0, -1e308]],  # Hermitian part overflows: nan spectrum
+    [[0.5, 1e308], [1e308, 0.5]],
+    [[0.5, 1e308], [-1e308, 0.5]],  # difference from the adjoint overflows
+], ids=["diagonal", "symmetric", "skew"])
+def test_observable_from_matrix_rejects_overflow(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            T.observable_from_matrix(np.array(m, dtype=complex))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -75,3 +75,14 @@ def test_random_observable_incomplete(d):
     assert int(np.max(obs.multiplicities)) >= 2
     total = sum(obs.projectors)
     np.testing.assert_allclose(total, np.eye(d), atol=1e-12)
+
+
+@pytest.mark.parametrize("d1", range(1, 9))
+def test_density_is_its_own_hermitian_part_bitwise(d1):
+    # sweep takes sampled states as they are, with no validation pass that would
+    # replace each by (m + m^dagger) / 2; its bytes rest on the two being equal.
+    for d2 in range(1, 9):
+        dims = T.Dims(d1, d2)
+        for rank in range(1, dims.total + 1):
+            m = T.sample_random_density(dims, rank, seed=rank, stream=d2)
+            assert m.tobytes() == ((m + m.conj().T) / 2.0).tobytes()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import twinfo as T
-from twinfo.states import StateValidationError, validate_densities
+from twinfo.states import StateValidationError, _schmidt_products
 
 from conftest import DIM_PAIRS, SIGMA_X, bell_vector
 
@@ -64,15 +64,11 @@ def test_validate_rejects_overflowing_entries(m, invariant):
         (np.array([[0.5, np.inf], [np.inf, 0.5]]), "finite"),
     ],
 )
-def test_validate_densities_raises_the_first_invalid_matrix(bad, invariant):
+def test_validate_density_raises_the_failed_invariant(bad, invariant):
     good = np.eye(2, dtype=complex) / 2
-    h, w = validate_densities(np.array([good, good]))
-    assert h.tobytes() == np.array([good, good]).tobytes()
-    assert w.tobytes() == np.linalg.eigvalsh(h).tobytes()
-    # A later matrix failing an earlier check does not mask the first one.
-    later = np.array([[0.5, 0.1], [0.0, 0.5]]) if invariant == "positivity" else np.diag([1.5, -0.5])
+    assert T.validate_density(good).matrix.tobytes() == good.tobytes()
     with pytest.raises(StateValidationError) as err:
-        validate_densities(np.array([good, bad, later], dtype=complex))
+        T.validate_density(np.array(bad, dtype=complex))
     assert err.value.invariant == invariant
 
 
@@ -95,6 +91,24 @@ def test_dephased_state_reduction():
     )
     state = T.dephase_in_schmidt_basis(phi, T.Dims(2, 2))
     np.testing.assert_allclose(state.rho1.matrix, np.diag([0.75, 0.25]), atol=1e-12)
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (6, 6)])
+def test_unchecked_states_equal_make_bipartite_bitwise(d1, d2):
+    # bipartite_from_pure and dephase_in_schmidt_basis build their states without
+    # validate_density; make_bipartite of the same matrix gives the same bytes.
+    dims = T.Dims(d1, d2)
+    product = np.kron(T.sample_random_pure(T.Dims(d1, 1), 0), T.sample_random_pure(T.Dims(1, d2), 1))
+    vectors = [product] + [T.sample_random_pure(dims, seed, stream=41) for seed in range(8)]
+    for phi in vectors:
+        form = T.schmidt_decompose(phi, dims)
+        v = _schmidt_products(form).T
+        for built, m in ((T.bipartite_from_pure(phi, dims), np.outer(phi, phi.conj())),
+                         (T.dephase_in_schmidt_basis(phi, dims), (v * form.coefficients**2) @ v.conj().T)):
+            checked = T.make_bipartite(m, dims)
+            for ours, theirs in zip((built.rho12, built.rho1, built.rho2),
+                                    (checked.rho12, checked.rho1, checked.rho2)):
+                assert ours.matrix.tobytes() == theirs.matrix.tobytes()
 
 
 def test_make_bipartite_dimension_mismatch():

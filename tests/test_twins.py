@@ -116,6 +116,14 @@ def test_verify_twins_bell_zz_strong_residual(bell):
     assert report.strong_algebraic_residual < 1e-10
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-3, 1.0, 2.0, np.inf, np.nan])
+def test_verify_twins_rejects_tol_outside_unit_interval(bell, tol):
+    # At tol >= 1 every column counts as a partner, at tol <= 0 no residual passes.
+    a1, b2 = zz_observables()
+    with pytest.raises(ValueError, match="tol must lie in"):
+        T.verify_twins(bell, a1, b2, tol=tol)
+
+
 def test_strong_algebraic_absent_for_relabeled_twin(bell):
     a1, _ = zz_observables()
     relabeled = T.SubsystemObservable(
