@@ -70,8 +70,8 @@ def relative_entropy(sigma: DensityOperator, rho: DensityOperator) -> float:
     """
     if sigma.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {sigma.dim} vs {rho.dim}")
-    s = sigma.matrix[None]
-    return relative_entropies(s, rho.matrix[None], vn_entropy(s))[0]
+    w, v = np.linalg.eigh(rho.matrix)
+    return _relative_entropy_eig(sigma.matrix, w, v, vn_entropy(sigma.matrix))
 
 
 def _relative_entropy_eig(sigma, w, v, s_sigma):

@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small bipartite systems.
 
 Matrices are plain complex128 ndarrays.  This module holds the bipartite
-split ``Dims``, Hermiticity and norm checks, the Kronecker product, the
-partial trace and the support projector of a positive matrix; spectral
-decompositions of observables live in ``measurement``.
+split ``Dims``, the Frobenius norm, the Kronecker product, the partial trace
+and the support projector of a positive matrix; spectral decompositions of
+observables, and their checks, live in ``measurement``.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KERNEL_CLIP, kron, ptrace_keep1, ptrace_keep2
-
-HERMITIAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -41,14 +39,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def frobenius(a: np.ndarray, b=None) -> float:
     """Frobenius norm of ``a`` (or of ``a - b``)."""
     return float(np.linalg.norm(a if b is None else a - b))
-
-
-def is_hermitian(m: np.ndarray) -> bool:
-    """Whether ``m`` is Hermitian within ``HERMITIAN_TOL``; False when its
-    difference from the adjoint overflows (or holds nan)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = frobenius(m, dagger(m))
-        return bool(np.isfinite(diff)) and diff <= HERMITIAN_TOL * (1.0 + frobenius(m))
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

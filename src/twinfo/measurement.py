@@ -28,11 +28,14 @@ from .kernels import (
     KERNEL_CLIP, conditional_states, entropy_bits, gain_from_conditionals, measured_first,
     ptrace_keep2, table_mutual_info, vn_entropy,
 )
-from .linalg import Dims, dagger, is_hermitian, tensor_product
-from .states import BipartiteState, DensityOperator, _bipartite_unchecked, _wrap_density
+from .linalg import Dims, dagger, frobenius, tensor_product
+from .states import (
+    BipartiteState, DensityOperator, StateValidationError, _bipartite_unchecked, _wrap_density,
+)
 
 DETECT_EPS = 1e-10
 EIG_GROUP_TOL = 1e-8
+HERMITIAN_TOL = 1e-10
 _BASIS_TOL = 1e-10
 
 
@@ -128,15 +131,23 @@ def observable_from_matrix(m: np.ndarray) -> Observable:
     Consecutive eigenvalues closer than ``EIG_GROUP_TOL * (1 + |lambda|)`` are
     merged into one projector, so near-degenerate spectra yield stable
     projectors instead of arbitrarily mixed eigenvectors.
+
+    Raises ``StateValidationError`` at the first failed check, in order: finite
+    entries (``finite``), Hermitian within ``HERMITIAN_TOL`` (``hermitian``) and
+    a finite spectrum (``finite``).
     """
     m = np.asarray(m, dtype=np.complex128)
-    if not is_hermitian(m):
-        raise ValueError("observable_from_matrix requires a Hermitian matrix")
-    # Huge finite entries overflow in the Hermitian part and leave a nan spectrum.
+    if not np.all(np.isfinite(m)):
+        raise StateValidationError("finite", "observable matrix has a non-finite entry")
+    # Sums of huge finite entries overflow: an infinite difference from the
+    # adjoint is not Hermitian, and an overflowing Hermitian part has a nan spectrum.
     with np.errstate(over="ignore", invalid="ignore"):
+        diff = frobenius(m, dagger(m))
+        if not (np.isfinite(diff) and diff <= HERMITIAN_TOL * (1.0 + frobenius(m))):
+            raise StateValidationError("hermitian", "observable matrix is not Hermitian")
         w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
     if not np.all(np.isfinite(w)):
-        raise ValueError("observable spectrum is not finite")
+        raise StateValidationError("finite", "observable spectrum is not finite")
 
     edges = [0]
     for i in range(1, len(w)):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import twinfo as T
+from twinfo.entropy import relative_entropies
+from twinfo.kernels import vn_entropy
 from twinfo.states import StateValidationError
 
 from conftest import DIM_PAIRS, H_THREE_QUARTERS, bell_vector, product_state, random_state
@@ -75,6 +77,23 @@ def test_relative_entropy_nonnegative_on_random_pairs():
         sigma = T.validate_density(T.sample_random_density(dims, dims.total, seed, stream=1))
         rho = T.validate_density(T.sample_random_density(dims, dims.total, seed, stream=2))
         assert T.relative_entropy(sigma, rho) >= 0.0
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 2), (2, 2), (2, 3), (3, 3), (4, 2)])
+def test_relative_entropy_equals_relative_entropies_rows_bitwise(d1, d2):
+    # The single-pair function and the stacked one keep the same bits, whether
+    # the reference has full rank (the batched rows) or not (the rows run alone).
+    dims = T.Dims(d1, d2)
+    n = dims.total
+    for rank_s in sorted({1, n // 2 or 1, n}):
+        for rank_r in sorted({1, n // 2 or 1, n}):
+            for seed in range(3):
+                sigma = T.validate_density(T.sample_random_density(dims, rank_s, seed, stream=1))
+                rho = T.validate_density(T.sample_random_density(dims, rank_r, seed, stream=2))
+                for a, b in ((sigma, rho), (rho, sigma), (sigma, sigma)):
+                    s = a.matrix[None]
+                    row = relative_entropies(s, b.matrix[None], vn_entropy(s))[0]
+                    assert np.float64(T.relative_entropy(a, b)).tobytes() == np.float64(row).tobytes()
 
 
 def test_mutual_information_product_state():

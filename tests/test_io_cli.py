@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +221,21 @@ def test_report_pure_norm_beyond_tolerance_squared_fails_as_norm(tmp_path):
     res = run_cli("report", write_pure(tmp_path / "long.json", phi, [2, 2]))
     assert res.returncode == 2
     assert res.stderr.startswith("twinfo: validation failed (norm): vector norm is ")
+
+
+def test_report_overflowing_pure_norm_exits_2_on_one_line(tmp_path):
+    # The squared norm overflows: one `norm` line, with no numpy warning before it.
+    path = tmp_path / "huge.json"
+    path.write_text('{"kind": "pure", "dims": [2, 2], "vector": [[1e200, 0], [0, 0], [0, 0], [0, 0]]}')
+    res = run_cli("report", str(path))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "twinfo: validation failed (norm): vector norm is inf, expected 1\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(T.StateValidationError) as err:
+            T.bipartite_from_pure(np.array([1e200, 0, 0, 0], dtype=complex), T.Dims(2, 2))
+    assert err.value.invariant == "norm"
 
 
 def test_report_malformed_json_exits_1(tmp_path):

@@ -92,16 +92,20 @@ def test_hermitian_eig_rejects_non_hermitian():
         T.observable_from_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
-@pytest.mark.parametrize("m", [
-    [[1e308, 0.0], [0.0, -1e308]],  # Hermitian part overflows: nan spectrum
-    [[0.5, 1e308], [1e308, 0.5]],
-    [[0.5, 1e308], [-1e308, 0.5]],  # difference from the adjoint overflows
-], ids=["diagonal", "symmetric", "skew"])
-def test_observable_from_matrix_rejects_overflow(m):
+@pytest.mark.parametrize("m, invariant", [
+    ([[1e308, 0.0], [0.0, -1e308]], "finite"),  # Hermitian part overflows: nan spectrum
+    ([[0.5, 1e308], [1e308, 0.5]], "finite"),
+    ([[0.5, 1e308], [-1e308, 0.5]], "hermitian"),  # difference from the adjoint overflows
+    ([[1.0, np.nan], [np.nan, -1.0]], "finite"),
+    ([[1.0, np.inf], [np.inf, -1.0]], "finite"),
+    ([[0.0, 1.0], [1.0 + 1e-9, 0.0]], "hermitian"),  # beyond HERMITIAN_TOL * (1 + |m|)
+], ids=["diagonal", "symmetric", "skew", "nan", "inf", "non_hermitian"])
+def test_observable_from_matrix_rejects_overflow(m, invariant):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError):
+        with pytest.raises(T.StateValidationError) as err:
             T.observable_from_matrix(np.array(m, dtype=complex))
+    assert err.value.invariant == invariant
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -10,7 +10,7 @@ directory that holds a copy of the inputs.  It compares stdout, stderr, the
 exit code and every file a run leaves behind (violation dumps), prints one
 line per difference and exits 1 if there is any, 0 otherwise.
 
-The golden set of 109 argvs: ``sweep --samples 8`` at 2x2, 2x3, 3x3, 4x4 and 8x8
+The golden set of 116 argvs: ``sweep --samples 8`` at 2x2, 2x3, 3x3, 4x4 and 8x8
 with seeds 0-9, at 1x3, 4x1, 8x2 and 5x7 (one outcome, a one-dimensional
 opposite side, unequal sides), and seven other sweeps, three of them across
 sample-chunk boundaries; ``report``, ``schmidt`` and ``discord`` (both
@@ -20,7 +20,11 @@ runs (complete and rank-k Schmidt twins on pure and Schmidt-dephased states,
 complete twins at ``--tol 1e-2``, a pair with unequal detectable spectra, and
 random two-outcome observables); and malformed inputs (NaN density, NaN
 pure state, boolean dims, NaN observable, and an Infinity density under
-``report``, where arithmetic before the finite check would print a warning).
+``report``, where arithmetic before the finite check would print a warning),
+with seven more ``twins`` runs on bad observables: one not Hermitian, three
+whose finite entries overflow (diagonal, symmetric, skew), one of the wrong
+dimension, and the two kind mismatches (an observable as the state, a density
+as an observable).
 """
 
 from __future__ import annotations
@@ -104,6 +108,10 @@ def write_inputs(directory: str) -> None:
         _spectral(_unitary(np.random.default_rng(37), 3), [1, 2, 2]))
     put("z.json", "observable", [2], "matrix", np.diag([1.0, -1.0]))
     put("x.json", "observable", [2], "matrix", np.array([[0.0, 1.0], [1.0, 0.0]]))
+    put("nonherm.json", "observable", [2], "matrix", np.array([[0.0, 1.0], [0.0, 0.0]]))
+    put("huge_diag.json", "observable", [2], "matrix", np.diag([1e308, -1e308]))
+    put("huge_sym.json", "observable", [2], "matrix", np.array([[0.5, 1e308], [1e308, 0.5]]))
+    put("huge_skew.json", "observable", [2], "matrix", np.array([[0.5, 1e308], [-1e308, 0.5]]))
     for name, payload in files.items():
         with open(os.path.join(directory, name), "w") as fh:
             json.dump(payload, fh)
@@ -160,6 +168,13 @@ def golden_argvs() -> list[tuple[str, ...]]:
         argvs += [("report", bad), ("discord", bad)]
     argvs.append(("report", "inf_density.json"))
     argvs.append(("twins", "bell.json", "nan_obs.json", "z.json"))
+    for bad in ("nonherm.json", "huge_diag.json", "huge_sym.json", "huge_skew.json"):
+        argvs.append(("twins", "bell.json", bad, "z.json"))
+    argvs += [
+        ("twins", "bell.json", "z.json", "twin_b.json"),  # a qutrit observable on side 2
+        ("twins", "z.json", "z.json", "z.json"),  # an observable as the state
+        ("twins", "bell.json", "werner.json", "z.json"),  # a density as an observable
+    ]
     return argvs
 
 
