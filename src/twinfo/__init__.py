@@ -36,7 +36,7 @@ _SOURCES = {
               "verify_twins"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
-_SUBMODULES = (*_SOURCES, "cli", "io")
+_SUBMODULES = (*_SOURCES, "chains", "cli", "io")
 __all__ = sorted(_MODULE_OF)
 
 

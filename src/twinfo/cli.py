@@ -18,22 +18,18 @@ import numpy as np
 
 from . import __version__
 from .entropy import (
-    clamp_nonnegative, mutual_information, mutual_information_via_relative, relative_entropies,
-    von_neumann_entropy,
+    clamp_nonnegative, mutual_information, mutual_information_via_relative, von_neumann_entropy,
 )
 from .io import StateFileError, complex_payload, format_json, load_state_file, write_state_file
-from .kernels import (
-    BACKEND, entropy_bits, info_gain_side1, joint_mutual_info, kron, ptrace_keep1, ptrace_keep2,
-    swap_sides, vn_entropy,
-)
-from .linalg import Dims, dagger, frobenius
+from .kernels import BACKEND
+from .linalg import Dims, frobenius
 from .states import (
     BipartiteState, StateValidationError, bipartite_from_pure, make_bipartite, purity_class,
     schmidt_decompose, schmidt_reconstruct,
 )
 
-# Modules that only some commands run (measurement, optimize, sampling, twins)
-# are imported by those commands, to keep the start-up of the others short.
+# Modules that only some commands run (chains, measurement, optimize, sampling,
+# twins) are imported by those commands, to keep the start-up of the others short.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,9 +39,6 @@ EXIT_TWINS = 4
 EXIT_INTERNAL = 5
 
 MAX_SWEEP_DIM = 8
-# Matrix entries per sample stack in ``sweep``: bounds a chunk's memory, so 8x8
-# runs one sample at a time.
-SWEEP_CHUNK_ENTRIES = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,14 +176,15 @@ def cmd_discord(args) -> int:
     # The qubit grid oracle is one more candidate beside the restarts.
     measured = state.dims.d1 if side == 1 else state.dims.d2
     candidates = args.restarts + int(args.grid_refine and measured == 2)
-    mi = mutual_information(state)
+    block = _state_block(state, phi)
+    mi = block["mutual_information"]
     discord = clamp_nonnegative(mi - sup.value)
     _emit(
         "discord", args.seed,
         {"direction": args.direction, "restarts": args.restarts, "grid_refine": args.grid_refine},
         {
             "input": {"path": args.state, "kind": kind},
-            "state": _state_block(state, phi),
+            "state": block,
             "optimization": {
                 "direction": args.direction,
                 "mutual_information": mi,
@@ -276,108 +270,9 @@ def cmd_schmidt(args) -> int:
     return EXIT_OK
 
 
-class _Check:
-    def __init__(self, name):
-        self.name = name
-        self.evaluations = 0
-        self.violations = 0
-        self.worst = 0.0
-
-    def record(self, margin: float, tol: float) -> bool:
-        """Record one check; ``margin`` > ``tol`` is a violation."""
-        self.evaluations += 1
-        self.worst = max(self.worst, margin)
-        if margin > tol:
-            self.violations += 1
-            return True
-        return False
-
-
-def _relative_entropy_rounding(lam_min: float, n: int) -> float:
-    """First-order rounding allowance, in bits, of a relative entropy against an
-    ``n x n`` reference with smallest eigenvalue ``lam_min``.
-
-    Rounding in ``log2 reference`` is amplified by ``1 / lambda_min``: about
-    ``n eps / (lambda_min ln 2)``.  A Lüders channel is unital, so it never
-    lowers ``lambda_min``; the bound holds for the measured references too.  A
-    singular reference gets no bound (infinity).
-    """
-    if lam_min <= 0:
-        return math.inf
-    return n * np.finfo(float).eps / (lam_min * math.log(2))
-
-
-def _sweep_chunk(dims: Dims, seed: int, samples: range, tol: float):
-    """Per sample of ``samples``: its state and reference matrices and, in recording
-    order, each check's name, margin and violation bound.
-
-    Every step runs once on ``(S, D, D)`` stacks, each sample from its own
-    ``(seed, stream)`` generators; every margin is the per-sample arithmetic's,
-    bit for bit.  The states' spectra give S(12) and the reference's
-    ``lambda_min``; a channel output is computed once and reused.
-    """
-    from .measurement import luders_sum_rows
-    from .sampling import sample_random_density, sample_random_observables, sample_random_unitaries
-
-    d1, d2, n = dims.d1, dims.d2, dims.total
-    streams = [10 * i for i in samples]
-    rho_ms = [sample_random_density(dims, i % n + 1, seed, stream=s) for i, s in zip(samples, streams)]
-    ref_ms = [sample_random_density(dims, n, seed, stream=s + 7) for s in streams]
-    # Sampled states are valid by construction, and already (m + m^dagger) / 2.
-    rho, ref = np.array(rho_ms), np.array(ref_ms)
-    spectrum, ref_spectrum = np.linalg.eigvalsh(rho), np.linalg.eigvalsh(ref)
-
-    def herm(m):
-        return (m + dagger(m)) / 2.0
-
-    rho1, rho2 = herm(ptrace_keep1(rho, d1, d2)), herm(ptrace_keep2(rho, d1, d2))
-    s1_raw, s2_raw, s12 = vn_entropy(rho1), vn_entropy(rho2), entropy_bits(spectrum)
-    s1 = [clamp_nonnegative(x) for x in s1_raw.tolist()]
-    s2 = [clamp_nonnegative(x) for x in s2_raw.tolist()]
-    mi = [clamp_nonnegative(x) for x in (s1_raw + s2_raw - s12).tolist()]
-    mi_rel = relative_entropies(rho, herm(kron(rho1, rho2)), s12)
-
-    # The chain's two draws of bases, k = 0 and 1, on a leading axis of the stacks.
-    u1 = sample_random_unitaries(d1, seed, [s + 1 + k for k in (0, 1) for s in streams])
-    u2 = sample_random_unitaries(d2, seed, [s + 3 + k for k in (0, 1) for s in streams])
-    u1, u2 = u1.reshape(2, -1, d1, d1), u2.reshape(2, -1, d2, d2)
-    chain = np.stack([joint_mutual_info(rho, u1, u2), info_gain_side1(rho, u1, d2),
-                      info_gain_side1(swap_sides(rho, d1, d2), u2, d1)], axis=-1).swapaxes(0, 1).tolist()
-
-    obs_a = sample_random_observables(d1, seed, [s + 5 for s in streams], False)
-    obs_b = sample_random_observables(d2, seed, [s + 6 for s in streams], False)
-
-    def luders_a(m):
-        return herm(luders_sum_rows(obs_a, 1, dims, m))
-
-    def luders_b(m):
-        return herm(luders_sum_rows(obs_b, 2, dims, m))
-
-    after_a, after_b = luders_a(rho), luders_b(rho)
-    t_ab = luders_a(after_b)
-    diff_1 = ptrace_keep1(t_ab, d1, d2) - herm(ptrace_keep1(after_a, d1, d2))
-    diff_2 = ptrace_keep2(t_ab, d1, d2) - herm(ptrace_keep2(after_b, d1, d2))
-    ref_a = luders_a(ref)
-    after_ba = luders_b(after_a)
-    before = relative_entropies(rho, ref, s12)
-    after_one = relative_entropies(after_a, ref_a, vn_entropy(after_a))
-    after_two = relative_entropies(after_ba, luders_b(ref_a), vn_entropy(after_ba))
-
-    for j, i in enumerate(samples):
-        chains = [("chain", max(-jmi, jmi - g1, jmi - g2, g1 - min(mi[j], s2[j]),
-                                g2 - min(mi[j], s1[j])), tol)
-                  for jmi, g1, g2 in chain[j]]
-        yield i, rho_ms[j], ref_ms[j], [
-            ("lieb", mi[j] - 2.0 * min(s1[j], s2[j]), tol),
-            ("relative_entropy_identity", abs(mi[j] - mi_rel[j]), tol),
-            *chains,
-            ("partial_trace_identities", max(frobenius(diff_1[j]), frobenius(diff_2[j])), 1e-10),
-            ("lindblad", max(after_one[j] - before[j], after_two[j] - after_one[j]),
-             tol + _relative_entropy_rounding(float(ref_spectrum[j, 0]), n)),
-        ]
-
-
 def cmd_sweep(args) -> int:
+    from .chains import CHECKS, Tally, sweep_records
+
     dims = _parse_dims(args.dims)
     if args.seed < 0:
         raise StateFileError(f"--seed must be >= 0, got {args.seed}")
@@ -386,11 +281,7 @@ def cmd_sweep(args) -> int:
     if args.samples < 1:
         raise StateFileError(f"--samples must be >= 1, got {args.samples}")
     _check_tol(args.tol)
-    tol = args.tol
-    checks = {
-        name: _Check(name)
-        for name in ("chain", "relative_entropy_identity", "partial_trace_identities", "lindblad", "lieb")
-    }
+    checks = {name: Tally() for name in CHECKS}
     dumped = []
 
     def dump(sample: int, check: str, matrix: np.ndarray) -> None:
@@ -402,15 +293,12 @@ def cmd_sweep(args) -> int:
             raise StateFileError(f"--out: cannot write a violation dump: {exc}") from None
         dumped.append(path)
 
-    chunk = max(1, SWEEP_CHUNK_ENTRIES // dims.total**2)
-    for start in range(0, args.samples, chunk):
-        samples = range(start, min(start + chunk, args.samples))
-        for i, rho_m, ref_m, records in _sweep_chunk(dims, args.seed, samples, tol):
-            for name, margin, bound in records:
-                if checks[name].record(margin, bound):
-                    dump(i, name, rho_m)
-                    if name == "lindblad":
-                        dump(i, "lindblad_ref", ref_m)
+    for i, rho_m, ref_m, records in sweep_records(dims, args.seed, args.samples, args.tol):
+        for name, margin, bound in records:
+            if checks[name].record(margin, bound):
+                dump(i, name, rho_m)
+                if name == "lindblad":
+                    dump(i, "lindblad_ref", ref_m)
 
     total_violations = sum(c.violations for c in checks.values())
     lines = [
@@ -420,16 +308,9 @@ def cmd_sweep(args) -> int:
     lines.append(f"{total_violations} violations")
     _emit(
         "sweep", args.seed,
-        {"dims": [dims.d1, dims.d2], "samples": args.samples, "tol": tol, "out": args.out},
+        {"dims": [dims.d1, dims.d2], "samples": args.samples, "tol": args.tol, "out": args.out},
         {
-            "checks": {
-                name: {
-                    "evaluations": c.evaluations,
-                    "violations": c.violations,
-                    "worst_margin": c.worst,
-                }
-                for name, c in checks.items()
-            },
+            "checks": {name: vars(c) for name, c in checks.items()},
             "total_violations": total_violations,
             "violation_files": dumped,
         },

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import twinfo as T
+from twinfo import chains
 from twinfo.cli import main
 from twinfo.io import (
     StateFileError,
@@ -450,26 +451,33 @@ def test_sweep_margins_equal_reference_loop(dims, seed, tmp_path, capsys):
             "--seed", str(seed), "--out", str(tmp_path / "v")]
     assert main(args) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
-    assert checks == _sweep_checks_reference(T.Dims(*dims), samples, seed)
+    reference = _sweep_checks_reference(T.Dims(*dims), samples, seed)
+    assert checks == reference
+    tally = {name: chains.Tally() for name in chains.CHECKS}
+    for _, _, _, records in chains.sweep_records(T.Dims(*dims), seed, samples, 1e-9):
+        for name, margin, bound in records:
+            tally[name].record(margin, bound)
+    assert {name: vars(t) for name, t in tally.items()} == reference
 
 
-@pytest.mark.parametrize("flag", ["0", "1"])
-def test_numpy_fallback_backend_matches(flag):
+# Bell states by case: 0 is (|00> + |11>)/sqrt2, 1 is (|01> - |10>)/sqrt2.
+BELL_AMPLITUDES = {0: "[1, 0, 0, 1]", 1: "[0, 1, -1, 0]"}
+
+
+@pytest.mark.parametrize("bell_case", [0, 1])
+def test_numpy_fallback_backend_matches(bell_case):
+    """A fresh process runs the numpy backend and gets the Bell-state values:
+    I(1:2) = 2 bits and discord 1 bit."""
     script = (
         "import numpy as np, twinfo as T;"
-        "phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2);"
+        f"phi = np.array({BELL_AMPLITUDES[bell_case]}, dtype=complex) / np.sqrt(2);"
         "bell = T.bipartite_from_pure(phi, T.Dims(2, 2));"
         "cfg = T.OptimizationConfig(restarts=2, seed=0);"
         "print(T.BACKEND);"
         "print(repr(T.mutual_information(bell)));"
         "print(repr(T.quantum_discord(bell, '1to2', cfg)))"
     )
-    import os
-
-    env = dict(os.environ, TWINFO_NUMBA=flag)
-    res = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
-    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     backend, mi, discord = res.stdout.strip().splitlines()
     assert backend == "numpy"

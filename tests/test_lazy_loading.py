@@ -36,7 +36,7 @@ PUBLIC = {
               "dephase_in_schmidt_basis", "detectable_spectrum", "verify_twins"],
 }
 NAMES = sorted(name for names in PUBLIC.values() for name in names)
-OPTIONAL = {"measurement", "optimize", "sampling", "twins"}
+OPTIONAL = {"chains", "measurement", "optimize", "sampling", "twins"}
 
 
 def run_python(code, *args):
@@ -103,8 +103,8 @@ def inputs(tmp_path_factory):
 COMMANDS = {
     "report": (["report", "{werner}"], OPTIONAL),
     "schmidt": (["schmidt", "{bell}"], OPTIONAL),
-    "twins": (["twins", "{bell}", "{z}", "{z}"], {"sampling", "optimize"}),
-    "discord": (["discord", "{werner}", "--restarts", "2"], {"measurement", "twins"}),
+    "twins": (["twins", "{bell}", "{z}", "{z}"], {"chains", "sampling", "optimize"}),
+    "discord": (["discord", "{werner}", "--restarts", "2"], {"chains", "measurement", "twins"}),
     "sweep": (["sweep", "--samples", "2", "--out", "{out}"], {"optimize", "twins"}),
 }
 

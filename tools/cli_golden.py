@@ -10,10 +10,12 @@ directory that holds a copy of the inputs.  It compares stdout, stderr, the
 exit code and every file a run leaves behind (violation dumps), prints one
 line per difference and exits 1 if there is any, 0 otherwise.
 
-The golden set of 116 argvs: ``sweep --samples 8`` at 2x2, 2x3, 3x3, 4x4 and 8x8
+The golden set of 124 argvs: ``sweep --samples 8`` at 2x2, 2x3, 3x3, 4x4 and 8x8
 with seeds 0-9, at 1x3, 4x1, 8x2 and 5x7 (one outcome, a one-dimensional
 opposite side, unequal sides), and seven other sweeps, three of them across
-sample-chunk boundaries; ``report``, ``schmidt`` and ``discord`` (both
+sample-chunk boundaries; eight ``sweep`` runs with rejected options (NaN and
+-inf ``--tol``, zero samples, a negative seed, dims too large, zero or not of
+the form AxB) or an ``--out`` that names a file; ``report``, ``schmidt`` and ``discord`` (both
 directions, with and without ``--grid-refine``) on a Werner state, a Bell pair,
 random 2x3 and 3x3 mixed states and a random 3x3 pure state; ten ``twins``
 runs (complete and rank-k Schmidt twins on pure and Schmidt-dephased states,
@@ -146,6 +148,17 @@ def golden_argvs() -> list[tuple[str, ...]]:
         ("sweep", "--dims", "5x5", "--samples", "13"),
         ("sweep", "--dims", "6x6", "--samples", "7", "--seed", "3"),
         ("sweep", "--dims", "3x4", "--samples", "40"),
+    ]
+    # Rejected sweep options, and an --out that names an input file (the first dump fails).
+    argvs += [
+        ("sweep", "--tol", "nan"),
+        ("sweep", "--tol=-inf"),
+        ("sweep", "--samples", "0"),
+        ("sweep", "--seed", "-1"),
+        ("sweep", "--dims", "9x2"),
+        ("sweep", "--dims", "2x0"),
+        ("sweep", "--dims", "2by2"),
+        ("sweep", "--samples", "3", "--seed", "2", "--tol", "-1", "--out", "werner.json"),
     ]
     for state in STATES:
         argvs += [("report", state), ("schmidt", state)]
