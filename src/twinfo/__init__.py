@@ -8,8 +8,6 @@ its defining module on first use (PEP 562), so a CLI command loads only the
 modules it runs.
 """
 
-from importlib import import_module as _import_module
-
 __version__ = "0.1.0"
 
 _SOURCES = {
@@ -42,11 +40,11 @@ __all__ = sorted(_MODULE_OF)
 
 def __getattr__(name):
     if name in _SUBMODULES:
-        return _import_module(f"{__name__}.{name}")
+        # __import__, not importlib.import_module, so that ``python -X importtime`` logs the load.
+        return getattr(__import__(f"{__name__}.{name}"), name)
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
-    globals()[name] = value
+    value = globals()[name] = getattr(__getattr__(_MODULE_OF[name]), name)
     return value
 
 

@@ -21,7 +21,7 @@ from .kernels import (
 )
 from .linalg import Dims, dagger, frobenius
 from .measurement import luders_sum_rows
-from .sampling import sample_random_density, sample_random_observables, sample_random_unitaries
+from .sampling import sample_random_densities, sample_random_observables, sample_random_unitaries
 
 CHECKS = ("chain", "relative_entropy_identity", "partial_trace_identities", "lindblad", "lieb")
 # Matrix entries per sample stack: bounds a chunk's memory, so 8x8 runs one
@@ -81,10 +81,9 @@ def _sweep_chunk(dims: Dims, seed: int, samples: range, tol: float):
     """
     d1, d2, n = dims.d1, dims.d2, dims.total
     streams = [10 * i for i in samples]
-    rho_ms = [sample_random_density(dims, i % n + 1, seed, stream=s) for i, s in zip(samples, streams)]
-    ref_ms = [sample_random_density(dims, n, seed, stream=s + 7) for s in streams]
     # Sampled states are valid by construction, and already (m + m^dagger) / 2.
-    rho, ref = np.array(rho_ms), np.array(ref_ms)
+    rho = sample_random_densities(dims, [i % n + 1 for i in samples], seed, streams)
+    ref = sample_random_densities(dims, [n] * len(streams), seed, [s + 7 for s in streams])
     spectrum, ref_spectrum = np.linalg.eigvalsh(rho), np.linalg.eigvalsh(ref)
 
     def herm(m):
@@ -127,7 +126,7 @@ def _sweep_chunk(dims: Dims, seed: int, samples: range, tol: float):
         links = [("chain", max(-jmi, jmi - g1, jmi - g2, g1 - min(mi[j], s2[j]),
                                g2 - min(mi[j], s1[j])), tol)
                  for jmi, g1, g2 in chain[j]]
-        yield i, rho_ms[j], ref_ms[j], [
+        yield i, rho[j], ref[j], [
             ("lieb", mi[j] - 2.0 * min(s1[j], s2[j]), tol),
             ("relative_entropy_identity", abs(mi[j] - mi_rel[j]), tol),
             *links,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .entropy import clamp_nonnegative, mutual_information
 from .kernels import KERNEL_CLIP, measured_first
-from .sampling import sample_random_unitary
+from .sampling import sample_random_unitaries
 from .states import BipartiteState
 
 AGREE_TOL = 1e-6
@@ -85,12 +85,11 @@ def _eigbasis(matrix: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.linalg.eigh(matrix)[1])
 
 
-def _anchor(index: int, d: int, eigbasis: np.ndarray, seed: int, stream_base: int) -> np.ndarray:
-    if index == 0:
-        return eigbasis
-    if index == 1:
-        return np.eye(d, dtype=np.complex128)
-    return np.ascontiguousarray(sample_random_unitary(d, seed, stream=stream_base + index))
+def _anchors(restarts: int, d: int, eigbasis: np.ndarray, seed: int, base: int) -> np.ndarray:
+    """Restart ``i``'s start, stacked: the eigenbasis, the identity, then stream ``base + i``'s."""
+    randoms = (sample_random_unitaries(d, seed, range(base + 2, base + restarts))
+               if restarts > 2 else [])
+    return np.stack([eigbasis, np.eye(d, dtype=np.complex128), *randoms][:restarts])
 
 
 def _log2_support(x: np.ndarray, clip: float = KERNEL_CLIP) -> np.ndarray:
@@ -402,7 +401,7 @@ def sup_information_gain(
     def direction(us, parts):
         return (_gain_direction(r, us[0], parts),)
 
-    starts = np.stack([_anchor(i, d, eigbasis, cfg.seed, stream) for i in range(cfg.restarts)])
+    starts = _anchors(cfg.restarts, d, eigbasis, cfg.seed, stream)
     ascents = _lockstep_ascent(evaluate, direction, (starts,))
     candidates = [(value, us[0], norm, evals) for value, us, norm, evals in ascents]
     if cfg.grid_refine and d == 2:
@@ -446,8 +445,8 @@ def sup_joint_mutual_information(
         return _joint_directions(r, us, parts)
 
     starts = (
-        np.stack([_anchor(i, d1, eig1, cfg.seed, _STREAM_JOINT_1) for i in range(cfg.restarts)]),
-        np.stack([_anchor(i, d2, eig2, cfg.seed, _STREAM_JOINT_2) for i in range(cfg.restarts)]),
+        _anchors(cfg.restarts, d1, eig1, cfg.seed, _STREAM_JOINT_1),
+        _anchors(cfg.restarts, d2, eig2, cfg.seed, _STREAM_JOINT_2),
     )
     return _reduce_candidates(_lockstep_ascent(evaluate, direction, starts))
 

@@ -1,49 +1,89 @@
 """Seeded random states and unitaries.
 
-All samplers are pure functions of ``(seed, parameters)``: each call builds a
-fresh counter-based Philox generator, so results never depend on call order.
-The ``stream`` argument derives independent substreams from one seed (used by
-sweeps and optimizer restarts).
+All samplers are pure functions of ``(seed, parameters)``: each draw comes from
+the Philox stream with the key ``SeedSequence(seed, spawn_key=(stream,))`` gives
+it, so results never depend on call order.  The ``stream`` argument derives
+independent substreams from one seed (used by sweeps and optimizer restarts).
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
 from .linalg import Dims
 
+# numpy's SeedSequence hash on 32-bit words; _KEY[k] is generate_state's constant before word k.
+_MASK, _INIT_A, _MULT_A, _MIX_L, _MIX_R = 0xFFFFFFFF, 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
+_KEY = [0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) & _MASK for k in range(5)]
+
+
+def _words(n: int) -> list[int]:
+    """``n``'s 32-bit words, least significant first, as SeedSequence splits an integer."""
+    if (n := operator.index(n)) < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    return [n >> 32 * k & _MASK for k in range(max(1, -(-n.bit_length() // 32)))]
+
+
+def generators(seed: int, streams):
+    """Philox generator of each ``(seed, stream)``: one ``Generator``, re-keyed per
+    stream, so an item is valid only until the next is drawn.  Each key is the one
+    ``SeedSequence(seed, spawn_key=(stream,))`` gives Philox: the stream's words are
+    mixed into a copy of the seed's pool, the hash constant going on from the seed's."""
+    seq = np.random.SeedSequence(seed)
+    pool, rng = seq.pool.tolist(), np.random.Generator(np.random.Philox(seq))
+    start = _INIT_A * pow(_MULT_A, 4 * max(4, len(_words(seed))), 1 << 32) & _MASK
+    key = [0, 0]  # set per stream; the state setter copies it, so one dict serves them all
+    state = dict(bit_generator="Philox", buffer=[0] * 4, buffer_pos=4, has_uint32=0, uinteger=0,
+                 state={"counter": [0] * 4, "key": key})
+    for stream in streams:
+        mixer, h = pool.copy(), start
+        for word in _words(stream):
+            for i in range(4):
+                v = (word ^ h) * (h := h * _MULT_A & _MASK) & _MASK
+                m = (_MIX_L * mixer[i] - _MIX_R * (v ^ v >> 16)) & _MASK
+                mixer[i] = m ^ m >> 16
+        w = [(m := (x ^ a) * b & _MASK) ^ m >> 16 for x, a, b in zip(mixer, _KEY, _KEY[1:])]
+        key[:] = w[0] | w[1] << 32, w[2] | w[3] << 32
+        rng.bit_generator.state = state
+        yield rng
+
 
 def generator(seed: int, stream: int = 0) -> np.random.Generator:
-    """Philox generator for ``(seed, stream)``."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(stream,))))
+    """Philox generator for ``(seed, stream)``: the first item of ``generators``."""
+    return next(generators(seed, (stream,)))
 
 
-def _ginibre(rng, rows, cols):
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+def _ginibre(z: np.ndarray) -> np.ndarray:
+    """Complex Ginibre matrices from normals stacked ``(..., 2, rows, cols)``: real, imaginary."""
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
 def sample_random_pure(dims: Dims, seed: int, stream: int = 0) -> np.ndarray:
     """Haar-distributed unit vector of length ``d1 * d2``."""
-    rng = generator(seed, stream)
-    z = _ginibre(rng, dims.total, 1)[:, 0]
+    z = _ginibre(generator(seed, stream).standard_normal((2, dims.total, 1)))[:, 0]
     return z / np.linalg.norm(z)
 
 
 def sample_random_density(dims: Dims, rank: int, seed: int, stream: int = 0) -> np.ndarray:
-    """Random density matrix of the requested rank.
+    """Random density matrix of the requested rank: ``sample_random_densities`` of one stream."""
+    return sample_random_densities(dims, [rank], seed, [stream])[0]
 
-    Obtained as the partial trace of a Haar-random purification with an
-    ancilla of dimension ``rank``; Hermitian, PSD and unit trace by
-    construction.
-    """
-    n = dims.total
-    if not 1 <= rank <= n:
-        raise ValueError(f"rank must be in [1, {n}], got {rank}")
-    rng = generator(seed, stream)
-    g = _ginibre(rng, n, rank)
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    return (rho + rho.conj().T) / 2.0
+
+def sample_random_densities(dims: Dims, ranks, seed: int, streams) -> np.ndarray:
+    """Random density matrix of each ``(rank, stream)`` pair, stacked: the partial
+    trace of a Haar-random purification with an ancilla of dimension ``rank``;
+    Hermitian, PSD and unit trace by construction."""
+    n, rho = dims.total, []
+    for rank, rng in zip(ranks, generators(seed, streams), strict=True):
+        if not 1 <= rank <= n:
+            raise ValueError(f"rank must be in [1, {n}], got {rank}")
+        g = _ginibre(rng.standard_normal((2, n, rank)))
+        rho.append(g @ g.conj().T)
+    rho = np.array(rho)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    return (rho + rho.conj().transpose(0, 2, 1)) / 2.0
 
 
 def sample_random_unitary(d: int, seed: int, stream: int = 0) -> np.ndarray:
@@ -54,7 +94,10 @@ def sample_random_unitary(d: int, seed: int, stream: int = 0) -> np.ndarray:
 def sample_random_unitaries(d: int, seed: int, streams) -> np.ndarray:
     """Haar-distributed unitary of each stream, stacked: one batched QR of Ginibre
     matrices, with the phases of ``r``'s diagonal moved into ``q``."""
-    q, r = np.linalg.qr(np.array([_ginibre(generator(seed, s), d, d) for s in streams]))
+    z = np.empty((len(streams), 2, d, d))
+    for zi, rng in zip(z, generators(seed, streams)):
+        rng.standard_normal(out=zi)
+    q, r = np.linalg.qr(_ginibre(z))
     phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
     return q * phases[..., None, :]
@@ -74,14 +117,15 @@ def sample_random_observables(d: int, seed: int, streams, complete: bool = True)
     # Imported on use, so that sampling states and unitaries loads no measurement module.
     from .measurement import Observable, observable_from_basis
 
+    bases = sample_random_unitaries(d, seed, streams)
+    if complete or d == 1:
+        return [observable_from_basis(u) for u in bases]
     observables = []
-    for u, stream in zip(sample_random_unitaries(d, seed, streams), streams):
-        if complete or d == 1:
-            observables.append(observable_from_basis(u))
-            continue
-        rng = generator(seed, stream + 500_000)
+    for u, rng in zip(bases, generators(seed, [s + 500_000 for s in streams])):
         groups = int(rng.integers(1, d))
-        cuts = [0, *sorted(rng.choice(np.arange(1, d), size=groups - 1, replace=False).tolist()), d]
+        # The cut stream draws nothing after these, so one group needs no choice call.
+        inner = [] if groups == 1 else rng.choice(np.arange(1, d), groups - 1, replace=False).tolist()
+        cuts = [0, *sorted(inner), d]
         blocks = [u[:, lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
         observables.append(Observable(
             eigenvalues=np.arange(1, groups + 1, dtype=float),

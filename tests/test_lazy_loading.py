@@ -81,6 +81,13 @@ def test_submodules_resolve_in_a_fresh_process():
     assert run_python(code) == ["twinfo.twins", "twinfo.optimize", True]
 
 
+def test_submodule_load_is_logged_by_importtime():
+    res = subprocess.run([sys.executable, "-X", "importtime", "-c", "import twinfo; twinfo.twins"],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert any(line.rstrip().endswith("| twinfo.twins") for line in res.stderr.splitlines())
+
+
 def test_import_twinfo_loads_no_submodule():
     code = ("import json, sys, twinfo\n"
             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('twinfo.'))))")

@@ -465,7 +465,7 @@ def _lockstep_cases():
 
 def _stack_starts(d, eigbasis, seed, count):
     # Row 0 is the reduction's eigenbasis, which is stationary for a pure state.
-    return np.stack([O._anchor(i, d, eigbasis, seed, 0) for i in range(count)])
+    return O._anchors(count, d, eigbasis, seed, 0)
 
 
 def _assert_same_ascents(lockstep, alone):

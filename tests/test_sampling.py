@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import twinfo as T
+from twinfo.sampling import generator, generators, sample_random_densities, sample_random_unitaries
 
 
 def test_pure_one_dimensional():
@@ -86,3 +87,65 @@ def test_density_is_its_own_hermitian_part_bitwise(d1):
         for rank in range(1, dims.total + 1):
             m = T.sample_random_density(dims, rank, seed=rank, stream=d2)
             assert m.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128, 2**130 + 7]
+STREAMS = [0, 7, 500_007, 2**32 - 1, 2**32, 2**40 + 3]
+
+
+def _draws(rng):
+    return rng.standard_normal(5).tobytes() + rng.integers(0, 2**63, 3).tobytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_generators_match_seed_sequence_spawn_bitwise(seed):
+    want = [_draws(np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(s,)))))
+            for s in STREAMS]
+    assert [_draws(rng) for rng in generators(seed, STREAMS)] == want
+    assert [_draws(generator(seed, s)) for s in STREAMS] == want
+
+
+def test_stream_must_be_a_nonnegative_integer():
+    with pytest.raises(ValueError):
+        generator(0, -1)
+    with pytest.raises(ValueError):
+        T.sample_random_unitary(2, 0, stream=-1)
+    with pytest.raises(TypeError):
+        generator(0, 2.0)
+
+
+def test_numpy_integer_stream_and_seed_match_python_ints():
+    assert _draws(generator(np.int64(2**40), np.uint32(7))) == _draws(generator(2**40, 7))
+
+
+@pytest.mark.parametrize("dims, ranks", [(T.Dims(2, 3), [1, 6, 3, 2]), (T.Dims(8, 8), [1, 64, 9, 33])])
+def test_densities_equal_a_per_stream_reference_bitwise(dims, ranks):
+    streams = [0, 7, 2**32, 500_007]
+    rows = sample_random_densities(dims, ranks, 11, streams)
+    for m, rank, stream in zip(rows, ranks, streams):
+        assert m.tobytes() == T.sample_random_density(dims, rank, 11, stream).tobytes()
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(11, spawn_key=(stream,))))
+        g = rng.standard_normal((dims.total, rank)) + 1j * rng.standard_normal((dims.total, rank))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        assert m.tobytes() == ((rho + rho.conj().T) / 2.0).tobytes()
+
+
+def test_density_rank_and_stream_counts_are_checked():
+    dims = T.Dims(2, 3)
+    for rank in (0, 7):
+        with pytest.raises(ValueError):
+            sample_random_densities(dims, [1, rank], 11, [0, 1])
+    with pytest.raises(ValueError):
+        sample_random_densities(dims, [1, 2], 11, [0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 9])
+def test_unitaries_equal_a_two_call_ginibre_reference_bitwise(d):
+    streams = [0, 3, 2**32 + 1]
+    for u, s in zip(sample_random_unitaries(d, 5, streams), streams):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5, spawn_key=(s,))))
+        q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        phases = np.diagonal(r).copy()
+        phases /= np.abs(phases)
+        assert u.tobytes() == (q * phases[None, :]).tobytes()

@@ -10,10 +10,11 @@ directory that holds a copy of the inputs.  It compares stdout, stderr, the
 exit code and every file a run leaves behind (violation dumps), prints one
 line per difference and exits 1 if there is any, 0 otherwise.
 
-The golden set of 124 argvs: ``sweep --samples 8`` at 2x2, 2x3, 3x3, 4x4 and 8x8
+The golden set of 126 argvs: ``sweep --samples 8`` at 2x2, 2x3, 3x3, 4x4 and 8x8
 with seeds 0-9, at 1x3, 4x1, 8x2 and 5x7 (one outcome, a one-dimensional
 opposite side, unequal sides), and seven other sweeps, three of them across
-sample-chunk boundaries; eight ``sweep`` runs with rejected options (NaN and
+sample-chunk boundaries; two 2x2 sweeps with seeds 2**32 and 2**130 (two and
+five 32-bit words); eight ``sweep`` runs with rejected options (NaN and
 -inf ``--tol``, zero samples, a negative seed, dims too large, zero or not of
 the form AxB) or an ``--out`` that names a file; ``report``, ``schmidt`` and ``discord`` (both
 directions, with and without ``--grid-refine``) on a Werner state, a Bell pair,
@@ -148,6 +149,9 @@ def golden_argvs() -> list[tuple[str, ...]]:
         ("sweep", "--dims", "5x5", "--samples", "13"),
         ("sweep", "--dims", "6x6", "--samples", "7", "--seed", "3"),
         ("sweep", "--dims", "3x4", "--samples", "40"),
+        # Seeds of two and of five 32-bit words: the streams' keys against SeedSequence's.
+        ("sweep", "--dims", "2x2", "--samples", "3", "--seed", "4294967296"),
+        ("sweep", "--dims", "2x2", "--samples", "3", "--seed", str(2**130)),
     ]
     # Rejected sweep options, and an --out that names an input file (the first dump fails).
     argvs += [
