@@ -11,10 +11,9 @@ modules it runs.
 __version__ = "0.1.0"
 
 _SOURCES = {
-    "kernels": ("BACKEND",),
+    "kernels": ("BACKEND", "tensor_product"),
     "entropy": ("entanglement_entropy", "mutual_information", "mutual_information_via_relative",
                 "relative_entropy", "shannon_entropy", "von_neumann_entropy"),
-    "linalg": ("Dims", "partial_trace", "tensor_product"),
     "measurement": (
         "CoherenceDecomposition", "DistantDecomposition", "JointDistribution", "Observable",
         "SubsystemObservable", "coherence_decomposition", "distant_decomposition",
@@ -26,9 +25,9 @@ _SOURCES = {
                  "quantum_discord", "sup_information_gain", "sup_joint_mutual_information"),
     "sampling": ("sample_random_density", "sample_random_observable", "sample_random_pure",
                  "sample_random_unitary"),
-    "states": ("BipartiteState", "DensityOperator", "SchmidtForm", "StateValidationError",
-               "bipartite_from_pure", "make_bipartite", "purity_class", "schmidt_decompose",
-               "schmidt_reconstruct", "validate_density"),
+    "states": ("BipartiteState", "DensityOperator", "Dims", "SchmidtForm", "StateValidationError",
+               "bipartite_from_pure", "make_bipartite", "partial_trace", "purity_class",
+               "schmidt_decompose", "schmidt_reconstruct", "validate_density"),
     "twins": ("ConditionMismatchError", "DetectableSpectrum", "TwinReport",
               "construct_pure_twins", "dephase_in_schmidt_basis", "detectable_spectrum",
               "verify_twins"),

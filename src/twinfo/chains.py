@@ -16,12 +16,12 @@ import numpy as np
 
 from .entropy import clamp_nonnegative, relative_entropies
 from .kernels import (
-    entropy_bits, info_gain_side1, joint_mutual_info, kron, ptrace_keep1, ptrace_keep2, swap_sides,
-    vn_entropy,
+    dagger, entropy_bits, frobenius, info_gain_side1, joint_mutual_info, kron, ptrace_keep1,
+    ptrace_keep2, swap_sides, vn_entropy,
 )
-from .linalg import Dims, dagger, frobenius
 from .measurement import luders_sum_rows
 from .sampling import sample_random_densities, sample_random_observables, sample_random_unitaries
+from .states import Dims
 
 CHECKS = ("chain", "relative_entropy_identity", "partial_trace_identities", "lindblad", "lieb")
 # Matrix entries per sample stack: bounds a chunk's memory, so 8x8 runs one

@@ -21,10 +21,9 @@ from .entropy import (
     clamp_nonnegative, mutual_information, mutual_information_via_relative, von_neumann_entropy,
 )
 from .io import StateFileError, complex_payload, format_json, load_state_file, write_state_file
-from .kernels import BACKEND
-from .linalg import Dims, frobenius
+from .kernels import BACKEND, frobenius
 from .states import (
-    BipartiteState, StateValidationError, bipartite_from_pure, make_bipartite, purity_class,
+    BipartiteState, Dims, StateValidationError, bipartite_from_pure, make_bipartite, purity_class,
     schmidt_decompose, schmidt_reconstruct,
 )
 
@@ -222,18 +221,7 @@ def cmd_twins(args) -> int:
         return EXIT_INTERNAL
     body = {
         "input": {"state": args.state, "observable_1": args.obs_a, "observable_2": args.obs_b},
-        "report": {
-            "verdict": twin_report.verdict,
-            "complete": twin_report.complete,
-            "spectra_match": twin_report.spectra_match,
-            "commutator_residuals": list(twin_report.commutator_residuals),
-            "pairing": twin_report.pairing,
-            "residual_a": twin_report.residual_a,
-            "residual_b": twin_report.residual_b,
-            "residual_c": twin_report.residual_c,
-            "residual_d": twin_report.residual_d,
-            "strong_algebraic_residual": twin_report.strong_algebraic_residual,
-        },
+        "report": vars(twin_report),
     }
     lines = [
         f"verdict: {'twins' if twin_report.verdict else 'not twins'}"

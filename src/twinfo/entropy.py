@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from .kernels import KERNEL_CLIP, entropy_bits, vn_entropy
-from .linalg import tensor_product
+from .kernels import KERNEL_CLIP, entropy_bits, kron, vn_entropy
 from .states import (
     BipartiteState,
     DensityOperator,
@@ -47,12 +46,14 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 def shannon_entropy(p) -> float:
     """-sum p_i log2 p_i with the 0 log 0 = 0 convention.
 
-    Rejects inputs that are not a probability distribution (entries below
-    ``-PROB_NEGATIVE_TOL`` or total off 1 by more than ``PROB_SUM_TOL``).
+    Rejects inputs that are not a probability distribution (a non-finite entry,
+    entries below ``-PROB_NEGATIVE_TOL`` or total off 1 by more than ``PROB_SUM_TOL``).
     """
     p = np.asarray(p, dtype=float).ravel()
     if p.size == 0:
         raise StateValidationError("distribution", "empty probability list")
+    if not np.all(np.isfinite(p)):
+        raise StateValidationError("distribution", "non-finite (nan or inf) probability")
     if float(p.min()) < -PROB_NEGATIVE_TOL:
         raise StateValidationError("distribution", f"negative probability {p.min():.3e}")
     total = float(p.sum())
@@ -120,7 +121,7 @@ def mutual_information(state: BipartiteState) -> float:
 
 def mutual_information_via_relative(state: BipartiteState) -> float:
     """I(1:2) as the relative entropy of the state w.r.t. the product of its reductions."""
-    product = _wrap_density(tensor_product(state.rho1.matrix, state.rho2.matrix))
+    product = _wrap_density(kron(state.rho1.matrix, state.rho2.matrix))
     return relative_entropy(state.rho12, product)
 
 

@@ -1,4 +1,6 @@
-"""Hot numeric kernels on raw complex128 arrays, in plain numpy.
+"""Hot numeric kernels on raw complex128 arrays, in plain numpy, and the small
+array helpers the library shares: ``dagger``, ``frobenius``, ``range_projector``
+and ``tensor_product``, the public name of ``kron``.
 
 Callers are responsible for passing C-contiguous complex128 arrays.
 ``KERNEL_CLIP`` implements the ``0 * log 0 = 0`` convention: eigenvalues and
@@ -19,24 +21,18 @@ row with an entry at or below ``KERNEL_CLIP`` sums alone (masking regroups sums)
 
 import numpy as np
 
-__all__ = [
-    "BACKEND",
-    "entropy_bits",
-    "vn_entropy",
-    "ptrace_keep1",
-    "ptrace_keep2",
-    "measured_first",
-    "swap_sides",
-    "kron",
-    "conditional_states",
-    "gain_from_conditionals",
-    "info_gain_side1",
-    "table_mutual_info",
-    "joint_mutual_info",
-]
-
 BACKEND = "numpy"
 KERNEL_CLIP = 1e-12
+
+
+def dagger(m):
+    """Conjugate transpose of a matrix, or of each in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def frobenius(a, b=None) -> float:
+    """Frobenius norm of ``a`` (or of ``a - b``)."""
+    return float(np.linalg.norm(a if b is None else a - b))
 
 
 def entropy_bits(p):
@@ -94,6 +90,16 @@ def kron(a, b):
     p, q = b.shape[-2:]
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(out.shape[:-4] + (m * p, n * q))
+
+
+tensor_product = kron
+
+
+def range_projector(m):
+    """Projector onto the span of eigenvectors with eigenvalue above ``KERNEL_CLIP``."""
+    w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
+    block = v[:, w > KERNEL_CLIP]
+    return block @ block.conj().T
 
 
 def conditional_states(rt, projs):

@@ -25,12 +25,12 @@ import numpy as np
 
 from .entropy import PROB_NEGATIVE_TOL, PROB_SUM_TOL, clamp_nonnegative
 from .kernels import (
-    KERNEL_CLIP, conditional_states, entropy_bits, gain_from_conditionals, measured_first,
-    ptrace_keep2, table_mutual_info, vn_entropy,
+    KERNEL_CLIP, conditional_states, dagger, entropy_bits, frobenius, gain_from_conditionals, kron,
+    measured_first, ptrace_keep2, table_mutual_info, vn_entropy,
 )
-from .linalg import Dims, dagger, frobenius, tensor_product
 from .states import (
-    BipartiteState, DensityOperator, StateValidationError, _bipartite_unchecked, _wrap_density,
+    BipartiteState, DensityOperator, Dims, StateValidationError, _bipartite_unchecked,
+    _wrap_density,
 )
 
 DETECT_EPS = 1e-10
@@ -214,8 +214,8 @@ def embed(op: np.ndarray, side: int, dims: Dims) -> np.ndarray:
     """``op (x) 1`` for ``side`` 1, ``1 (x) op`` for side 2 of a ``dims`` split;
     a stack ``(n, d, d)`` lifts slice by slice."""
     if side == 1:
-        return tensor_product(op, _identity(dims.d2))
-    return tensor_product(_identity(dims.d1), op)
+        return kron(op, _identity(dims.d2))
+    return kron(_identity(dims.d1), op)
 
 
 def luders_apply(obs: Observable, rho: DensityOperator) -> DensityOperator:

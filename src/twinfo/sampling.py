@@ -12,7 +12,7 @@ import operator
 
 import numpy as np
 
-from .linalg import Dims
+from .states import Dims
 
 # numpy's SeedSequence hash on 32-bit words; _KEY[k] is generate_state's constant before word k.
 _MASK, _INIT_A, _MULT_A, _MIX_L, _MIX_R = 0xFFFFFFFF, 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715

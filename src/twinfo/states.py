@@ -1,4 +1,5 @@
-"""Validated quantum-state types, reductions and Schmidt decomposition."""
+"""Validated quantum-state types on a bipartite split ``Dims``, their reductions
+(``partial_trace`` checks its input) and Schmidt decomposition."""
 
 from __future__ import annotations
 
@@ -6,11 +7,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Dims, dagger, frobenius, partial_trace
+from .kernels import dagger, frobenius, ptrace_keep1, ptrace_keep2
 
 STATE_TOL = 1e-10
 PURITY_TOL = 1e-9
 SCHMIDT_CLIP = 1e-10
+
+
+@dataclass(frozen=True)
+class Dims:
+    """Subsystem dimensions of a bipartite split."""
+
+    d1: int
+    d2: int
+
+    def __post_init__(self):
+        if self.d1 < 1 or self.d2 < 1:
+            raise ValueError(f"subsystem dimensions must be >= 1, got {self.d1}x{self.d2}")
+
+    @property
+    def total(self) -> int:
+        return self.d1 * self.d2
+
+
+def partial_trace(m: np.ndarray, dims: Dims, keep: int) -> np.ndarray:
+    """Trace out one subsystem, keeping subsystem ``keep`` (1 or 2)."""
+    n = dims.total
+    if m.shape != (n, n):
+        raise ValueError(f"matrix side {m.shape} does not match dims {dims.d1}x{dims.d2}")
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    if keep == 1:
+        return ptrace_keep1(m, dims.d1, dims.d2)
+    if keep == 2:
+        return ptrace_keep2(m, dims.d1, dims.d2)
+    raise ValueError(f"keep must be 1 or 2, got {keep}")
 
 
 class StateValidationError(ValueError):
@@ -104,8 +134,8 @@ def _bipartite_unchecked(m: np.ndarray, dims: Dims) -> BipartiteState:
     # For matrices that are valid states by construction: channel outputs, and
     # projectors and Schmidt-dephased states of checked unit vectors.
     rho = _wrap_density(m)
-    r1 = _wrap_density(partial_trace(rho.matrix, dims, keep=1))
-    r2 = _wrap_density(partial_trace(rho.matrix, dims, keep=2))
+    r1 = _wrap_density(ptrace_keep1(rho.matrix, dims.d1, dims.d2))
+    r2 = _wrap_density(ptrace_keep2(rho.matrix, dims.d1, dims.d2))
     return BipartiteState(rho12=rho, dims=dims, rho1=r1, rho2=r2)
 
 

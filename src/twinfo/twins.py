@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Dims, frobenius, range_projector
+from .kernels import frobenius, range_projector
 from .measurement import (
     DETECT_EPS,
     Observable,
@@ -30,7 +30,7 @@ from .measurement import (
     embed,
     observable_from_matrix,
 )
-from .states import BipartiteState, _bipartite_unchecked, _schmidt_products, schmidt_decompose
+from .states import BipartiteState, Dims, _bipartite_unchecked, _schmidt_products, schmidt_decompose
 
 TWIN_TOL = 1e-8
 
@@ -58,18 +58,19 @@ class TwinReport:
     """Residuals and verdicts for a candidate twin pair.
 
     ``pairing`` holds the one-to-one map between the two detectable spectra as
-    ``(i, j)`` index pairs, or None when there is none.
+    ``(i, j)`` index pairs, or None when there is none.  The fields are in the
+    order ``twinfo twins`` prints them.
     """
 
-    commutator_residuals: tuple
+    verdict: bool
+    complete: bool
     spectra_match: bool
+    commutator_residuals: tuple
     pairing: tuple | None
     residual_a: float
     residual_b: float
     residual_c: float
     residual_d: float
-    verdict: bool
-    complete: bool
     strong_algebraic_residual: float | None
 
 
@@ -196,9 +197,10 @@ def verify_twins(
 
     strong = _strong_algebraic(state, spec_a, spec_b, pairing, tol) if verdict else None
     return TwinReport(
-        commutator_residuals=(comm[0], comm[1]), spectra_match=spectra_match, pairing=pairing,
+        verdict=verdict, complete=complete, spectra_match=spectra_match,
+        commutator_residuals=(comm[0], comm[1]), pairing=pairing,
         residual_a=res_a, residual_b=res_b, residual_c=res_c, residual_d=res_d,
-        verdict=verdict, complete=complete, strong_algebraic_residual=strong,
+        strong_algebraic_residual=strong,
     )
 
 

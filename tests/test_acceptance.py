@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 import twinfo as T
-from twinfo.kernels import info_gain_side1, joint_mutual_info, swap_sides
-from twinfo.linalg import frobenius
+from twinfo.kernels import frobenius, info_gain_side1, joint_mutual_info, swap_sides
 
 from conftest import DIM_PAIRS, product_state, random_state, twin_corpus, werner_state
 

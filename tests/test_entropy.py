@@ -42,6 +42,13 @@ def test_shannon_entropy_rejects_bad_distributions():
         T.shannon_entropy([1.5, -0.5])
 
 
+@pytest.mark.parametrize("p", [[0.5, math.nan], [math.nan], [1.0, math.inf], [math.inf, -math.inf]])
+def test_shannon_entropy_rejects_non_finite_entries(p):
+    with pytest.raises(StateValidationError, match="non-finite") as info:
+        T.shannon_entropy(p)
+    assert info.value.invariant == "distribution"
+
+
 def test_relative_entropy_self_is_zero():
     for seed in range(5):
         rho = T.validate_density(T.sample_random_density(T.Dims(2, 2), 4, seed))

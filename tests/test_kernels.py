@@ -6,12 +6,12 @@ import pytest
 import twinfo as T
 from twinfo.entropy import SUPPORT_TOL, clamp_nonnegative, relative_entropies
 from twinfo.kernels import (
-    KERNEL_CLIP, info_gain_side1, joint_mutual_info, kron, ptrace_keep1, ptrace_keep2, swap_sides,
-    vn_entropy,
+    KERNEL_CLIP, dagger, info_gain_side1, joint_mutual_info, kron, ptrace_keep1, ptrace_keep2,
+    swap_sides, vn_entropy,
 )
-from twinfo.linalg import Dims, dagger
 from twinfo.measurement import embed, luders_sum_rows
 from twinfo.sampling import generator, sample_random_observables, sample_random_unitaries
+from twinfo.states import Dims
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])

@@ -16,10 +16,9 @@ from conftest import SIGMA_Z, bell_vector
 
 # The public names and their defining modules.
 PUBLIC = {
-    "kernels": ["BACKEND"],
+    "kernels": ["BACKEND", "tensor_product"],
     "entropy": ["entanglement_entropy", "mutual_information", "mutual_information_via_relative",
                 "relative_entropy", "shannon_entropy", "von_neumann_entropy"],
-    "linalg": ["Dims", "partial_trace", "tensor_product"],
     "measurement": ["CoherenceDecomposition", "DistantDecomposition", "JointDistribution",
                     "Observable", "SubsystemObservable", "coherence_decomposition",
                     "distant_decomposition", "entropy_of_coherence", "information_gain",
@@ -29,14 +28,15 @@ PUBLIC = {
                  "quantum_discord", "sup_information_gain", "sup_joint_mutual_information"],
     "sampling": ["sample_random_density", "sample_random_observable", "sample_random_pure",
                  "sample_random_unitary"],
-    "states": ["BipartiteState", "DensityOperator", "SchmidtForm", "StateValidationError",
-               "bipartite_from_pure", "make_bipartite", "purity_class", "schmidt_decompose",
-               "schmidt_reconstruct", "validate_density"],
+    "states": ["BipartiteState", "DensityOperator", "Dims", "SchmidtForm", "StateValidationError",
+               "bipartite_from_pure", "make_bipartite", "partial_trace", "purity_class",
+               "schmidt_decompose", "schmidt_reconstruct", "validate_density"],
     "twins": ["ConditionMismatchError", "DetectableSpectrum", "TwinReport", "construct_pure_twins",
               "dephase_in_schmidt_basis", "detectable_spectrum", "verify_twins"],
 }
 NAMES = sorted(name for names in PUBLIC.values() for name in names)
-OPTIONAL = {"chains", "measurement", "optimize", "sampling", "twins"}
+# The twinfo modules every command loads.
+CORE = {"cli", "entropy", "io", "kernels", "states"}
 
 
 def run_python(code, *args):
@@ -107,18 +107,20 @@ def inputs(tmp_path_factory):
     return paths
 
 
+# Each command's argv and the exact set of twinfo modules it loads.
 COMMANDS = {
-    "report": (["report", "{werner}"], OPTIONAL),
-    "schmidt": (["schmidt", "{bell}"], OPTIONAL),
-    "twins": (["twins", "{bell}", "{z}", "{z}"], {"chains", "sampling", "optimize"}),
-    "discord": (["discord", "{werner}", "--restarts", "2"], {"chains", "measurement", "twins"}),
-    "sweep": (["sweep", "--samples", "2", "--out", "{out}"], {"optimize", "twins"}),
+    "report": (["report", "{werner}"], CORE),
+    "schmidt": (["schmidt", "{bell}"], CORE),
+    "twins": (["twins", "{bell}", "{z}", "{z}"], CORE | {"measurement", "twins"}),
+    "discord": (["discord", "{werner}", "--restarts", "2"], CORE | {"sampling", "optimize"}),
+    "sweep": (["sweep", "--samples", "2", "--out", "{out}"],
+              CORE | {"sampling", "measurement", "chains"}),
 }
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_command_loads_only_its_modules(command, inputs):
-    argv, absent = COMMANDS[command]
+    argv, expected = COMMANDS[command]
     code = ("import json, sys\n"
             "from twinfo.cli import main\n"
             "code = main(sys.argv[1:])\n"
@@ -126,4 +128,4 @@ def test_command_loads_only_its_modules(command, inputs):
             "print(json.dumps([code, loaded]))")
     code, loaded = run_python(code, *[a.format(**inputs) for a in argv])
     assert code == 0
-    assert not absent & set(loaded), loaded
+    assert set(loaded) == expected

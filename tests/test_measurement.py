@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import twinfo as T
-from twinfo.kernels import KERNEL_CLIP, info_gain_side1, swap_sides, vn_entropy
-from twinfo.linalg import frobenius
+from twinfo.kernels import KERNEL_CLIP, frobenius, info_gain_side1, swap_sides, vn_entropy
 from twinfo.measurement import DETECT_EPS, embed
 
 from conftest import (

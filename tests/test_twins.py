@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import twinfo as T
-from twinfo.kernels import kron
-from twinfo.linalg import frobenius
+from twinfo.kernels import frobenius, kron
 from twinfo.measurement import embed
 from twinfo.twins import TWIN_TOL
 
