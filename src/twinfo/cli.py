@@ -160,21 +160,14 @@ def cmd_report(args) -> int:
 
 
 def cmd_discord(args) -> int:
-    from .optimize import OptimizationConfig, sup_information_gain
+    from .optimize import OptimizationConfig, _direction_side, sup_information_gain
 
-    if args.restarts < 1:
-        raise StateFileError(f"--restarts must be >= 1, got {args.restarts}")
-    if args.seed < 0:
-        raise StateFileError(f"--seed must be >= 0, got {args.seed}")
+    try:
+        cfg = OptimizationConfig(restarts=args.restarts, seed=args.seed, grid_refine=args.grid_refine)
+    except ValueError as exc:  # the option names are the config's field names
+        raise StateFileError(f"--{exc}") from None
     state, kind, phi = _load_bipartite(args.state)
-    cfg = OptimizationConfig(
-        restarts=args.restarts, seed=args.seed, grid_refine=args.grid_refine
-    )
-    side = 1 if args.direction == "1to2" else 2
-    sup = sup_information_gain(state, side, cfg)
-    # The qubit grid oracle is one more candidate beside the restarts.
-    measured = state.dims.d1 if side == 1 else state.dims.d2
-    candidates = args.restarts + int(args.grid_refine and measured == 2)
+    sup = sup_information_gain(state, _direction_side(args.direction), cfg)
     block = _state_block(state, phi)
     mi = block["mutual_information"]
     discord = clamp_nonnegative(mi - sup.value)
@@ -199,7 +192,7 @@ def cmd_discord(args) -> int:
         [
             f"{args.state}: I(1:2)={mi:.6g}  sup gain={sup.value:.6g}  "
             f"discord({args.direction})={discord:.6g}  "
-            f"[{sup.restarts_agreeing}/{candidates} restarts agree]"
+            f"[{sup.restarts_agreeing}/{len(sup.restart_values)} restarts agree]"
         ],
     )
     return EXIT_OK

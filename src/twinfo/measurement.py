@@ -175,15 +175,19 @@ def observable_from_matrix(m: np.ndarray) -> Observable:
 def observable_from_basis(u: np.ndarray, eigenvalues=None) -> Observable:
     """Complete observable with the columns of ``u`` as eigenvectors.
 
-    Default eigenvalue labels are 1, 2, ..., d; custom labels must be
-    distinct.
+    Default eigenvalue labels are 1, 2, ..., d; custom labels must be finite and distinct.
+    A non-finite entry of ``u`` raises ``StateValidationError`` (``finite``).
     """
     u = np.ascontiguousarray(u, dtype=np.complex128)
     d = u.shape[0]
     if u.shape != (d, d):
         raise ValueError(f"basis must be square, got shape {u.shape}")
-    gram = dagger(u) @ u
-    if np.linalg.norm(gram - np.eye(d)) > _BASIS_TOL * d:
+    if not np.all(np.isfinite(u)):
+        raise StateValidationError("finite", "basis has a non-finite entry")
+    # Huge finite entries overflow the Gram matrix; its inf or nan deviation fails the check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation = np.linalg.norm(dagger(u) @ u - np.eye(d))
+    if not deviation <= _BASIS_TOL * d:
         raise ValueError("basis columns are not orthonormal")
     if eigenvalues is None:
         eigenvalues = np.arange(1, d + 1, dtype=float)
@@ -191,6 +195,8 @@ def observable_from_basis(u: np.ndarray, eigenvalues=None) -> Observable:
         eigenvalues = np.asarray(eigenvalues, dtype=float)
         if eigenvalues.shape != (d,):
             raise ValueError(f"expected {d} eigenvalues, got {eigenvalues.shape}")
+        if not np.all(np.isfinite(eigenvalues)):
+            raise ValueError("eigenvalue labels must be finite")
         if d > 1 and np.min(np.diff(np.sort(eigenvalues))) < _BASIS_TOL:
             raise ValueError("eigenvalue labels must be distinct")
     order = np.argsort(eigenvalues)

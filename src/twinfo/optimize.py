@@ -59,26 +59,33 @@ class OptimizationConfig:
 
     def __post_init__(self):
         if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
 class SupremumResult:
     """Best value found over all restarts, with the attaining basis (or pair).
 
-    ``grad_norm`` is the Frobenius norm of the ascent direction at the
-    argmax; ``evaluations`` counts objective evaluations over all restarts,
-    each grid point counting as one.
+    ``restart_values`` holds each candidate's value in start order, the grid
+    last when it ran; ``grad_norm`` is the Frobenius norm of the ascent
+    direction at the argmax; ``evaluations`` counts objective evaluations over
+    all restarts, each grid point counting as one.
     """
 
     value: float
     argmax_basis: object
-    restarts_agreeing: int
+    restart_values: tuple[float, ...]
     converged: bool
     grad_norm: float
     evaluations: int
+
+    @property
+    def restarts_agreeing(self) -> int:
+        """Candidates within ``AGREE_TOL`` of the best one."""
+        best = max(self.restart_values)
+        return sum(1 for v in self.restart_values if v >= best - AGREE_TOL)
 
 
 def _eigbasis(matrix: np.ndarray) -> np.ndarray:
@@ -415,11 +422,10 @@ def sup_information_gain(
 def _reduce_candidates(candidates) -> SupremumResult:
     # Max over restart values; the lowest index wins exact ties.
     value, basis, grad_norm, _ = max(candidates, key=lambda cand: cand[0])
-    agreeing = sum(1 for cand in candidates if cand[0] >= value - AGREE_TOL)
     return SupremumResult(
         value=max(value, 0.0),
         argmax_basis=basis,
-        restarts_agreeing=agreeing,
+        restart_values=tuple(cand[0] for cand in candidates),
         converged=grad_norm <= GRAD_TOL,
         grad_norm=grad_norm,
         evaluations=sum(cand[3] for cand in candidates),

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -551,6 +552,12 @@ def test_discord_summary_counts_grid_as_candidate(tmp_path):
     assert json.loads(gridded.stdout)["optimization"]["restarts_agreeing"] == 5
     plain = run_cli("discord", str(path), "--restarts", "4")
     assert plain.stderr.strip().endswith("[4/4 restarts agree]")
+    # A qutrit measured side runs no grid, even with --grid-refine.
+    qutrit = tmp_path / "mixed2x3.json"
+    write_state_file(qutrit, "density", T.sample_random_density(T.Dims(2, 3), 6, seed=61), [2, 3])
+    res = run_cli("discord", str(qutrit), "--restarts", "4", "--grid-refine", "--direction", "2to1")
+    assert res.returncode == 0
+    assert re.search(r"\[[1-4]/4 restarts agree\]$", res.stderr.strip())
 
 
 # ------------------------------------------------------------ usage errors

@@ -39,6 +39,23 @@ def test_observable_from_basis_rejects_non_orthonormal():
         T.observable_from_basis(np.ones((2, 2), dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "basis, labels, error, match",
+    [
+        (np.array([[np.nan, 0], [0, 1]]), None, T.StateValidationError, "non-finite"),
+        (np.array([[np.inf, 0], [0, 1]]), None, T.StateValidationError, "non-finite"),
+        # Finite, but its Gram matrix overflows.
+        (np.array([[1e200, 0], [0, 1]]), None, ValueError, "not orthonormal"),
+        (np.eye(2), [np.nan, 1.0], ValueError, "finite"),
+        (np.eye(2), [1.0, np.inf], ValueError, "finite"),
+    ],
+    ids=["nan-entry", "inf-entry", "gram-overflow", "nan-label", "inf-label"],
+)
+def test_observable_from_basis_rejects_non_finite_input(basis, labels, error, match):
+    with pytest.raises(error, match=match):
+        T.observable_from_basis(basis.astype(complex), eigenvalues=labels)
+
+
 def test_observable_from_basis_rejects_repeated_labels():
     with pytest.raises(ValueError):
         T.observable_from_basis(np.eye(2, dtype=complex), eigenvalues=[1.0, 1.0])

@@ -58,15 +58,27 @@ def test_sup_information_gain_dephased_state():
     assert result.value == pytest.approx(s1, abs=1e-6)
 
 
+def _check_restart_values(result, cfg, grid_ran):
+    """One value per restart, the grid's last; the value is their clamped maximum."""
+    values = result.restart_values
+    assert len(values) == cfg.restarts + grid_ran
+    assert result.value == max(max(values), 0.0)
+    best = max(values)
+    assert result.restarts_agreeing == sum(1 for v in values if v >= best - O.AGREE_TOL)
+
+
 def test_sup_result_bounds():
     dims = T.Dims(2, 2)
+    gridded = T.OptimizationConfig(restarts=FAST.restarts, seed=FAST.seed, grid_refine=True)
     for seed in range(5):
         state = random_state(dims, rank=(seed % 4) + 1, seed=seed, stream=83)
         mi = T.mutual_information(state)
         s2 = T.von_neumann_entropy(state.rho2)
-        result = T.sup_information_gain(state, 1, FAST)
-        assert 0.0 <= result.value <= min(mi, s2) + 1e-6
-        assert 1 <= result.restarts_agreeing <= FAST.restarts + 1
+        for cfg in (FAST, gridded):
+            result = T.sup_information_gain(state, 1, cfg)
+            assert 0.0 <= result.value <= min(mi, s2) + 1e-6
+            assert 1 <= result.restarts_agreeing <= FAST.restarts + 1
+            _check_restart_values(result, cfg, grid_ran=cfg.grid_refine)
 
 
 def test_sup_joint_product_state():
@@ -76,15 +88,18 @@ def test_sup_joint_product_state():
 
 
 def test_sup_joint_bell_and_pure():
+    cfg = T.OptimizationConfig(restarts=2, seed=0, grid_refine=True)  # the joint ascent has no grid
     bell = T.bipartite_from_pure(bell_vector(), T.Dims(2, 2))
-    result = T.sup_joint_mutual_information(bell, T.OptimizationConfig(restarts=2, seed=0))
+    result = T.sup_joint_mutual_information(bell, cfg)
     assert result.value == pytest.approx(1.0, abs=1e-6)
+    _check_restart_values(result, cfg, grid_ran=False)
     dims = T.Dims(2, 3)
     phi = T.sample_random_pure(dims, seed=38)
     state = T.bipartite_from_pure(phi, dims)
     s1 = T.von_neumann_entropy(state.rho1)
-    result = T.sup_joint_mutual_information(state, T.OptimizationConfig(restarts=2, seed=0))
+    result = T.sup_joint_mutual_information(state, cfg)
     assert result.value == pytest.approx(s1, abs=1e-6)
+    _check_restart_values(result, cfg, grid_ran=False)
 
 
 def test_sup_joint_bounded_by_one_sided_gains():
@@ -218,9 +233,9 @@ def test_optimizer_is_deterministic():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^restarts must be >= 1, got 0$"):
         T.OptimizationConfig(restarts=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         T.OptimizationConfig(seed=-1)
 
 
@@ -335,6 +350,7 @@ def test_grid_refine_counts_grid_points():
     )
     # One 41 x 41 scan and four 17 x 17 zooms, plus the gradient at the grid's argmax.
     assert gridded.evaluations == plain.evaluations + 41 * 41 + 4 * 17 * 17 + 1
+    assert gridded.restart_values[:-1] == plain.restart_values
     assert gridded.evaluations == T.sup_information_gain(
         state, 1, T.OptimizationConfig(restarts=2, seed=0, grid_refine=True)
     ).evaluations

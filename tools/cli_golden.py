@@ -10,7 +10,7 @@ directory that holds a copy of the inputs.  It compares stdout, stderr, the
 exit code and every file a run leaves behind (violation dumps), prints one
 line per difference and exits 1 if there is any, 0 otherwise.
 
-The golden set of 144 argvs: ``sweep --samples 8`` at 2x2, 2x3, 3x3, 4x4 and 8x8
+The golden set of 149 argvs: ``sweep --samples 8`` at 2x2, 2x3, 3x3, 4x4 and 8x8
 with seeds 0-9, at 1x3, 4x1, 8x2 and 5x7 (one outcome, a one-dimensional
 opposite side, unequal sides), and seven other sweeps, three of them across
 sample-chunk boundaries; two 2x2 sweeps with seeds 2**32 and 2**130 (two and
@@ -20,7 +20,9 @@ the form AxB) or an ``--out`` that names a file; ``report``, ``schmidt`` and ``d
 directions, with and without ``--grid-refine``) on a Werner state, a Bell pair,
 random 2x3 and 3x3 mixed states, a random 3x3 pure state, and states with
 one-dimensional sides (the 1x1 state, a random 2x1 mixed state and a random
-1x2 pure state); ten ``twins``
+1x2 pure state); five more ``discord`` runs: rejected options on the Werner
+state (zero restarts, a negative seed, both) and on a missing file (zero
+restarts), and one restart with ``--grid-refine``; ten ``twins``
 runs (complete and rank-k Schmidt twins on pure and Schmidt-dephased states,
 complete twins at ``--tol 1e-2``, a pair with unequal detectable spectra, and
 random two-outcome observables); and malformed inputs (NaN density, NaN
@@ -187,6 +189,15 @@ def golden_argvs() -> list[tuple[str, ...]]:
         ("twins", "dephased2x3.json", "rank2_a.json", "rank2_b.json"),
         ("twins", "dephased2x3.json", "two_a.json", "two_b.json"),
         ("twins", "mixed2x3.json", "two_a.json", "two_b.json"),
+    ]
+    # Rejected discord options (the first check wins, before any file is read), and
+    # the grid as a second candidate beside one restart.
+    argvs += [
+        ("discord", "werner.json", "--restarts", "0"),
+        ("discord", "werner.json", "--seed", "-1"),
+        ("discord", "werner.json", "--restarts", "0", "--seed", "-1"),
+        ("discord", "missing.json", "--restarts", "0"),
+        ("discord", "werner.json", "--restarts", "1", "--grid-refine"),
     ]
     for bad in ("nan_density.json", "nan_pure.json", "bool_dims.json"):
         argvs += [("report", bad), ("discord", bad)]
