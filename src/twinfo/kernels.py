@@ -15,8 +15,9 @@ the information gain and the coherence deficit, with the bits ``sweep`` prints.
 
 The entropy, partial-trace and information kernels also take ``sweep``'s stacks
 with a leading sample axis, each row bitwise the unbatched call: stacked ``@``,
-``eigvalsh``, ``trace`` and sums over a last axis are equal slice by slice, and a
-row with an entry at or below ``KERNEL_CLIP`` sums alone (masking regroups sums).
+``eigvalsh``, ``trace`` and sums over a last axis are equal slice by slice.  A
+zero-padded sum regroups terms, so rows with an entry at or below ``KERNEL_CLIP``
+sum only their kept entries, gathered with the rows that keep as many.
 """
 
 import numpy as np
@@ -37,15 +38,19 @@ def frobenius(a, b=None) -> float:
 
 def entropy_bits(p):
     """Shannon entropy (base 2) of the entries of ``p`` above ``KERNEL_CLIP``; of
-    each row (last axis) of a stack."""
+    each row (last axis) of a stack.  Rows that keep ``k`` entries sum as one
+    ``(m, k)`` array, the 1-D call's pairwise sum row by row."""
     if p.ndim == 1:
         q = p[p > KERNEL_CLIP]
         return -np.sum(q * np.log2(q))
-    full = np.all(p > KERNEL_CLIP, axis=-1)
+    keep = p > KERNEL_CLIP
+    kept = np.count_nonzero(keep, axis=-1)
     out = np.empty(p.shape[:-1])
-    q = p[full]
-    out[full] = -np.sum(q * np.log2(q), axis=-1)
-    out[~full] = [entropy_bits(row) for row in p[~full]]
+    for k in set(kept.ravel().tolist()):
+        rows = kept == k
+        q = p[rows]
+        q = q[keep[rows]].reshape(len(q), k)
+        out[rows] = -np.sum(q * np.log2(q), axis=-1)
     return out
 
 

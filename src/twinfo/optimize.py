@@ -24,6 +24,7 @@ and logs, and ``discord`` prints this form's bits.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,11 @@ class OptimizationConfig:
     grid_refine: bool = False
 
     def __post_init__(self):
+        for name in ("restarts", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:

@@ -31,9 +31,10 @@ def generators(seed: int, streams):
     stream, so an item is valid only until the next is drawn.  Each key is the one
     ``SeedSequence(seed, spawn_key=(stream,))`` gives Philox: the stream's words are
     mixed into a copy of the seed's pool, the hash constant going on from the seed's."""
+    # ``_words`` checks the seed before SeedSequence does, so a bad seed gets twinfo's message.
+    start = _INIT_A * pow(_MULT_A, 4 * max(4, len(_words(seed))), 1 << 32) & _MASK
     seq = np.random.SeedSequence(seed)
     pool, rng = seq.pool.tolist(), np.random.Generator(np.random.Philox(seq))
-    start = _INIT_A * pow(_MULT_A, 4 * max(4, len(_words(seed))), 1 << 32) & _MASK
     key = [0, 0]  # set per stream; the state setter copies it, so one dict serves them all
     state = dict(bit_generator="Philox", buffer=[0] * 4, buffer_pos=4, has_uint32=0, uinteger=0,
                  state={"counter": [0] * 4, "key": key})
@@ -94,6 +95,8 @@ def sample_random_unitary(d: int, seed: int, stream: int = 0) -> np.ndarray:
 def sample_random_unitaries(d: int, seed: int, streams) -> np.ndarray:
     """Haar-distributed unitary of each stream, stacked: one batched QR of Ginibre
     matrices, with the phases of ``r``'s diagonal moved into ``q``."""
+    if (d := operator.index(d)) < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
     z = np.empty((len(streams), 2, d, d))
     for zi, rng in zip(z, generators(seed, streams)):
         rng.standard_normal(out=zi)
@@ -114,10 +117,16 @@ def sample_random_observable(d: int, seed: int, stream: int = 0, complete: bool 
 
 def sample_random_observables(d: int, seed: int, streams, complete: bool = True) -> list:
     """``sample_random_observable`` of each stream; the eigenbases come from one batched QR."""
+    return _observables(sample_random_unitaries(d, seed, streams), seed, streams, complete)
+
+
+def _observables(bases: np.ndarray, seed: int, streams, complete: bool) -> list:
+    """The observable of each stream on its Haar eigenbasis in ``bases``; without
+    ``complete``, the eigenspace cuts come from the stream's own cut stream."""
     # Imported on use, so that sampling states and unitaries loads no measurement module.
     from .measurement import Observable, observable_from_basis
 
-    bases = sample_random_unitaries(d, seed, streams)
+    d = bases.shape[-1]
     if complete or d == 1:
         return [observable_from_basis(u) for u in bases]
     observables = []

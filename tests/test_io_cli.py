@@ -19,7 +19,15 @@ from twinfo.io import (
     parse_state_payload,
     write_state_file,
 )
-from twinfo.kernels import info_gain_side1, joint_mutual_info, swap_sides
+from twinfo.entropy import clamp_nonnegative, relative_entropies
+from twinfo.kernels import (
+    dagger, entropy_bits, frobenius, info_gain_side1, joint_mutual_info, kron, ptrace_keep1,
+    ptrace_keep2, swap_sides, vn_entropy,
+)
+from twinfo.measurement import luders_sum_rows
+from twinfo.sampling import (
+    sample_random_densities, sample_random_observables, sample_random_unitaries,
+)
 
 from conftest import SIGMA_X, SIGMA_Z, bell_vector
 
@@ -459,6 +467,79 @@ def test_sweep_margins_equal_reference_loop(dims, seed, tmp_path, capsys):
         for name, margin, bound in records:
             tally[name].record(margin, bound)
     assert {name: vars(t) for name, t in tally.items()} == reference
+
+
+def _sweep_records_per_stage(dims, seed, samples, tol):
+    """``chains.sweep_records`` as separate calls per stage and per input: the
+    states and references drawn apart, six Lüders sums, four relative-entropy
+    calls, and the chain's bases and the observables drawn apart."""
+    d1, d2, n = dims.d1, dims.d2, dims.total
+    streams = [10 * i for i in samples]
+    rho = sample_random_densities(dims, [i % n + 1 for i in samples], seed, streams)
+    ref = sample_random_densities(dims, [n] * len(streams), seed, [s + 7 for s in streams])
+    spectrum, ref_spectrum = np.linalg.eigvalsh(rho), np.linalg.eigvalsh(ref)
+
+    def herm(m):
+        return (m + dagger(m)) / 2.0
+
+    rho1, rho2 = herm(ptrace_keep1(rho, d1, d2)), herm(ptrace_keep2(rho, d1, d2))
+    s1_raw, s2_raw, s12 = vn_entropy(rho1), vn_entropy(rho2), entropy_bits(spectrum)
+    s1 = [clamp_nonnegative(x) for x in s1_raw.tolist()]
+    s2 = [clamp_nonnegative(x) for x in s2_raw.tolist()]
+    mi = [clamp_nonnegative(x) for x in (s1_raw + s2_raw - s12).tolist()]
+    mi_rel = relative_entropies(rho, herm(kron(rho1, rho2)), s12)
+    u1 = sample_random_unitaries(d1, seed, [s + 1 + k for k in (0, 1) for s in streams])
+    u2 = sample_random_unitaries(d2, seed, [s + 3 + k for k in (0, 1) for s in streams])
+    u1, u2 = u1.reshape(2, -1, d1, d1), u2.reshape(2, -1, d2, d2)
+    chain = np.stack([joint_mutual_info(rho, u1, u2), info_gain_side1(rho, u1, d2),
+                      info_gain_side1(swap_sides(rho, d1, d2), u2, d1)], axis=-1).swapaxes(0, 1).tolist()
+    obs_a = sample_random_observables(d1, seed, [s + 5 for s in streams], False)
+    obs_b = sample_random_observables(d2, seed, [s + 6 for s in streams], False)
+
+    def luders_a(m):
+        return herm(luders_sum_rows(obs_a, 1, dims, m))
+
+    def luders_b(m):
+        return herm(luders_sum_rows(obs_b, 2, dims, m))
+
+    after_a, after_b = luders_a(rho), luders_b(rho)
+    t_ab = luders_a(after_b)
+    diff_1 = ptrace_keep1(t_ab, d1, d2) - herm(ptrace_keep1(after_a, d1, d2))
+    diff_2 = ptrace_keep2(t_ab, d1, d2) - herm(ptrace_keep2(after_b, d1, d2))
+    ref_a = luders_a(ref)
+    after_ba = luders_b(after_a)
+    before = relative_entropies(rho, ref, s12)
+    after_one = relative_entropies(after_a, ref_a, vn_entropy(after_a))
+    after_two = relative_entropies(after_ba, luders_b(ref_a), vn_entropy(after_ba))
+    for j, i in enumerate(samples):
+        links = [("chain", max(-jmi, jmi - g1, jmi - g2, g1 - min(mi[j], s2[j]),
+                               g2 - min(mi[j], s1[j])), tol)
+                 for jmi, g1, g2 in chain[j]]
+        yield i, rho[j], ref[j], [
+            ("lieb", mi[j] - 2.0 * min(s1[j], s2[j]), tol),
+            ("relative_entropy_identity", abs(mi[j] - mi_rel[j]), tol),
+            *links,
+            ("partial_trace_identities", max(frobenius(diff_1[j]), frobenius(diff_2[j])), 1e-10),
+            ("lindblad", max(after_one[j] - before[j], after_two[j] - after_one[j]),
+             tol + chains._relative_entropy_rounding(float(ref_spectrum[j, 0]), n)),
+        ]
+
+
+@pytest.mark.parametrize("dims, seed, samples", [
+    ((2, 3), 3, 8),  # the rank-1 sample's product of reductions takes the per-row relative entropy
+    ((3, 3), 5, 8),
+    ((1, 3), 0, 8),  # one outcome on side 1
+    ((8, 8), 2, 2),  # chunks of one sample; the reference runs both at once
+])
+def test_sweep_records_equal_per_stage_calls_bitwise(dims, seed, samples):
+    dims = T.Dims(*dims)
+    got = list(chains.sweep_records(dims, seed, samples, 1e-9))
+    want = list(_sweep_records_per_stage(dims, seed, range(samples), 1e-9))
+    assert [g[0] for g in got] == [w[0] for w in want] == list(range(samples))
+    for (_, rho, ref, records), (_, rho_w, ref_w, records_w) in zip(got, want):
+        assert rho.tobytes() == rho_w.tobytes() and ref.tobytes() == ref_w.tobytes()
+        assert [(c, float(m).hex(), b) for c, m, b in records] == [
+            (c, float(m).hex(), b) for c, m, b in records_w]
 
 
 # Bell states by case: 0 is (|00> + |11>)/sqrt2, 1 is (|01> - |10>)/sqrt2.

@@ -6,8 +6,8 @@ import pytest
 import twinfo as T
 from twinfo.entropy import SUPPORT_TOL, clamp_nonnegative, relative_entropies
 from twinfo.kernels import (
-    KERNEL_CLIP, dagger, info_gain_side1, joint_mutual_info, kron, ptrace_keep1, ptrace_keep2,
-    swap_sides, vn_entropy,
+    KERNEL_CLIP, dagger, entropy_bits, info_gain_side1, joint_mutual_info, kron, ptrace_keep1,
+    ptrace_keep2, swap_sides, vn_entropy,
 )
 from twinfo.measurement import embed, luders_sum_rows
 from twinfo.sampling import generator, sample_random_observables, sample_random_unitaries
@@ -111,6 +111,27 @@ def _relative_entropy_loop(sigma, rho):
         return math.inf
     term_rho = float(np.dot(np.sum(proj, axis=0), np.log2(w[keep])))
     return clamp_nonnegative(-float(vn_entropy(sigma)) - term_rho)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 64])
+def test_stacked_entropy_rows_equal_the_1d_call_bitwise(n):
+    # Rows keep 0 .. n entries above the clip, each count on several rows and
+    # in mixed order; the dropped entries are zeros, clipped values and round-off
+    # below zero.  Over two leading axes as in ``gain_from_conditionals``.
+    rng = np.random.default_rng(n)
+    kept = np.repeat(np.arange(n + 1), 3)
+    rng.shuffle(kept)
+    p = rng.random((len(kept), n)) + KERNEL_CLIP
+    for row, k in zip(p, kept):
+        row[rng.permutation(n)[k:]] = rng.choice([0.0, KERNEL_CLIP, KERNEL_CLIP / 3, -1e-15], n - k)
+    p /= np.sum(p, axis=-1, keepdims=True)
+    stacked = entropy_bits(p)
+    for row, value in zip(p, stacked):
+        _same(value, entropy_bits(row))
+    _same(entropy_bits(p.reshape(3, n + 1, n)), stacked.reshape(3, n + 1))
+    # A row that keeps nothing has the 1-D call's empty sum, negated: -0.0.
+    _same(entropy_bits(np.zeros((2, n))), np.array([-0.0, -0.0]))
+    assert entropy_bits(np.zeros(n)).tobytes() == np.float64(-0.0).tobytes()
 
 
 @pytest.mark.parametrize("d1, d2", [(1, 1), (1, 3), (4, 1), (2, 2), (2, 3), (2, 4), (3, 3), (4, 4), (8, 8)])

@@ -239,6 +239,23 @@ def test_config_validation():
         T.OptimizationConfig(seed=-1)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": float("nan"), "restarts": 3}, "seed must be an integer, got nan"),
+    ({"seed": 1.5, "restarts": 2}, "seed must be an integer, got 1.5"),
+    ({"restarts": 2.5}, "restarts must be an integer, got 2.5"),
+    ({"restarts": "3"}, "restarts must be an integer, got '3'"),
+])
+def test_config_rejects_non_integers(kwargs, message):
+    with pytest.raises(TypeError) as info:
+        T.OptimizationConfig(**kwargs)
+    assert str(info.value) == message
+
+
+def test_config_takes_numpy_integers():
+    cfg = T.OptimizationConfig(restarts=np.int64(3), seed=np.uint8(2))
+    assert (cfg.restarts, cfg.seed) == (3, 2)
+
+
 # ------------------------------------------------------- gradient ascent on U(d)
 
 GRADIENT_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]
@@ -525,6 +542,31 @@ def test_lockstep_ascent_equals_each_start_alone(max_iterations, monkeypatch):
         _assert_same_ascents(lockstep, alone)
         if rank == 1:
             assert lockstep[0][3] == 1
+
+
+def test_armijo_floor_exit_reports_non_convergence():
+    # No trial ever raises the objective along a fixed nonzero ascent direction,
+    # so every start halves its step until step * slope falls under the floor.
+    skew = np.array([[0, 1], [-1, 0]], dtype=complex)
+    calls = {"direction": 0}
+
+    def evaluate(us):
+        return np.zeros(len(us[0])), (np.zeros(len(us[0])),)
+
+    def direction(us, parts):
+        calls["direction"] += 1
+        return (np.broadcast_to(skew, us[0].shape).copy(),)
+
+    starts = (np.stack([np.eye(2, dtype=complex)] * 3),)
+    ascents = O._lockstep_ascent(evaluate, direction, starts)
+    # One evaluation at the start and 53 halvings from step 1 down to
+    # step * sqrt(2) <= eps; no step is accepted, so no new direction is taken.
+    assert [cand[3] for cand in ascents] == [54] * 3
+    assert calls["direction"] == 1
+    result = O._reduce_candidates(ascents)
+    assert result.converged is False
+    assert result.grad_norm == np.sqrt(2.0)
+    assert result.restart_values == (0.0, 0.0, 0.0)
 
 
 def _rows_equal(batched, alone):

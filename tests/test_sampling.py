@@ -114,6 +114,23 @@ def test_stream_must_be_a_nonnegative_integer():
         generator(0, 2.0)
 
 
+def test_samplers_reject_a_negative_seed():
+    for draw in (lambda: T.sample_random_density(T.Dims(2, 2), 2, seed=-1),
+                 lambda: T.sample_random_pure(T.Dims(2, 2), seed=-1),
+                 lambda: T.sample_random_unitary(2, seed=-1),
+                 lambda: T.sample_random_observable(3, seed=-1, complete=False)):
+        with pytest.raises(ValueError, match=r"^expected a non-negative integer, got -1$"):
+            draw()
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_unitaries_reject_a_dimension_below_one(d):
+    with pytest.raises(ValueError, match=rf"^dimension must be >= 1, got {d}$"):
+        T.sample_random_unitary(d, seed=1)
+    with pytest.raises(ValueError, match=rf"^dimension must be >= 1, got {d}$"):
+        sample_random_unitaries(d, 1, [0, 1])
+
+
 def test_numpy_integer_stream_and_seed_match_python_ints():
     assert _draws(generator(np.int64(2**40), np.uint32(7))) == _draws(generator(2**40, 7))
 
