@@ -27,6 +27,7 @@ CHECKS = ("chain", "relative_entropy_identity", "partial_trace_identities", "lin
 # Matrix entries per sample stack: bounds a chunk's memory (a stage stacks up
 # to 3 such stacks), so 8x8 runs one sample at a time.
 SWEEP_CHUNK_ENTRIES = 4096
+MAX_SWEEP_DIM = 8
 
 
 class Tally:
@@ -63,12 +64,25 @@ def sweep_records(dims: Dims, seed: int, samples: int, tol: float):
     """Per sample ``0 .. samples - 1``, in order: ``(index, rho, ref, records)``,
     the sampled state and reference matrices and the sample's records.
 
-    Samples are checked in chunks of at most ``SWEEP_CHUNK_ENTRIES`` matrix
-    entries per sample stack (at least one sample); the records do not depend on it.
+    Raises ValueError at the call at the first failed check: ``seed >= 0``, sides
+    at most ``MAX_SWEEP_DIM``, ``samples >= 1``, ``tol`` neither nan (it would pass
+    every margin) nor -inf (fail every one).  Samples are checked in chunks of at
+    most ``SWEEP_CHUNK_ENTRIES`` matrix entries per sample stack (at least one
+    sample); the records do not depend on it.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if dims.d1 > MAX_SWEEP_DIM or dims.d2 > MAX_SWEEP_DIM:
+        raise ValueError(f"dims sides must be <= {MAX_SWEEP_DIM}, got {dims.d1}x{dims.d2}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if math.isnan(tol):
+        raise ValueError("tol must be a number, got nan")
+    if tol == -math.inf:
+        raise ValueError("tol must be above -inf")
     chunk = max(1, SWEEP_CHUNK_ENTRIES // dims.total**2)
-    for start in range(0, samples, chunk):
-        yield from _sweep_chunk(dims, seed, range(start, min(start + chunk, samples)), tol)
+    return (record for start in range(0, samples, chunk)
+            for record in _sweep_chunk(dims, seed, range(start, min(start + chunk, samples)), tol))
 
 
 def _sweep_chunk(dims: Dims, seed: int, samples: range, tol: float):

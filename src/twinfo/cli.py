@@ -10,9 +10,9 @@ Exit codes: 0 ok, 1 usage or parse error, 2 state validation failure,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -37,8 +37,6 @@ EXIT_SWEEP = 3
 EXIT_TWINS = 4
 EXIT_INTERNAL = 5
 
-MAX_SWEEP_DIM = 8
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; the contract wants 1.
@@ -58,15 +56,6 @@ def _parse_dims(text: str) -> Dims:
     if d1 < 1 or d2 < 1:
         raise StateFileError(f"--dims sides must be >= 1, got {text!r}")
     return Dims(d1, d2)
-
-
-def _check_tol(tol: float) -> None:
-    # A NaN tolerance would pass every margin check and -inf fail every one;
-    # JSON output has no form for either.
-    if math.isnan(tol):
-        raise StateFileError("--tol must be a number, got nan")
-    if tol == -math.inf:
-        raise StateFileError("--tol must be above -inf")
 
 
 def _load_bipartite(path: str):
@@ -199,11 +188,13 @@ def cmd_discord(args) -> int:
 
 
 def cmd_twins(args) -> int:
-    from .twins import TWIN_TOL, ConditionMismatchError, verify_twins
+    from .twins import TWIN_TOL, ConditionMismatchError, _check_tol, verify_twins
 
     tol = TWIN_TOL if args.tol is None else args.tol
-    if not 0.0 < tol < 1.0:  # also rejects nan
-        raise StateFileError(f"--tol must lie in (0, 1), got {tol}")
+    try:
+        _check_tol(tol)
+    except ValueError as exc:
+        raise StateFileError(f"--{exc}") from None
     state, kind, _ = _load_bipartite(args.state)
     a1 = _load_observable(args.obs_a, state.dims.d1, subsystem=1)
     b2 = _load_observable(args.obs_b, state.dims.d2, subsystem=2)
@@ -255,13 +246,10 @@ def cmd_sweep(args) -> int:
     from .chains import CHECKS, Tally, sweep_records
 
     dims = _parse_dims(args.dims)
-    if args.seed < 0:
-        raise StateFileError(f"--seed must be >= 0, got {args.seed}")
-    if dims.d1 > MAX_SWEEP_DIM or dims.d2 > MAX_SWEEP_DIM:
-        raise StateFileError(f"--dims sides must be <= {MAX_SWEEP_DIM}, got {args.dims}")
-    if args.samples < 1:
-        raise StateFileError(f"--samples must be >= 1, got {args.samples}")
-    _check_tol(args.tol)
+    try:
+        sweep = sweep_records(dims, args.seed, args.samples, args.tol)
+    except ValueError as exc:  # the option names are the library's argument names
+        raise StateFileError(f"--{exc}") from None
     checks = {name: Tally() for name in CHECKS}
     dumped = []
 
@@ -274,7 +262,7 @@ def cmd_sweep(args) -> int:
             raise StateFileError(f"--out: cannot write a violation dump: {exc}") from None
         dumped.append(path)
 
-    for i, rho_m, ref_m, records in sweep_records(dims, args.seed, args.samples, args.tol):
+    for i, rho_m, ref_m, records in sweep:
         for name, margin, bound in records:
             if checks[name].record(margin, bound):
                 dump(i, name, rho_m)
@@ -300,6 +288,7 @@ def cmd_sweep(args) -> int:
     return EXIT_SWEEP if total_violations else EXIT_OK
 
 
+@cache  # one parser per process: ``main`` may run many times in one interpreter
 def build_parser() -> _Parser:
     parser = _Parser(prog="twinfo", description=__doc__)
     parser.add_argument("--version", action="version", version=f"twinfo {__version__}")

@@ -120,21 +120,17 @@ def gain_from_conditionals(s, probs, conds):
     """``s - sum_i p_i S(C_i / p_i)`` in bits over a stack ``conds`` of unnormalized
     ``C_i`` with weights ``probs`` above ``KERNEL_CLIP``.  Each row of one batched
     ``eigvalsh`` sums only its kept eigenvalues, as ``vn_entropy`` does: a
-    zero-padded sum regroups them.  On stacks, a sample whose weights all pass
-    subtracts its terms in the same order, vectorized; any other runs alone.  ``s``
+    zero-padded sum regroups them.  Stacks subtract in outcome order, vectorized, and
+    a dropped outcome an exact 0, so each row keeps the 1-D call's bits.  ``s``
     broadcasts over the leading axes of ``probs``."""
-    if probs.ndim > 1:
-        full = np.all(probs > KERNEL_CLIP, axis=-1)
-        out = np.array(np.broadcast_to(s, probs.shape[:-1]), dtype=float)
-        p = probs[full]
-        h = vn_entropy(conds[full] / p[..., None, None])
-        acc = out[full]
-        for i in range(p.shape[-1]):
-            acc -= p[:, i] * h[:, i]
-        out[full] = acc
-        out[~full] = [gain_from_conditionals(*a) for a in zip(out[~full], probs[~full], conds[~full])]
-        return out
     kept = probs > KERNEL_CLIP
+    if probs.ndim > 1:
+        # A dropped outcome's conditional is divided by 1, not by its weight, so it stays finite.
+        h = vn_entropy(conds / np.where(kept, probs, 1.0)[..., None, None])
+        out = np.array(np.broadcast_to(s, probs.shape[:-1]), dtype=float)
+        for i in range(probs.shape[-1]):
+            out -= np.where(kept[..., i], probs[..., i] * h[..., i], 0.0)
+        return out
     p = probs[kept]
     for p_i, w in zip(p, np.linalg.eigvalsh(conds[kept] / p[:, None, None])):
         s -= p_i * entropy_bits(w)

@@ -2,8 +2,10 @@
 classical statistics they induce on bipartite states.
 
 An ``Observable`` is its grouped spectral form: distinct eigenvalue labels
-with orthogonal projectors, held as one ``(k, d, d)`` stack.  The labels
-never enter any information quantity, only the projectors do.  A
+with orthogonal projectors, held as one ``(k, d, d)`` stack, built from column
+blocks of an eigenbasis (``_eigenspace_observable``, for the samplers too) or
+from a basis' columns.  The labels never enter any information quantity, only
+the projectors do.  A
 ``SubsystemObservable`` acts on one side of a bipartite system; ``embed``
 lifts an operator, or a stack of them, on that side to ``P (x) 1`` or
 ``1 (x) P`` before a channel or a trace is applied.
@@ -18,7 +20,7 @@ stacked sandwich ``P_i rho P_i`` that ``coherence_decomposition`` also forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -149,33 +151,15 @@ def observable_from_matrix(m: np.ndarray) -> Observable:
     if not np.all(np.isfinite(w)):
         raise StateValidationError("finite", "observable spectrum is not finite")
 
-    edges = [0]
-    for i in range(1, len(w)):
-        scale = 1.0 + max(abs(w[i]), abs(w[i - 1]))
-        if w[i] - w[i - 1] >= EIG_GROUP_TOL * scale:
-            edges.append(i)
-    edges.append(len(w))
-
-    eigenvalues = []
-    projectors = []
-    multiplicities = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        block = v[:, lo:hi]
-        p = block @ block.conj().T
-        projectors.append((p + dagger(p)) / 2.0)
-        eigenvalues.append(float(np.mean(w[lo:hi])))
-        multiplicities.append(hi - lo)
-    return Observable(
-        eigenvalues=np.array(eigenvalues),
-        projectors=np.array(projectors),
-        multiplicities=np.array(multiplicities, dtype=int),
-    )
+    gaps = np.diff(w) >= EIG_GROUP_TOL * (1.0 + np.maximum(np.abs(w[1:]), np.abs(w[:-1])))
+    cuts = [0, *(np.flatnonzero(gaps) + 1).tolist(), len(w)]
+    obs = _eigenspace_observable(v, cuts, [np.mean(w[lo:hi]) for lo, hi in zip(cuts[:-1], cuts[1:])])
+    return replace(obs, projectors=(obs.projectors + dagger(obs.projectors)) / 2.0)
 
 
-def observable_from_basis(u: np.ndarray, eigenvalues=None) -> Observable:
-    """Complete observable with the columns of ``u`` as eigenvectors.
+def observable_from_basis(u: np.ndarray) -> Observable:
+    """Complete observable with the columns of ``u`` as eigenvectors, labelled 1, 2, ..., d.
 
-    Default eigenvalue labels are 1, 2, ..., d; custom labels must be finite and distinct.
     A non-finite entry of ``u`` raises ``StateValidationError`` (``finite``).
     """
     u = np.ascontiguousarray(u, dtype=np.complex128)
@@ -189,22 +173,22 @@ def observable_from_basis(u: np.ndarray, eigenvalues=None) -> Observable:
         deviation = np.linalg.norm(dagger(u) @ u - np.eye(d))
     if not deviation <= _BASIS_TOL * d:
         raise ValueError("basis columns are not orthonormal")
-    if eigenvalues is None:
-        eigenvalues = np.arange(1, d + 1, dtype=float)
-    else:
-        eigenvalues = np.asarray(eigenvalues, dtype=float)
-        if eigenvalues.shape != (d,):
-            raise ValueError(f"expected {d} eigenvalues, got {eigenvalues.shape}")
-        if not np.all(np.isfinite(eigenvalues)):
-            raise ValueError("eigenvalue labels must be finite")
-        if d > 1 and np.min(np.diff(np.sort(eigenvalues))) < _BASIS_TOL:
-            raise ValueError("eigenvalue labels must be distinct")
-    order = np.argsort(eigenvalues)
-    cols = u[:, order].T
+    cols = u.T
     return Observable(
-        eigenvalues=eigenvalues[order],
+        eigenvalues=np.arange(1, d + 1, dtype=float),
         projectors=cols[:, :, None] * cols.conj()[:, None, :],
         multiplicities=np.ones(d, dtype=int),
+    )
+
+
+def _eigenspace_observable(v: np.ndarray, cuts, eigenvalues) -> Observable:
+    """Observable with label ``eigenvalues[k]`` on the span of the orthonormal columns
+    ``v[:, cuts[k]:cuts[k + 1]]``: its projector is that block times its adjoint."""
+    blocks = [v[:, lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    return Observable(
+        eigenvalues=np.asarray(eigenvalues, dtype=float),
+        projectors=np.array([b @ b.conj().T for b in blocks]),
+        multiplicities=np.diff(cuts),
     )
 
 

@@ -1,9 +1,10 @@
-"""Seeded random states and unitaries.
+"""Seeded random states, unitaries and observables.
 
 All samplers are pure functions of ``(seed, parameters)``: each draw comes from
 the Philox stream with the key ``SeedSequence(seed, spawn_key=(stream,))`` gives
 it, so results never depend on call order.  The ``stream`` argument derives
 independent substreams from one seed (used by sweeps and optimizer restarts).
+Random observables draw their eigenspace cuts here; ``measurement`` builds them.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def _observables(bases: np.ndarray, seed: int, streams, complete: bool) -> list:
     """The observable of each stream on its Haar eigenbasis in ``bases``; without
     ``complete``, the eigenspace cuts come from the stream's own cut stream."""
     # Imported on use, so that sampling states and unitaries loads no measurement module.
-    from .measurement import Observable, observable_from_basis
+    from .measurement import _eigenspace_observable, observable_from_basis
 
     d = bases.shape[-1]
     if complete or d == 1:
@@ -134,11 +135,5 @@ def _observables(bases: np.ndarray, seed: int, streams, complete: bool) -> list:
         groups = int(rng.integers(1, d))
         # The cut stream draws nothing after these, so one group needs no choice call.
         inner = [] if groups == 1 else rng.choice(np.arange(1, d), groups - 1, replace=False).tolist()
-        cuts = [0, *sorted(inner), d]
-        blocks = [u[:, lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
-        observables.append(Observable(
-            eigenvalues=np.arange(1, groups + 1, dtype=float),
-            projectors=np.array([b @ b.conj().T for b in blocks]),
-            multiplicities=np.array([b.shape[1] for b in blocks], dtype=int),
-        ))
+        observables.append(_eigenspace_observable(u, [0, *sorted(inner), d], np.arange(1.0, groups + 1)))
     return observables

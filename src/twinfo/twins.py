@@ -90,6 +90,11 @@ def detectable_spectrum(state: BipartiteState, sobs: SubsystemObservable) -> Det
     )
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < 1.0:  # at 1 or above every column pairs, at 0 or below no residual passes
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+
+
 def _pair_rows(table: np.ndarray, probabilities: np.ndarray, tol: float) -> tuple | None:
     """One-to-one outcome correspondence: row ``i`` pairs with the single column
     ``j`` that carries its full weight, ``table[i, j] > (1 - tol) * p_i``.
@@ -125,8 +130,7 @@ def verify_twins(
     """
     if a1.subsystem != 1 or b2.subsystem != 2:
         raise ValueError("verify_twins expects a side-1 and a side-2 observable")
-    if not 0.0 < tol < 1.0:  # at 1 or above every column pairs, at 0 or below no residual passes
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    _check_tol(tol)
     spec_a = detectable_spectrum(state, a1)
     spec_b = detectable_spectrum(state, b2)
     rho = state.rho12.matrix

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import twinfo as T
-from twinfo.entropy import relative_entropies
+from twinfo.entropy import NEGATIVE_CLAMP, clamp_nonnegative, relative_entropies
 from twinfo.kernels import vn_entropy
 from twinfo.states import StateValidationError
 
@@ -27,6 +27,13 @@ def test_von_neumann_three_quarters():
     assert T.von_neumann_entropy(_density([0.75, 0.25])) == pytest.approx(
         H_THREE_QUARTERS, abs=1e-12
     )
+
+
+def test_clamp_nonnegative_zeroes_round_off_and_rejects_below_it():
+    assert math.copysign(1.0, clamp_nonnegative(-0.0)) == 1.0
+    assert clamp_nonnegative(-NEGATIVE_CLAMP) == 0.0
+    with pytest.raises(ValueError, match="inputs are invalid"):
+        clamp_nonnegative(-2 * NEGATIVE_CLAMP)
 
 
 def test_shannon_entropy_values():

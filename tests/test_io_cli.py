@@ -342,6 +342,30 @@ def test_sweep_rejects_big_dims(tmp_path):
     assert res.returncode == 1
 
 
+@pytest.mark.parametrize(
+    "seed, dims, samples, tol, match",
+    [
+        (-1, (2, 2), 3, 1e-9, r"^seed must be >= 0, got -1$"),
+        (1, (9, 2), 3, 1e-9, r"^dims sides must be <= 8, got 9x2$"),
+        (1, (2, 9), 3, 1e-9, r"^dims sides must be <= 8, got 2x9$"),
+        (1, (2, 2), 0, 1e-9, r"^samples must be >= 1, got 0$"),
+        # A nan tolerance passes every margin, -inf fails every one.
+        (1, (2, 2), 3, math.nan, r"^tol must be a number, got nan$"),
+        (1, (2, 2), 3, -math.inf, r"^tol must be above -inf$"),
+        # The first failed check wins: seed, sides, samples, then tol.
+        (-1, (9, 9), 0, math.nan, "^seed"),
+        (1, (9, 9), 0, math.nan, "^dims"),
+        (1, (2, 2), 0, math.nan, "^samples"),
+    ],
+    ids=["seed", "side-1", "side-2", "samples", "nan-tol", "minus-inf-tol", "seed-first",
+         "sides-before-samples", "samples-before-tol"],
+)
+def test_sweep_records_rejects_bad_options_at_the_call(seed, dims, samples, tol, match):
+    # No ``next``: the checks run when the records are asked for, not when the first is drawn.
+    with pytest.raises(ValueError, match=match):
+        chains.sweep_records(T.Dims(*dims), seed, samples, tol)
+
+
 def test_sweep_dumps_replayable_violations(tmp_path):
     # an impossible tolerance forces every check to violate
     out = tmp_path / "violations"
@@ -381,6 +405,30 @@ def test_sweep_lindblad_rounding_is_not_a_violation(tmp_path, capsys):
     assert lindblad["violations"] == 0
     assert lindblad["worst_margin"] == 1.9643540127844972e-09
     assert not out.exists()
+
+
+def test_relative_entropy_rounding_is_unbounded_for_a_singular_reference():
+    assert chains._relative_entropy_rounding(0.0, 4) == math.inf
+    assert chains._relative_entropy_rounding(-1e-17, 4) == math.inf
+    assert chains._relative_entropy_rounding(0.5, 4) == 8 * np.finfo(float).eps / math.log(2)
+
+
+def test_main_twice_in_one_process_prints_the_same_bytes(tmp_path, capsys):
+    # The parser is built once per process; a run, or a usage error, leaves nothing in it.
+    argvs = [["report", write_bell(tmp_path / "bell.json")],
+             ["sweep", "--samples", "3", "--tol", "-1", "--out", str(tmp_path / "v")],
+             ["sweep", "--samples", "x"]]
+    runs = []
+    for _ in range(2):
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            runs.append((code, *capsys.readouterr()))
+    assert runs[:3] == runs[3:]
+    assert [code for code, _, _ in runs[:3]] == [0, 3, 1]
+    assert T.cli.build_parser() is T.cli.build_parser()
 
 
 def _sweep_checks_reference(dims, samples, seed, tol=1e-9):

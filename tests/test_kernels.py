@@ -6,8 +6,8 @@ import pytest
 import twinfo as T
 from twinfo.entropy import SUPPORT_TOL, clamp_nonnegative, relative_entropies
 from twinfo.kernels import (
-    KERNEL_CLIP, dagger, entropy_bits, info_gain_side1, joint_mutual_info, kron, ptrace_keep1,
-    ptrace_keep2, swap_sides, vn_entropy,
+    KERNEL_CLIP, dagger, entropy_bits, gain_from_conditionals, info_gain_side1, joint_mutual_info,
+    kron, ptrace_keep1, ptrace_keep2, swap_sides, vn_entropy,
 )
 from twinfo.measurement import embed, luders_sum_rows
 from twinfo.sampling import generator, sample_random_observables, sample_random_unitaries
@@ -162,7 +162,18 @@ def test_stacked_kernels_equal_unbatched_rows_bitwise(d1, d2):
     after = luders_sum_rows(obs, 1, dims, rho)
     refs = np.array([T.sample_random_density(dims, n, 4, stream=s) for s in streams])
     products = kron(ptrace_keep1(rho, d1, d2), ptrace_keep2(rho, d1, d2))
+    # Three outcomes a row; row j drops its first j % 4 of them (3: all), with
+    # weights of 0, below and at the clip, and negative round-off.
+    g = rng.standard_normal((len(rho_ms), 3, d2, d2)) + 1j * rng.standard_normal((len(rho_ms), 3, d2, d2))
+    conds = g @ dagger(g)
+    tiny = [0.0, KERNEL_CLIP / 3, KERNEL_CLIP, -1e-15]
+    for j in range(len(rho_ms)):
+        for i in range(j % 4):
+            conds[j, i] *= tiny[(i + j) % 4] / np.trace(conds[j, i]).real
+    probs = np.trace(conds, axis1=-2, axis2=-1).real
+    s_opp = vn_entropy(ptrace_keep2(rho, d1, d2))
     stacked = {
+        "gain_dropped": gain_from_conditionals(s_opp, probs, conds),
         "vn_entropy": vn_entropy(rho),
         "ptrace_keep1": ptrace_keep1(rho, d1, d2),
         "ptrace_keep2": ptrace_keep2(rho, d1, d2),
@@ -182,6 +193,7 @@ def test_stacked_kernels_equal_unbatched_rows_bitwise(d1, d2):
         _same(u2[j], _haar_loop(d2, 3, streams[j] + 1))
         sandwich = sum((p @ r @ p for p in embed(obs[j].projectors, 1, dims)), np.zeros_like(r))
         want = {
+            "gain_dropped": gain_from_conditionals(s_opp[j], probs[j], conds[j]),
             "vn_entropy": vn_entropy(r),
             "ptrace_keep1": ptrace_keep1(r, d1, d2),
             "ptrace_keep2": ptrace_keep2(r, d1, d2),

@@ -123,10 +123,18 @@ def test_verify_twins_rejects_tol_outside_unit_interval(bell, tol):
         T.verify_twins(bell, a1, b2, tol=tol)
 
 
+def test_pair_rows_rejects_a_repeated_partner():
+    # Both rows put their full weight in column 0: each has one partner, but the
+    # map is not one-to-one.
+    table = np.array([[0.5, 0.0], [0.5, 0.0]])
+    assert T.twins._pair_rows(table, np.array([0.5, 0.5]), TWIN_TOL) is None
+    assert T.twins._pair_rows(np.diag([0.5, 0.5]), np.array([0.5, 0.5]), TWIN_TOL) == ((0, 0), (1, 1))
+
+
 def test_strong_algebraic_absent_for_relabeled_twin(bell):
     a1, _ = zz_observables()
     relabeled = T.SubsystemObservable(
-        T.observable_from_basis(np.eye(2, dtype=complex), eigenvalues=[5.0, 7.0]), 2
+        T.observable_from_matrix(np.diag([5.0, 7.0]).astype(complex)), 2
     )
     report = T.verify_twins(bell, a1, relabeled)
     assert report.verdict

@@ -10,7 +10,7 @@ directory that holds a copy of the inputs.  It compares stdout, stderr, the
 exit code and every file a run leaves behind (violation dumps), prints one
 line per difference and exits 1 if there is any, 0 otherwise.
 
-The golden set of 149 argvs: ``sweep --samples 8`` at 2x2, 2x3, 3x3, 4x4 and 8x8
+The golden set of 151 argvs: ``sweep --samples 8`` at 2x2, 2x3, 3x3, 4x4 and 8x8
 with seeds 0-9, at 1x3, 4x1, 8x2 and 5x7 (one outcome, a one-dimensional
 opposite side, unequal sides), and seven other sweeps, three of them across
 sample-chunk boundaries; two 2x2 sweeps with seeds 2**32 and 2**130 (two and
@@ -22,10 +22,11 @@ random 2x3 and 3x3 mixed states, a random 3x3 pure state, and states with
 one-dimensional sides (the 1x1 state, a random 2x1 mixed state and a random
 1x2 pure state); five more ``discord`` runs: rejected options on the Werner
 state (zero restarts, a negative seed, both) and on a missing file (zero
-restarts), and one restart with ``--grid-refine``; ten ``twins``
+restarts), and one restart with ``--grid-refine``; twelve ``twins``
 runs (complete and rank-k Schmidt twins on pure and Schmidt-dephased states,
-complete twins at ``--tol 1e-2``, a pair with unequal detectable spectra, and
-random two-outcome observables); and malformed inputs (NaN density, NaN
+complete twins at ``--tol 1e-2``, a pair with unequal detectable spectra,
+random two-outcome observables, and two observables whose label gaps lie far
+inside and far outside the eigenvalue-grouping tolerance); and malformed inputs (NaN density, NaN
 pure state, boolean dims, NaN observable, and an Infinity density under
 ``report``, where arithmetic before the finite check would print a warning),
 with seven more ``twins`` runs on bad observables: one not Hermitian, three
@@ -105,6 +106,10 @@ def write_inputs(directory: str) -> None:
     # Rank-2 + rank-1 twins of the same state: its first two Schmidt pairs share a label.
     put("coarse_a.json", "observable", [3], "matrix", _spectral(u, [1, 1, 2]))
     put("coarse_b.json", "observable", [3], "matrix", _spectral(vh.T, [1, 1, 2]))
+    # Label gaps far inside and far outside EIG_GROUP_TOL (1e-8 at unit scale): the
+    # first two Schmidt vectors group into one eigenspace, or stay apart.
+    put("near_a.json", "observable", [3], "matrix", _spectral(u, [1, 1 + 1e-11, 2]))
+    put("split_a.json", "observable", [3], "matrix", _spectral(u, [1, 1 + 1e-5, 2]))
     # A 2x3 pure state dephased in its Schmidt bases, with rank-k twins: side 2
     # puts its second Schmidt vector and the kernel direction in one eigenspace.
     u, s, vh = np.linalg.svd(_pure(np.random.default_rng(35), 6).reshape(2, 3))
@@ -186,6 +191,8 @@ def golden_argvs() -> list[tuple[str, ...]]:
         ("twins", "pure3x3.json", "twin_a.json", "coarse_b.json"),
         ("twins", "bell.json", "twin_a.json", "twin_b.json"),
         ("twins", "pure3x3.json", "coarse_a.json", "coarse_b.json"),
+        ("twins", "pure3x3.json", "near_a.json", "coarse_b.json"),
+        ("twins", "pure3x3.json", "split_a.json", "twin_b.json"),
         ("twins", "dephased2x3.json", "rank2_a.json", "rank2_b.json"),
         ("twins", "dephased2x3.json", "two_a.json", "two_b.json"),
         ("twins", "mixed2x3.json", "two_a.json", "two_b.json"),
