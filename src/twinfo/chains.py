@@ -11,6 +11,7 @@ records.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .kernels import (
     ptrace_keep2, swap_sides, vn_entropy,
 )
 from .measurement import luders_sum_rows
-from .sampling import _observables, sample_random_densities, sample_random_unitaries
+from .sampling import _densities, _observables, _unitaries, generators
 from .states import Dims
 
 CHECKS = ("chain", "relative_entropy_identity", "partial_trace_identities", "lindblad", "lieb")
@@ -70,7 +71,7 @@ def sweep_records(dims: Dims, seed: int, samples: int, tol: float):
     most ``SWEEP_CHUNK_ENTRIES`` matrix entries per sample stack (at least one
     sample); the records do not depend on it.
     """
-    if seed < 0:
+    if operator.index(seed) < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if dims.d1 > MAX_SWEEP_DIM or dims.d2 > MAX_SWEEP_DIM:
         raise ValueError(f"dims sides must be <= {MAX_SWEEP_DIM}, got {dims.d1}x{dims.d2}")
@@ -90,17 +91,18 @@ def _sweep_chunk(dims: Dims, seed: int, samples: range, tol: float):
 
     Each stage runs once, on the ``(S, D, D)`` stacks of the chunk's ``S``
     samples concatenated with the other inputs it takes, up to ``3 S`` rows;
-    each sample comes from its own ``(seed, stream)`` generators.  A stacked
+    each sample draws from its own ``(seed, stream)`` generators, one call keying
+    them all in the order the stages draw.  A stacked
     call equals the per-sample call slice by slice, so every margin is the
     per-sample arithmetic's, bit for bit.  The spectra give S(12) and the
     reference's ``lambda_min``; a channel output is computed once and reused.
     """
     d1, d2, n = dims.d1, dims.d2, dims.total
-    streams = [10 * i for i in samples]
-    count = len(streams)
+    count = len(samples)
+    # Streams: states, references; side 1's chain bases and eigenbases, side 2's; each side's cuts.
+    rngs = generators(seed, [10 * i + k for k in (0, 7, 1, 2, 5, 3, 4, 6, 500_005, 500_006) for i in samples])
     # Sampled states are valid by construction, and already (m + m^dagger) / 2.
-    states = sample_random_densities(dims, [i % n + 1 for i in samples] + [n] * count, seed,
-                                     streams + [s + 7 for s in streams])
+    states = _densities(dims, [i % n + 1 for i in samples] + [n] * count, rngs)
     spectra = np.linalg.eigvalsh(states)
     rho, ref = states[:count], states[count:]
 
@@ -114,13 +116,11 @@ def _sweep_chunk(dims: Dims, seed: int, samples: range, tol: float):
     mi = [clamp_nonnegative(x) for x in (s1_raw + s2_raw - s12).tolist()]
 
     # Per side: the chain's two draws of bases, k = 0 and 1, then the observables' eigenbases.
-    u1 = sample_random_unitaries(d1, seed, [s + k for k in (1, 2, 5) for s in streams])
-    u2 = sample_random_unitaries(d2, seed, [s + k for k in (3, 4, 6) for s in streams])
-    u1, u2 = u1.reshape(3, count, d1, d1), u2.reshape(3, count, d2, d2)
+    u1 = _unitaries(d1, 3 * count, rngs).reshape(3, count, d1, d1)
+    u2 = _unitaries(d2, 3 * count, rngs).reshape(3, count, d2, d2)
     chain = np.stack([joint_mutual_info(rho, u1[:2], u2[:2]), info_gain_side1(rho, u1[:2], d2),
                       info_gain_side1(swap_sides(rho, d1, d2), u2[:2], d1)], axis=-1).swapaxes(0, 1).tolist()
-    obs_a = _observables(u1[2], seed, [s + 5 for s in streams], False)
-    obs_b = _observables(u2[2], seed, [s + 6 for s in streams], False)
+    obs_a, obs_b = _observables(u1[2], rngs, False), _observables(u2[2], rngs, False)
 
     # T_A on [rho; ref], T_B on [T_A rho; T_A ref; rho], T_A on T_B rho.
     after_a = herm(luders_sum_rows(obs_a * 2, 1, dims, states))

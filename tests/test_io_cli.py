@@ -346,6 +346,7 @@ def test_sweep_rejects_big_dims(tmp_path):
     "seed, dims, samples, tol, match",
     [
         (-1, (2, 2), 3, 1e-9, r"^seed must be >= 0, got -1$"),
+        (1.5, (2, 2), 3, 1e-9, "cannot be interpreted as an integer"),
         (1, (9, 2), 3, 1e-9, r"^dims sides must be <= 8, got 9x2$"),
         (1, (2, 9), 3, 1e-9, r"^dims sides must be <= 8, got 2x9$"),
         (1, (2, 2), 0, 1e-9, r"^samples must be >= 1, got 0$"),
@@ -357,12 +358,13 @@ def test_sweep_rejects_big_dims(tmp_path):
         (1, (9, 9), 0, math.nan, "^dims"),
         (1, (2, 2), 0, math.nan, "^samples"),
     ],
-    ids=["seed", "side-1", "side-2", "samples", "nan-tol", "minus-inf-tol", "seed-first",
+    ids=["seed", "float-seed", "side-1", "side-2", "samples", "nan-tol", "minus-inf-tol", "seed-first",
          "sides-before-samples", "samples-before-tol"],
 )
 def test_sweep_records_rejects_bad_options_at_the_call(seed, dims, samples, tol, match):
     # No ``next``: the checks run when the records are asked for, not when the first is drawn.
-    with pytest.raises(ValueError, match=match):
+    # A seed that is no integer is a TypeError, as in ``OptimizationConfig``.
+    with pytest.raises(TypeError if isinstance(seed, float) else ValueError, match=match):
         chains.sweep_records(T.Dims(*dims), seed, samples, tol)
 
 
@@ -578,6 +580,8 @@ def _sweep_records_per_stage(dims, seed, samples, tol):
     ((3, 3), 5, 8),
     ((1, 3), 0, 8),  # one outcome on side 1
     ((8, 8), 2, 2),  # chunks of one sample; the reference runs both at once
+    ((4, 1), 1, 8),  # side 2 draws no cuts, but its cut streams are still taken in turn
+    ((3, 3), 4, 60),  # chunks of 50 samples: the second chunk keys its own streams
 ])
 def test_sweep_records_equal_per_stage_calls_bitwise(dims, seed, samples):
     dims = T.Dims(*dims)

@@ -90,7 +90,8 @@ def test_density_is_its_own_hermitian_part_bitwise(d1):
 
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128, 2**130 + 7]
-STREAMS = [0, 7, 500_007, 2**32 - 1, 2**32, 2**40 + 3]
+# One, two and three 32-bit words, mixed in one call: a shorter stream skips the later words.
+STREAMS = [0, 7, 2**70, 500_007, 2**32 - 1, 2**32, 2**40 + 3]
 
 
 def _draws(rng):
@@ -103,6 +104,17 @@ def test_generators_match_seed_sequence_spawn_bitwise(seed):
             for s in STREAMS]
     assert [_draws(rng) for rng in generators(seed, STREAMS)] == want
     assert [_draws(generator(seed, s)) for s in STREAMS] == want
+
+
+def test_no_streams_yield_no_generators():
+    assert list(generators(3, [])) == []
+    assert list(generators(2**70, range(0))) == []
+
+
+@pytest.mark.parametrize("streams", [[-1], [0, 2**70, -3], [2**40, 5, -2**70]])
+def test_a_negative_stream_anywhere_is_rejected(streams):
+    with pytest.raises(ValueError, match=r"^expected a non-negative integer, got -\d+$"):
+        list(generators(0, streams))
 
 
 def test_stream_must_be_a_nonnegative_integer():
