@@ -39,6 +39,7 @@ GRAD_TOL = 1e-6
 _ARMIJO = 1e-4
 _MEMORY = 5
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_SIGNS = np.array([1.0, -1.0])
 _EPS = np.finfo(float).eps
 _GRID_RESOLUTION = 1e-3
 # Caps the ascent iterations of each restart, which otherwise stops on stationarity.
@@ -348,12 +349,13 @@ def _grid_search(state: BipartiteState, side: int):
 
     A qubit basis with Bloch vector ``n`` leaves the opposite side in
     ``C+- = (rho_opp +- sum_k n_k T_k) / 2`` with ``T_k = Tr_1[(sigma_k (x) 1) rho]``,
-    so each level is one matmul; qubit ``C+-`` have closed-form eigenvalues.
+    so each level is one matmul.  When the opposite side is a qubit too, the
+    closed-form eigenvalues of ``C+-`` read only its diagonal and (0, 1) entries,
+    so only those are built; larger ``C+-`` go through a batched ``eigvalsh``.
     """
-    d_meas = state.dims.d1 if side == 1 else state.dims.d2
-    if d_meas != 2:
-        raise ValueError(f"grid oracle requires a qubit on side {side}, got dimension {d_meas}")
     r = _measured_first(state, side)
+    if r.shape[0] != 2:
+        raise ValueError(f"grid oracle requires a qubit on side {side}, got dimension {r.shape[0]}")
     d = r.shape[1]
     s_opp = _opposite_entropy(r)
     rho_opp = np.einsum("abak->bk", r).ravel()
@@ -368,12 +370,17 @@ def _grid_search(state: BipartiteState, side: int):
         thetas = np.linspace(t_lo, t_hi, n)
         phis = np.linspace(p_lo, p_hi, n)
         m = _bloch_vectors(thetas, phis) @ t
-        c = 0.5 * (rho_opp + np.stack([m, -m], axis=1))
-        p = c[..., :: d + 1].sum(axis=-1).real
         if d == 2:
-            half_gap = np.hypot(0.5 * (c[..., 0].real - c[..., 3].real), np.abs(c[..., 1]))
+            # The (+, -) columns of C+-'s entries 00, 11 and 01, with the full stack's bits.
+            c00 = 0.5 * (rho_opp[0].real + m[:, :1].real * _SIGNS)
+            c11 = 0.5 * (rho_opp[3].real + m[:, 3:].real * _SIGNS)
+            c01 = 0.5 * (rho_opp[1] + m[:, 1:2] * _SIGNS)
+            p = c00 + c11
+            half_gap = np.hypot(0.5 * (c00 - c11), np.abs(c01))
             w = 0.5 * p[..., None] + np.stack([half_gap, -half_gap], axis=-1)
         else:
+            c = 0.5 * (rho_opp + np.stack([m, -m], axis=1))
+            p = c[..., :: d + 1].sum(axis=-1).real
             w = np.linalg.eigvalsh(c.reshape(-1, 2, d, d))
         values = s_opp + _xlog2x(w).sum(axis=(-2, -1)) - _xlog2x(p).sum(-1)
         points += n * n

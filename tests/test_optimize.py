@@ -183,6 +183,15 @@ def test_grid_oracle_requires_qubit():
         T.grid_information_gain_qubit(state, 1)
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+@pytest.mark.parametrize("side", [0, 3])
+def test_grid_and_sup_reject_a_side_that_does_not_exist(dims, side):
+    state = random_state(T.Dims(*dims), rank=2, seed=66)
+    for call in (T.grid_information_gain_qubit, T.sup_information_gain):
+        with pytest.raises(ValueError, match=f"side must be 1 or 2, got {side}"):
+            call(state, side)
+
+
 def test_more_restarts_never_decrease_value():
     state = random_state(T.Dims(2, 2), rank=4, seed=43)
     small = T.sup_information_gain(state, 1, T.OptimizationConfig(restarts=3, seed=7))
@@ -419,6 +428,55 @@ def test_batched_grid_matches_looped_grid(dims, side, pole):
     if side == 2:
         rho = np.ascontiguousarray(swap_sides(rho, *dims))
     assert abs(float(info_gain_side1(rho, basis, d_opp)) - value) < 1e-12
+
+
+def _full_stack_grid(state, side):
+    """The grid search with each level on the full ``(N, 2, d*d)`` C+- stack, for reference."""
+    r = O._measured_first(state, side)
+    d = r.shape[1]
+    s_opp = O._opposite_entropy(r)
+    rho_opp = np.einsum("abak->bk", r).ravel()
+    t = np.einsum("kji,ibjc->kbc", O._PAULI, r).reshape(3, d * d)
+    t_lo, t_hi, p_lo, p_hi, n = 0.0, np.pi, 0.0, 2.0 * np.pi, 41
+    best = (-np.inf, 0.0, 0.0)
+    points = 0
+    while True:
+        thetas = np.linspace(t_lo, t_hi, n)
+        phis = np.linspace(p_lo, p_hi, n)
+        m = O._bloch_vectors(thetas, phis) @ t
+        c = 0.5 * (rho_opp + np.stack([m, -m], axis=1))
+        p = c[..., :: d + 1].sum(axis=-1).real
+        if d == 2:
+            half_gap = np.hypot(0.5 * (c[..., 0].real - c[..., 3].real), np.abs(c[..., 1]))
+            w = 0.5 * p[..., None] + np.stack([half_gap, -half_gap], axis=-1)
+        else:
+            w = np.linalg.eigvalsh(c.reshape(-1, 2, d, d))
+        values = s_opp + O._xlog2x(w).sum(axis=(-2, -1)) - O._xlog2x(p).sum(-1)
+        points += n * n
+        idx = int(np.argmax(values))
+        if values[idx] > best[0]:
+            best = (float(values[idx]), thetas[idx // n], phis[idx % n])
+        step_t = (t_hi - t_lo) / (n - 1)
+        if step_t <= O._GRID_RESOLUTION:
+            return best[0], O._bloch_basis(best[1], best[2]), points
+        _, t_c, p_c = best
+        t_lo, t_hi = max(0.0, t_c - 2 * step_t), min(np.pi, t_c + 2 * step_t)
+        step_p = (p_hi - p_lo) / (n - 1)
+        p_lo, p_hi, n = p_c - 2 * step_p, p_c + 2 * step_p, 17
+
+
+@pytest.mark.parametrize("dims, rank, side", [
+    *[((2, 2), rank, side) for rank in range(1, 5) for side in (1, 2)],
+    pytest.param((2, 2), None, 1, id="werner-pole"),
+    ((2, 3), 6, 1),
+])
+def test_grid_search_equals_full_stack_grid_bitwise(dims, rank, side):
+    state = werner_state(0.5) if rank is None else random_state(T.Dims(*dims), rank, seed=67)
+    value, basis, points = O._grid_search(state, side)
+    ref_value, ref_basis, ref_points = _full_stack_grid(state, side)
+    assert value == ref_value
+    assert np.array_equal(basis, ref_basis)
+    assert points == ref_points
 
 
 def test_quantum_discord_goes_through_module_sup(monkeypatch):

@@ -192,3 +192,44 @@ def test_pure_composite_has_zero_entropy():
         state = T.bipartite_from_pure(T.sample_random_pure(dims, seed=k, stream=29), dims)
         assert T.purity_class(state.rho12) == "pure"
         assert T.von_neumann_entropy(state.rho12) < 1e-8
+
+
+def test_partial_trace_product_state():
+    r1 = np.diag([0.25, 0.75]).astype(complex)
+    r2 = np.diag([0.1, 0.9]).astype(complex)
+    np.testing.assert_allclose(
+        T.partial_trace(T.tensor_product(r1, r2), T.Dims(2, 2), keep=1), r1, atol=1e-14
+    )
+    np.testing.assert_allclose(
+        T.partial_trace(T.tensor_product(r1, r2), T.Dims(2, 2), keep=2), r2, atol=1e-14
+    )
+
+
+def test_partial_trace_bell():
+    phi = bell_vector()
+    rho = np.outer(phi, phi.conj())
+    np.testing.assert_allclose(T.partial_trace(rho, T.Dims(2, 2), keep=1), np.eye(2) / 2, atol=1e-14)
+
+
+def test_partial_trace_dephased_diagonal():
+    r = (0.6, 0.4)
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = r[0]
+    m[3, 3] = r[1]
+    np.testing.assert_allclose(T.partial_trace(m, T.Dims(2, 2), keep=1), np.diag(r), atol=1e-14)
+
+
+def test_partial_trace_dimension_mismatch():
+    with pytest.raises(ValueError):
+        T.partial_trace(np.eye(3), T.Dims(2, 2), keep=1)
+
+
+def test_partial_trace_roundtrip_random():
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    np.testing.assert_allclose(
+        T.partial_trace(T.tensor_product(a, b), T.Dims(3, 2), keep=1),
+        a * np.trace(b),
+        atol=1e-12,
+    )
