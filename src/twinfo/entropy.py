@@ -71,43 +71,30 @@ def relative_entropy(sigma: DensityOperator, rho: DensityOperator) -> float:
     """
     if sigma.dim != rho.dim:
         raise ValueError(f"dimension mismatch: {sigma.dim} vs {rho.dim}")
-    w, v = np.linalg.eigh(rho.matrix)
-    return _relative_entropy_eig(sigma.matrix, w, v, vn_entropy(sigma.matrix))
-
-
-def _relative_entropy_eig(sigma, w, v, s_sigma):
-    """``relative_entropy`` of one row from the eigenpairs ``(w, v)`` of rho, given
-    ``s_sigma`` = S(sigma)."""
-    keep = w > KERNEL_CLIP
-    vk = v[:, keep]
-    # <v_k|sigma|v_k> on the range of rho; its total is sigma's weight there
-    proj = (vk.conj() * (sigma @ vk)).real
-    overlap = float(np.sum(proj))
-    if 1.0 - overlap > SUPPORT_TOL:
-        return math.inf
-    diag = np.sum(proj, axis=0)
-    term_rho = float(np.dot(diag, np.log2(w[keep])))
-    return clamp_nonnegative(-float(s_sigma) - term_rho)
+    s = sigma.matrix[None]
+    return relative_entropies(s, rho.matrix[None], vn_entropy(s))[0]
 
 
 def relative_entropies(sigma: np.ndarray, rho: np.ndarray, s_sigma: np.ndarray) -> list:
     """``relative_entropy`` of each row of the stacks ``sigma`` and ``rho`` of density
-    matrices, given S(sigma) per row; each row keeps the bits it has alone.
+    matrices, given S(sigma) per row.
 
-    Rows where rho has full support run batched; a ``(1, n) @ (n, 1)`` matmul is
-    the same BLAS dot as ``np.dot``.  A row where rho drops an eigenvalue runs
-    alone, since a matmul on a column subset moves last bits.
+    ``eigh`` sorts eigenvalues ascending, so the ``k`` of rho above ``KERNEL_CLIP``
+    are its last ``k``; rows that keep ``k`` run as one stack.  A trace-one rho
+    keeps at least one, so ``k >= 1``.
     """
     w, v = np.linalg.eigh(rho)
-    full = np.all(w > KERNEL_CLIP, axis=-1)
-    wf, vf = w[full], v[full]
-    proj = (vf.conj() * (sigma[full] @ vf)).real
-    overlap = np.sum(proj.reshape(-1, w.shape[-1] ** 2), axis=-1)
-    term_rho = (np.sum(proj, axis=-2)[:, None, :] @ np.log2(wf)[:, :, None])[:, 0, 0]
-    value = np.where(1.0 - overlap > SUPPORT_TOL, math.inf, -s_sigma[full] - term_rho)
+    kept = np.count_nonzero(w > KERNEL_CLIP, axis=-1)
     out = np.empty(len(w))
-    out[full] = [clamp_nonnegative(x) for x in value.tolist()]
-    out[~full] = [_relative_entropy_eig(sigma[j], w[j], v[j], s_sigma[j]) for j in np.flatnonzero(~full)]
+    for k in set(kept.tolist()):
+        rows = kept == k
+        wk, vk = w[rows, -k:], v[rows][..., -k:]
+        # <v_k|sigma|v_k> on the range of rho; its total is sigma's weight there
+        proj = (vk.conj() * (sigma[rows] @ vk)).real
+        overlap = np.sum(proj.reshape(len(proj), -1), axis=-1)
+        term_rho = (np.sum(proj, axis=-2)[:, None, :] @ np.log2(wk)[:, :, None])[:, 0, 0]
+        value = np.where(1.0 - overlap > SUPPORT_TOL, math.inf, -s_sigma[rows] - term_rho)
+        out[rows] = [clamp_nonnegative(x) for x in value.tolist()]
     return out.tolist()
 
 

@@ -134,11 +134,13 @@ def observable_from_matrix(m: np.ndarray) -> Observable:
     merged into one projector, so near-degenerate spectra yield stable
     projectors instead of arbitrarily mixed eigenvectors.
 
-    Raises ``StateValidationError`` at the first failed check, in order: finite
-    entries (``finite``), Hermitian within ``HERMITIAN_TOL`` (``hermitian``) and
-    a finite spectrum (``finite``).
+    Raises ``StateValidationError`` at the first failed check, in order: a square
+    matrix (``shape``), finite entries (``finite``), Hermitian within
+    ``HERMITIAN_TOL`` (``hermitian``) and a finite spectrum (``finite``).
     """
     m = np.asarray(m, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise StateValidationError("shape", f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise StateValidationError("finite", "observable matrix has a non-finite entry")
     # Sums of huge finite entries overflow: an infinite difference from the

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,11 @@ class Dims:
     d2: int
 
     def __post_init__(self):
+        for side in (self.d1, self.d2):
+            try:
+                operator.index(side)
+            except TypeError:
+                raise TypeError(f"subsystem dimensions must be integers, got {side!r}") from None
         if self.d1 < 1 or self.d2 < 1:
             raise ValueError(f"subsystem dimensions must be >= 1, got {self.d1}x{self.d2}")
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import twinfo as T
-from twinfo.entropy import NEGATIVE_CLAMP, clamp_nonnegative, relative_entropies
-from twinfo.kernels import vn_entropy
+from twinfo.entropy import NEGATIVE_CLAMP, SUPPORT_TOL, clamp_nonnegative, relative_entropies
+from twinfo.kernels import KERNEL_CLIP, vn_entropy
 from twinfo.states import StateValidationError
 
 from conftest import DIM_PAIRS, H_THREE_QUARTERS, bell_vector, product_state, random_state
@@ -96,7 +96,7 @@ def test_relative_entropy_nonnegative_on_random_pairs():
 @pytest.mark.parametrize("d1, d2", [(1, 2), (2, 2), (2, 3), (3, 3), (4, 2)])
 def test_relative_entropy_equals_relative_entropies_rows_bitwise(d1, d2):
     # The single-pair function and the stacked one keep the same bits, whether
-    # the reference has full rank (the batched rows) or not (the rows run alone).
+    # the reference has full rank or not.
     dims = T.Dims(d1, d2)
     n = dims.total
     for rank_s in sorted({1, n // 2 or 1, n}):
@@ -108,6 +108,63 @@ def test_relative_entropy_equals_relative_entropies_rows_bitwise(d1, d2):
                     s = a.matrix[None]
                     row = relative_entropies(s, b.matrix[None], vn_entropy(s))[0]
                     assert np.float64(T.relative_entropy(a, b)).tobytes() == np.float64(row).tobytes()
+
+
+def _reference_row(sigma, w, v, s_sigma):
+    # One row alone, on the columns of rho's range picked by a boolean mask.
+    keep = w > KERNEL_CLIP
+    vk = v[:, keep]
+    proj = (vk.conj() * (sigma @ vk)).real
+    overlap = float(np.sum(proj))
+    if 1.0 - overlap > SUPPORT_TOL:
+        return math.inf
+    diag = np.sum(proj, axis=0)
+    term_rho = float(np.dot(diag, np.log2(w[keep])))
+    return clamp_nonnegative(-float(s_sigma) - term_rho)
+
+
+def _reference_relative_entropies(sigma, rho, s_sigma):
+    # Rows where rho has full support batched, every other row alone.
+    w, v = np.linalg.eigh(rho)
+    full = np.all(w > KERNEL_CLIP, axis=-1)
+    wf, vf = w[full], v[full]
+    proj = (vf.conj() * (sigma[full] @ vf)).real
+    overlap = np.sum(proj.reshape(-1, w.shape[-1] ** 2), axis=-1)
+    term_rho = (np.sum(proj, axis=-2)[:, None, :] @ np.log2(wf)[:, :, None])[:, 0, 0]
+    value = np.where(1.0 - overlap > SUPPORT_TOL, math.inf, -s_sigma[full] - term_rho)
+    out = np.empty(len(w))
+    out[full] = [clamp_nonnegative(x) for x in value.tolist()]
+    out[~full] = [_reference_row(sigma[j], w[j], v[j], s_sigma[j]) for j in np.flatnonzero(~full)]
+    return out.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 9])
+def test_relative_entropies_match_reference_bitwise(n):
+    # Stacks that mix every rank of rho, with sigma inside rho's range (finite)
+    # and, where rho drops an eigenvalue, outside it (inf).
+    rng = np.random.default_rng(n)
+    sigmas, rhos = [], []
+    for rank in range(1, n + 1):
+        for inside in (True, False):
+            a = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+            b = a @ (rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank)))
+            c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            rho = a @ a.conj().T
+            sigma = b @ b.conj().T if inside else c @ c.conj().T
+            rhos.append(T.validate_density(rho / np.trace(rho).real).matrix)
+            sigmas.append(T.validate_density(sigma / np.trace(sigma).real).matrix)
+    sigma, rho = np.stack(sigmas), np.stack(rhos)
+    s_sigma = vn_entropy(sigma)
+    expected = _reference_relative_entropies(sigma, rho, s_sigma)
+    got = relative_entropies(sigma, rho, s_sigma)
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    assert math.isfinite(min(expected)) and (n == 1 or max(expected) == math.inf)
+    for j in range(len(rho)):
+        one = T.relative_entropy(T.validate_density(sigma[j]), T.validate_density(rho[j]))
+        assert np.float64(one).tobytes() == np.float64(expected[j]).tobytes()
+    for rows in (slice(None, None, 3), slice(1, None, 2)):
+        part = relative_entropies(sigma[rows], rho[rows], s_sigma[rows])
+        assert np.array(part).tobytes() == np.array(expected[rows]).tobytes()
 
 
 def test_mutual_information_product_state():

@@ -5,22 +5,7 @@ import pytest
 
 import twinfo as T
 
-from conftest import SIGMA_X, SIGMA_Z
-
-
-def test_tensor_product_identities():
-    np.testing.assert_allclose(T.tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-    np.testing.assert_allclose(
-        T.tensor_product(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])), np.diag([1.0, 0, 0, 0])
-    )
-
-
-def test_tensor_product_block_structure():
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    out = T.tensor_product(p0, SIGMA_X)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[:2, :2] = SIGMA_X
-    np.testing.assert_allclose(out, expected)
+from conftest import SIGMA_Z
 
 
 def test_hermitian_eig_identity():
@@ -58,7 +43,13 @@ def test_hermitian_eig_rejects_non_hermitian():
     ([[1.0, np.nan], [np.nan, -1.0]], "finite"),
     ([[1.0, np.inf], [np.inf, -1.0]], "finite"),
     ([[0.0, 1.0], [1.0 + 1e-9, 0.0]], "hermitian"),  # beyond HERMITIAN_TOL * (1 + |m|)
-], ids=["diagonal", "symmetric", "skew", "nan", "inf", "non_hermitian"])
+    ([[0.0, 0.0]], "shape"),  # minus its 2x1 adjoint it broadcasts to 2x2 zeros
+    ([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "shape"),
+    ([0.0, 0.0], "shape"),
+    ([[np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]], "shape"),  # the shape is checked first
+], ids=[
+    "diagonal", "symmetric", "skew", "nan", "inf", "non_hermitian", "1x2", "2x3", "1-d", "2x3-nan",
+])
 def test_observable_from_matrix_rejects_overflow(m, invariant):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -83,11 +74,3 @@ def test_spectral_reconstruction_and_completeness(seed):
             expected = p if i == j else np.zeros_like(p)
             np.testing.assert_allclose(p @ q, expected, atol=1e-10)
     assert np.all(np.diff(dec.eigenvalues) > 0)
-
-
-def test_unit_trace_preserved_by_partial_trace():
-    for d1, d2 in [(2, 2), (2, 3), (3, 3)]:
-        dims = T.Dims(d1, d2)
-        rho = T.sample_random_density(dims, dims.total, seed=7)
-        for keep in (1, 2):
-            assert np.trace(T.partial_trace(rho, dims, keep)).real == pytest.approx(1.0, abs=1e-12)

@@ -233,3 +233,40 @@ def test_partial_trace_roundtrip_random():
         a * np.trace(b),
         atol=1e-12,
     )
+
+
+def test_tensor_product_identities():
+    np.testing.assert_allclose(T.tensor_product(np.eye(2), np.eye(2)), np.eye(4))
+    np.testing.assert_allclose(
+        T.tensor_product(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])), np.diag([1.0, 0, 0, 0])
+    )
+
+
+def test_tensor_product_block_structure():
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    out = T.tensor_product(p0, SIGMA_X)
+    expected = np.zeros((4, 4), dtype=complex)
+    expected[:2, :2] = SIGMA_X
+    np.testing.assert_allclose(out, expected)
+
+
+def test_unit_trace_preserved_by_partial_trace():
+    for d1, d2 in [(2, 2), (2, 3), (3, 3)]:
+        dims = T.Dims(d1, d2)
+        rho = T.sample_random_density(dims, dims.total, seed=7)
+        for keep in (1, 2):
+            assert np.trace(T.partial_trace(rho, dims, keep)).real == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "d1, d2", [(2.5, 2), (2, 2.0), ("2", 2), (None, 2)],
+    ids=["float", "integral-float", "str", "none"],
+)
+def test_dims_rejects_non_integer_sides(d1, d2):
+    with pytest.raises(TypeError, match="must be integers"):
+        T.Dims(d1, d2)
+
+
+def test_dims_accepts_numpy_integers():
+    dims = T.Dims(np.int64(2), np.int32(3))
+    assert dims.total == 6
