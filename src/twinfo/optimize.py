@@ -14,16 +14,18 @@ means the gradient vanished (``|A| <= GRAD_TOL``) at the argmax.
 Restart 0 starts from the eigenbasis of the measured reduction (which
 attains the supremum for pure states and for Schmidt-dephased states),
 restart 1 from the standard basis, and the rest from seeded Haar-random
-bases.  The restarts ascend in lockstep, batched over a leading axis, and
-each takes exactly the steps it would take alone.  For qubit subsystems a
-deterministic grid over the Bloch sphere provides an independent cross-check.
-The ascent and the grid keep the unnormalized gain form, not the kernel
-``gain_from_conditionals``: the gradient needs each ``C_i``'s eigenvectors
-and logs, and ``discord`` prints this form's bits.
+bases, derived once per config and process and kept read-only in a cache
+bounded at 64 configs.  The restarts ascend in lockstep, batched over a
+leading axis, and each takes exactly the steps it would take alone.  For qubit
+subsystems a deterministic grid over the Bloch sphere provides an independent
+cross-check.  The ascent and the grid keep the unnormalized gain form, not the
+kernel ``gain_from_conditionals``: the gradient needs each ``C_i``'s
+eigenvectors and logs, and ``discord`` prints this form's bits.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -39,7 +41,7 @@ GRAD_TOL = 1e-6
 _ARMIJO = 1e-4
 _MEMORY = 5
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_SIGNS = np.array([1.0, -1.0])
+_SIGNS = np.array([[1.0], [-1.0]])
 _EPS = np.finfo(float).eps
 _GRID_RESOLUTION = 1e-3
 # Caps the ascent iterations of each restart, which otherwise stops on stationarity.
@@ -61,10 +63,15 @@ class OptimizationConfig:
 
     def __post_init__(self):
         for name in ("restarts", "seed"):
+            value = getattr(self, name)
             try:
-                operator.index(getattr(self, name))
+                if isinstance(value, bool):
+                    raise TypeError
+                operator.index(value)
             except TypeError:
-                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        if not isinstance(self.grid_refine, (bool, np.bool_)):
+            raise TypeError(f"grid_refine must be a bool, got {self.grid_refine!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:
@@ -101,9 +108,16 @@ def _eigbasis(matrix: np.ndarray) -> np.ndarray:
 
 def _anchors(restarts: int, d: int, eigbasis: np.ndarray, seed: int, base: int) -> np.ndarray:
     """Restart ``i``'s start, stacked: the eigenbasis, the identity, then stream ``base + i``'s."""
-    randoms = (sample_random_unitaries(d, seed, range(base + 2, base + restarts))
-               if restarts > 2 else [])
+    randoms = _haar_starts(restarts, d, seed, base) if restarts > 2 else []
     return np.stack([eigbasis, np.eye(d, dtype=np.complex128), *randoms][:restarts])
+
+
+@functools.lru_cache(maxsize=64)
+def _haar_starts(restarts: int, d: int, seed: int, base: int) -> np.ndarray:
+    """The seeded starts of restarts ``2 .. restarts - 1``, derived once per config, read-only."""
+    starts = sample_random_unitaries(d, seed, range(base + 2, base + restarts))
+    starts.flags.writeable = False
+    return starts
 
 
 def _log2_support(x: np.ndarray, clip: float = KERNEL_CLIP) -> np.ndarray:
@@ -339,13 +353,16 @@ def grid_information_gain_qubit(state: BipartiteState, side: int):
     evaluation.  Only valid when the measured side is a qubit.  Returns
     ``(value, basis)``.
     """
-    value, basis, _ = _grid_search(state, side)
+    r = _measured_first(state, side)
+    if r.shape[0] != 2:
+        raise ValueError(f"grid oracle requires a qubit on side {side}, got dimension {r.shape[0]}")
+    value, basis, _ = _grid_search(r, _opposite_entropy(r))
     return value, basis
 
 
-def _grid_search(state: BipartiteState, side: int):
-    """The grid maximization of ``grid_information_gain_qubit``, also returning
-    the number of points it evaluated.
+def _grid_search(r: np.ndarray, s_opp: float):
+    """``grid_information_gain_qubit`` on the measured-first tensor ``r``, whose
+    opposite side has entropy ``s_opp``, also returning the points evaluated.
 
     A qubit basis with Bloch vector ``n`` leaves the opposite side in
     ``C+- = (rho_opp +- sum_k n_k T_k) / 2`` with ``T_k = Tr_1[(sigma_k (x) 1) rho]``,
@@ -353,11 +370,7 @@ def _grid_search(state: BipartiteState, side: int):
     closed-form eigenvalues of ``C+-`` read only its diagonal and (0, 1) entries,
     so only those are built; larger ``C+-`` go through a batched ``eigvalsh``.
     """
-    r = _measured_first(state, side)
-    if r.shape[0] != 2:
-        raise ValueError(f"grid oracle requires a qubit on side {side}, got dimension {r.shape[0]}")
     d = r.shape[1]
-    s_opp = _opposite_entropy(r)
     rho_opp = np.einsum("abak->bk", r).ravel()
     t = np.einsum("kji,ibjc->kbc", _PAULI, r).reshape(3, d * d)
 
@@ -371,18 +384,20 @@ def _grid_search(state: BipartiteState, side: int):
         phis = np.linspace(p_lo, p_hi, n)
         m = _bloch_vectors(thetas, phis) @ t
         if d == 2:
-            # The (+, -) columns of C+-'s entries 00, 11 and 01, with the full stack's bits.
-            c00 = 0.5 * (rho_opp[0].real + m[:, :1].real * _SIGNS)
-            c11 = 0.5 * (rho_opp[3].real + m[:, 3:].real * _SIGNS)
-            c01 = 0.5 * (rho_opp[1] + m[:, 1:2] * _SIGNS)
+            # The (+, -) rows of C+-'s entries 00, 11 and 01, with the full stack's bits.
+            c00 = 0.5 * (rho_opp[0].real + m.T[:1].real * _SIGNS)
+            c11 = 0.5 * (rho_opp[3].real + m.T[3:].real * _SIGNS)
+            c01 = 0.5 * (rho_opp[1] + m.T[1:2] * _SIGNS)
             p = c00 + c11
             half_gap = np.hypot(0.5 * (c00 - c11), np.abs(c01))
-            w = 0.5 * p[..., None] + np.stack([half_gap, -half_gap], axis=-1)
+            x = _xlog2x(np.concatenate([0.5 * p + half_gap, 0.5 * p - half_gap, p]))
+            # The full stack's sum order over its (sign, eigenvalue) block.
+            values = s_opp + (((x[0] + x[2]) + x[1]) + x[3]) - (x[4] + x[5])
         else:
             c = 0.5 * (rho_opp + np.stack([m, -m], axis=1))
             p = c[..., :: d + 1].sum(axis=-1).real
             w = np.linalg.eigvalsh(c.reshape(-1, 2, d, d))
-        values = s_opp + _xlog2x(w).sum(axis=(-2, -1)) - _xlog2x(p).sum(-1)
+            values = s_opp + _xlog2x(w).sum(axis=(-2, -1)) - _xlog2x(p).sum(-1)
         points += n * n
         # argmax takes the first maximum in theta-major order; earlier levels win ties.
         idx = int(np.argmax(values))
@@ -408,6 +423,7 @@ def sup_information_gain(
     state: BipartiteState, side: int, cfg: OptimizationConfig = OptimizationConfig()
 ) -> SupremumResult:
     """Maximize the information gain over complete bases on ``side``."""
+    _check_config(cfg)
     r = _measured_first(state, side)
     d = r.shape[0]
     reduced = state.rho1 if side == 1 else state.rho2
@@ -425,11 +441,16 @@ def sup_information_gain(
     ascents = _lockstep_ascent(evaluate, direction, (starts,))
     candidates = [(value, us[0], norm, evals) for value, us, norm, evals in ascents]
     if cfg.grid_refine and d == 2:
-        value, basis, points = _grid_search(state, side)
+        value, basis, points = _grid_search(r, s_opp)
         _, parts = _gain_terms(r, s_opp, basis)
         norm = float(np.linalg.norm(_gain_direction(r, basis, parts)))
         candidates.append((value, basis, norm, points + 1))
     return _reduce_candidates(candidates)
+
+
+def _check_config(cfg) -> None:
+    if not isinstance(cfg, OptimizationConfig):
+        raise TypeError(f"cfg must be an OptimizationConfig, got {cfg!r}")
 
 
 def _reduce_candidates(candidates) -> SupremumResult:
@@ -452,6 +473,7 @@ def sup_joint_mutual_information(
 
     Ascends on U(d1) x U(d2) jointly; the argmax is the pair ``(u1, u2)``.
     """
+    _check_config(cfg)
     d1, d2 = state.dims.d1, state.dims.d2
     r = _measured_first(state, 1)
     eig1 = _eigbasis(state.rho1.matrix)

@@ -25,6 +25,8 @@ class Dims:
     def __post_init__(self):
         for side in (self.d1, self.d2):
             try:
+                if isinstance(side, bool):
+                    raise TypeError
                 operator.index(side)
             except TypeError:
                 raise TypeError(f"subsystem dimensions must be integers, got {side!r}") from None

@@ -5,36 +5,6 @@ import pytest
 
 import twinfo as T
 
-from conftest import SIGMA_Z
-
-
-def test_hermitian_eig_identity():
-    dec = T.observable_from_matrix(np.eye(2, dtype=complex))
-    assert len(dec) == 1
-    assert dec.eigenvalues[0] == pytest.approx(1.0)
-    assert dec.multiplicities[0] == 2
-    np.testing.assert_allclose(dec.projectors[0], np.eye(2), atol=1e-14)
-
-
-def test_hermitian_eig_sigma_z():
-    dec = T.observable_from_matrix(SIGMA_Z)
-    np.testing.assert_allclose(dec.eigenvalues, [-1.0, 1.0])
-    np.testing.assert_allclose(dec.projectors[0], np.diag([0.0, 1.0]), atol=1e-14)
-    np.testing.assert_allclose(dec.projectors[1], np.diag([1.0, 0.0]), atol=1e-14)
-    assert all(m == 1 for m in dec.multiplicities)
-
-
-def test_hermitian_eig_grouping():
-    m = np.diag([0.5, 0.5 + 1e-14, 0.2]).astype(complex)
-    dec = T.observable_from_matrix(m)
-    np.testing.assert_allclose(dec.eigenvalues, [0.2, 0.5], atol=1e-13)
-    np.testing.assert_array_equal(dec.multiplicities, [1, 2])
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        T.observable_from_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
-
 
 @pytest.mark.parametrize("m, invariant", [
     ([[1e308, 0.0], [0.0, -1e308]], "finite"),  # Hermitian part overflows: nan spectrum

@@ -4,6 +4,7 @@ import pytest
 import twinfo as T
 import twinfo.optimize as O
 from twinfo.kernels import info_gain_side1, joint_mutual_info, swap_sides
+from twinfo.sampling import sample_random_unitaries
 
 from conftest import SIGMA_X, SIGMA_Z, bell_vector, product_state, random_state, werner_state
 
@@ -253,6 +254,8 @@ def test_config_validation():
     ({"seed": 1.5, "restarts": 2}, "seed must be an integer, got 1.5"),
     ({"restarts": 2.5}, "restarts must be an integer, got 2.5"),
     ({"restarts": "3"}, "restarts must be an integer, got '3'"),
+    ({"restarts": True}, "restarts must be an integer, got True"),
+    ({"seed": False}, "seed must be an integer, got False"),
 ])
 def test_config_rejects_non_integers(kwargs, message):
     with pytest.raises(TypeError) as info:
@@ -263,6 +266,30 @@ def test_config_rejects_non_integers(kwargs, message):
 def test_config_takes_numpy_integers():
     cfg = T.OptimizationConfig(restarts=np.int64(3), seed=np.uint8(2))
     assert (cfg.restarts, cfg.seed) == (3, 2)
+
+
+@pytest.mark.parametrize("grid_refine", ["no", 1, None])
+def test_config_requires_a_bool_grid_refine(grid_refine):
+    # A truthy non-bool such as "no" would otherwise turn the grid on.
+    with pytest.raises(TypeError) as info:
+        T.OptimizationConfig(grid_refine=grid_refine)
+    assert str(info.value) == f"grid_refine must be a bool, got {grid_refine!r}"
+    assert T.OptimizationConfig(grid_refine=np.bool_(True)).grid_refine
+
+
+SUPREMA_CALLS = {
+    "sup_information_gain": lambda state, cfg: T.sup_information_gain(state, 1, cfg),
+    "sup_joint_mutual_information": lambda state, cfg: T.sup_joint_mutual_information(state, cfg),
+    "quantum_discord": lambda state, cfg: T.quantum_discord(state, "1to2", cfg),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUPREMA_CALLS))
+@pytest.mark.parametrize("cfg", [None, {"restarts": 4}], ids=["none", "dict"])
+def test_suprema_reject_a_config_of_another_type(name, cfg):
+    with pytest.raises(TypeError) as info:
+        SUPREMA_CALLS[name](werner_state(0.5), cfg)
+    assert str(info.value) == f"cfg must be an OptimizationConfig, got {cfg!r}"
 
 
 # ------------------------------------------------------- gradient ascent on U(d)
@@ -420,7 +447,7 @@ def test_batched_grid_matches_looped_grid(dims, side, pole):
     value, basis = T.grid_information_gain_qubit(state, side)
     ref_value, _, ref_points = _looped_grid(state, side)
     assert abs(value - ref_value) < 1e-12
-    assert O._grid_search(state, side)[2] == ref_points
+    assert _grid_of(state, side)[2] == ref_points
     # Antipodal Bloch points are one measurement, so the two argmax points
     # may differ by rounding; the returned basis must attain the value.
     rho = np.ascontiguousarray(state.rho12.matrix)
@@ -428,6 +455,12 @@ def test_batched_grid_matches_looped_grid(dims, side, pole):
     if side == 2:
         rho = np.ascontiguousarray(swap_sides(rho, *dims))
     assert abs(float(info_gain_side1(rho, basis, d_opp)) - value) < 1e-12
+
+
+def _grid_of(state, side):
+    """``_grid_search`` on ``state`` measured on ``side``, set up as its callers do."""
+    r = O._measured_first(state, side)
+    return O._grid_search(r, O._opposite_entropy(r))
 
 
 def _full_stack_grid(state, side):
@@ -465,14 +498,27 @@ def _full_stack_grid(state, side):
         p_lo, p_hi, n = p_c - 2 * step_p, p_c + 2 * step_p, 17
 
 
+GRID_STATES = {
+    "werner": lambda: werner_state(0.5),
+    # Exact zeros in C+- and in its eigenvalues, and entries clipped at KERNEL_CLIP.
+    "product": lambda: T.bipartite_from_pure(np.array([1, 0, 0, 0], dtype=complex), T.Dims(2, 2)),
+    "bell": lambda: T.bipartite_from_pure(bell_vector(), T.Dims(2, 2)),
+}
+
+
 @pytest.mark.parametrize("dims, rank, side", [
     *[((2, 2), rank, side) for rank in range(1, 5) for side in (1, 2)],
-    pytest.param((2, 2), None, 1, id="werner-pole"),
+    pytest.param((2, 2), "werner", 1, id="werner-pole"),
     ((2, 3), 6, 1),
+    *[pytest.param((2, 2), name, side, id=f"{name}-{side}")
+      for name in ("product", "bell") for side in (1, 2)],
 ])
 def test_grid_search_equals_full_stack_grid_bitwise(dims, rank, side):
-    state = werner_state(0.5) if rank is None else random_state(T.Dims(*dims), rank, seed=67)
-    value, basis, points = O._grid_search(state, side)
+    if isinstance(rank, str):
+        state = GRID_STATES[rank]()
+    else:
+        state = random_state(T.Dims(*dims), rank, seed=67)
+    value, basis, points = _grid_of(state, side)
     ref_value, ref_basis, ref_points = _full_stack_grid(state, side)
     assert value == ref_value
     assert np.array_equal(basis, ref_basis)
@@ -557,6 +603,43 @@ def _lockstep_cases():
 def _stack_starts(d, eigbasis, seed, count):
     # Row 0 is the reduction's eigenbasis, which is stationary for a pure state.
     return O._anchors(count, d, eigbasis, seed, 0)
+
+
+def test_seeded_starts_are_derived_once_per_config():
+    starts = O._haar_starts(5, 3, 7, 1_000)
+    assert O._haar_starts(5, 3, 7, 1_000) is starts
+    assert starts.tobytes() == sample_random_unitaries(3, 7, range(1_002, 1_005)).tobytes()
+    assert not starts.flags.writeable
+    with pytest.raises(ValueError):
+        starts[0, 0, 0] = 0.0
+
+
+def test_anchors_copy_the_cached_starts():
+    eigbasis = np.eye(3, dtype=complex)
+    first = O._anchors(5, 3, eigbasis, 7, 1_000)
+    expected = first.tobytes()
+    first[:] = 0.0
+    assert O._anchors(5, 3, eigbasis, 7, 1_000).tobytes() == expected
+
+
+def _result_bits(result):
+    bases = result.argmax_basis
+    bases = bases if isinstance(bases, tuple) else (bases,)
+    floats = np.array([result.value, result.grad_norm, *result.restart_values])
+    return floats.tobytes(), result.evaluations, [u.tobytes() for u in bases]
+
+
+def test_a_repeated_supremum_equals_the_first_bit_for_bit():
+    # The first call derives the seeded starts, the second reads them from the cache.
+    state = random_state(T.Dims(3, 3), rank=9, seed=71)
+    cfg = T.OptimizationConfig(restarts=4, seed=1)
+    for call in (lambda: T.sup_information_gain(state, 2, cfg),
+                 lambda: T.sup_joint_mutual_information(state, cfg)):
+        O._haar_starts.cache_clear()
+        first = call()
+        assert O._haar_starts.cache_info().misses > 0
+        assert _result_bits(call()) == _result_bits(first)
+        assert O._haar_starts.cache_info().hits > 0
 
 
 def _assert_same_ascents(lockstep, alone):

@@ -259,8 +259,8 @@ def test_unit_trace_preserved_by_partial_trace():
 
 
 @pytest.mark.parametrize(
-    "d1, d2", [(2.5, 2), (2, 2.0), ("2", 2), (None, 2)],
-    ids=["float", "integral-float", "str", "none"],
+    "d1, d2", [(2.5, 2), (2, 2.0), ("2", 2), (None, 2), (True, 2), (2, False)],
+    ids=["float", "integral-float", "str", "none", "bool", "bool-d2"],
 )
 def test_dims_rejects_non_integer_sides(d1, d2):
     with pytest.raises(TypeError, match="must be integers"):
