@@ -17,8 +17,8 @@ import numpy as np
 
 from .entropy import clamp_nonnegative, relative_entropies
 from .kernels import (
-    dagger, entropy_bits, frobenius, info_gain_side1, joint_mutual_info, kron, ptrace_keep1,
-    ptrace_keep2, swap_sides, vn_entropy,
+    dagger, eigvalsh, entropy_bits, frobenius, info_gain_side1, joint_mutual_info, kron,
+    ptrace_keep1, ptrace_keep2, swap_sides, vn_entropy,
 )
 from .measurement import luders_sum_rows
 from .sampling import _densities, _observables, _unitaries, generators
@@ -103,7 +103,7 @@ def _sweep_chunk(dims: Dims, seed: int, samples: range, tol: float):
     rngs = generators(seed, [10 * i + k for k in (0, 7, 1, 2, 5, 3, 4, 6, 500_005, 500_006) for i in samples])
     # Sampled states are valid by construction, and already (m + m^dagger) / 2.
     states = _densities(dims, [i % n + 1 for i in samples] + [n] * count, rngs)
-    spectra = np.linalg.eigvalsh(states)
+    spectra = eigvalsh(states)
     rho, ref = states[:count], states[count:]
 
     def herm(m):

@@ -21,7 +21,7 @@ from .entropy import (
     clamp_nonnegative, mutual_information, mutual_information_via_relative, von_neumann_entropy,
 )
 from .io import StateFileError, complex_payload, format_json, load_state_file, write_state_file
-from .kernels import BACKEND, frobenius
+from .kernels import BACKEND, eigh, frobenius
 from .states import (
     BipartiteState, Dims, StateValidationError, bipartite_from_pure, make_bipartite, purity_class,
     schmidt_decompose, schmidt_reconstruct,
@@ -90,7 +90,7 @@ def _load_observable(path: str, expected_dim: int, subsystem: int):
 
 
 def _pure_vector(state: BipartiteState) -> np.ndarray:
-    w, v = np.linalg.eigh(state.rho12.matrix)
+    w, v = eigh(state.rho12.matrix)
     return np.ascontiguousarray(v[:, -1])
 
 

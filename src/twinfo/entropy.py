@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .kernels import KERNEL_CLIP, entropy_bits, kron, vn_entropy
+from .kernels import KERNEL_CLIP, eigh, entropy_bits, kron, vn_entropy
 from .states import (
     BipartiteState,
     DensityOperator,
@@ -83,7 +83,7 @@ def relative_entropies(sigma: np.ndarray, rho: np.ndarray, s_sigma: np.ndarray) 
     are its last ``k``; rows that keep ``k`` run as one stack.  A trace-one rho
     keeps at least one, so ``k >= 1``.
     """
-    w, v = np.linalg.eigh(rho)
+    w, v = eigh(rho)
     kept = np.count_nonzero(w > KERNEL_CLIP, axis=-1)
     out = np.empty(len(w))
     for k in set(kept.tolist()):

@@ -2,6 +2,14 @@
 array helpers the library shares: ``dagger``, ``frobenius``, ``range_projector``
 and ``tensor_product``, the public name of ``kron``.
 
+``eigh``, ``eigvalsh`` and ``einsum`` are the library's one entry to LAPACK's
+Hermitian eigensolvers and to einsum: numpy's own compiled calls, without the
+wrapper checks of ``np.linalg`` (about 2 us of a 12 us ``eigh`` of a
+``(4, 2, 2, 2)`` stack) and the ``__array_function__`` dispatch of ``np.einsum``
+(about 0.6 us of a 6 us three-operand call), on calls an optimisation makes
+thousands of times.  Each result equals numpy's public function bit for bit:
+the same compiled call on the same bytes.
+
 Callers are responsible for passing C-contiguous complex128 arrays.
 ``KERNEL_CLIP`` implements the ``0 * log 0 = 0`` convention: eigenvalues and
 probabilities at or below it are treated as exact zeros.
@@ -21,9 +29,32 @@ sum only their kept entries, gathered with the rows that keep as many.
 """
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 BACKEND = "numpy"
 KERNEL_CLIP = 1e-12
+
+einsum = np.einsum._implementation
+
+
+def _not_converged(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+# The error state that np.linalg's eigensolvers run their gufuncs under.
+_LAPACK_ERRSTATE = dict(call=_not_converged, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+def eigh(a):
+    """``np.linalg.eigh(a)`` of a float64 or complex128 stack, as a plain ``(w, v)`` tuple."""
+    with np.errstate(**_LAPACK_ERRSTATE):
+        return _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+
+
+def eigvalsh(a):
+    """``np.linalg.eigvalsh(a)`` of a float64 or complex128 stack."""
+    with np.errstate(**_LAPACK_ERRSTATE):
+        return _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
 
 
 def dagger(m):
@@ -56,17 +87,17 @@ def entropy_bits(p):
 
 def vn_entropy(m):
     """von Neumann entropy in bits of a Hermitian PSD matrix, or of each in a stack."""
-    return entropy_bits(np.linalg.eigvalsh(m))
+    return entropy_bits(eigvalsh(m))
 
 
 def ptrace_keep1(rho, d1, d2):
     """Trace out subsystem 2 of a (d1*d2) x (d1*d2) matrix, or of each in a stack."""
-    return np.einsum("...abcb->...ac", rho.reshape(rho.shape[:-2] + (d1, d2, d1, d2)))
+    return einsum("...abcb->...ac", rho.reshape(rho.shape[:-2] + (d1, d2, d1, d2)))
 
 
 def ptrace_keep2(rho, d1, d2):
     """Trace out subsystem 1 of a (d1*d2) x (d1*d2) matrix, or of each in a stack."""
-    return np.einsum("...abak->...bk", rho.reshape(rho.shape[:-2] + (d1, d2, d1, d2)))
+    return einsum("...abak->...bk", rho.reshape(rho.shape[:-2] + (d1, d2, d1, d2)))
 
 
 def measured_first(rho, d1, d2, side):
@@ -102,7 +133,7 @@ tensor_product = kron
 
 def range_projector(m):
     """Projector onto the span of eigenvectors with eigenvalue above ``KERNEL_CLIP``."""
-    w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
+    w, v = eigh((m + dagger(m)) / 2.0)
     block = v[:, w > KERNEL_CLIP]
     return block @ block.conj().T
 
@@ -132,7 +163,7 @@ def gain_from_conditionals(s, probs, conds):
             out -= np.where(kept[..., i], probs[..., i] * h[..., i], 0.0)
         return out
     p = probs[kept]
-    for p_i, w in zip(p, np.linalg.eigvalsh(conds[kept] / p[:, None, None])):
+    for p_i, w in zip(p, eigvalsh(conds[kept] / p[:, None, None])):
         s -= p_i * entropy_bits(w)
     return s
 
@@ -147,7 +178,7 @@ def info_gain_side1(rho, basis, d2):
     d1, n = basis.shape[-2:]
     w = kron(basis.conj().swapaxes(-1, -2), np.eye(d2, dtype=np.complex128))
     m = w @ rho @ w.conj().swapaxes(-1, -2)
-    blocks = np.einsum("...ibic->...ibc", m.reshape(m.shape[:-2] + (n, d2, n, d2)))
+    blocks = einsum("...ibic->...ibc", m.reshape(m.shape[:-2] + (n, d2, n, d2)))
     probs = np.trace(blocks, axis1=-2, axis2=-1).real
     return gain_from_conditionals(vn_entropy(ptrace_keep2(rho, d1, d2)), probs, blocks)
 

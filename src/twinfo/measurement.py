@@ -27,8 +27,8 @@ import numpy as np
 
 from .entropy import PROB_NEGATIVE_TOL, PROB_SUM_TOL, clamp_nonnegative
 from .kernels import (
-    KERNEL_CLIP, conditional_states, dagger, entropy_bits, frobenius, gain_from_conditionals, kron,
-    measured_first, ptrace_keep2, table_mutual_info, vn_entropy,
+    KERNEL_CLIP, conditional_states, dagger, eigh, entropy_bits, frobenius, gain_from_conditionals,
+    kron, measured_first, ptrace_keep2, table_mutual_info, vn_entropy,
 )
 from .states import (
     BipartiteState, DensityOperator, Dims, StateValidationError, _bipartite_unchecked,
@@ -149,7 +149,7 @@ def observable_from_matrix(m: np.ndarray) -> Observable:
         diff = frobenius(m, dagger(m))
         if not (np.isfinite(diff) and diff <= HERMITIAN_TOL * (1.0 + frobenius(m))):
             raise StateValidationError("hermitian", "observable matrix is not Hermitian")
-        w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
+        w, v = eigh((m + dagger(m)) / 2.0)
     if not np.all(np.isfinite(w)):
         raise StateValidationError("finite", "observable spectrum is not finite")
 

@@ -26,15 +26,14 @@ eigenvectors and logs, and ``discord`` prints this form's bits.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import clamp_nonnegative, mutual_information
-from .kernels import KERNEL_CLIP, measured_first
+from .kernels import KERNEL_CLIP, eigh, eigvalsh, einsum, measured_first
 from .sampling import sample_random_unitaries
-from .states import BipartiteState
+from .states import BipartiteState, as_integer
 
 AGREE_TOL = 1e-6
 GRAD_TOL = 1e-6
@@ -63,13 +62,7 @@ class OptimizationConfig:
 
     def __post_init__(self):
         for name in ("restarts", "seed"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                operator.index(value)
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            as_integer(getattr(self, name), f"{name} must be an integer")
         if not isinstance(self.grid_refine, (bool, np.bool_)):
             raise TypeError(f"grid_refine must be a bool, got {self.grid_refine!r}")
         if self.restarts < 1:
@@ -103,7 +96,7 @@ class SupremumResult:
 
 
 def _eigbasis(matrix: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(np.linalg.eigh(matrix)[1])
+    return np.ascontiguousarray(eigh(matrix)[1])
 
 
 def _anchors(restarts: int, d: int, eigbasis: np.ndarray, seed: int, base: int) -> np.ndarray:
@@ -137,11 +130,11 @@ def _conditionals(r: np.ndarray, u: np.ndarray) -> np.ndarray:
     first; ``u`` holds the basis vectors as columns and may carry leading
     batch axes.  Returns shape ``(..., d1, d2, d2)``.
     """
-    return np.einsum("...ai,abjk,...ji->...ibk", u.conj(), r, u)
+    return einsum("...ai,abjk,...ji->...ibk", u.conj(), r, u)
 
 
 def _opposite_entropy(r: np.ndarray) -> float:
-    return float(-_xlog2x(np.linalg.eigvalsh(np.einsum("abak->bk", r))).sum())
+    return float(-_xlog2x(eigvalsh(einsum("abak->bk", r))).sum())
 
 
 def _gain_terms(r: np.ndarray, s_opp: float, u: np.ndarray):
@@ -151,8 +144,8 @@ def _gain_terms(r: np.ndarray, s_opp: float, u: np.ndarray):
     a leading restart axis; each row then equals the call on that row alone.
     """
     c = _conditionals(r, u)
-    p = np.einsum("...ibb->...i", c).real
-    w, v = np.linalg.eigh(c)
+    p = einsum("...ibb->...i", c).real
+    w, v = eigh(c)
     log_w, log_p = _log2_support(w), _log2_support(p)
     value = s_opp + (w * log_w).sum(axis=(-2, -1)) - (p * log_p).sum(axis=-1)
     return value, (w, v, log_w, log_p)
@@ -168,8 +161,8 @@ def _gain_direction(r: np.ndarray, u: np.ndarray, parts) -> np.ndarray:
     w, v, log_w, log_p = parts
     logs = np.where(w > KERNEL_CLIP, log_w - log_p[..., None], 0.0)
     ell = (v * logs[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    m = np.einsum("abjk,...ikb->...iaj", r, ell)
-    k = np.einsum("...iaj,...ji,...bi->...ab", m, u, u.conj())
+    m = einsum("abjk,...ikb->...iaj", r, ell)
+    k = einsum("...iaj,...ji,...bi->...ab", m, u, u.conj())
     return k - k.conj().swapaxes(-1, -2)
 
 
@@ -182,7 +175,7 @@ def _joint_terms(r: np.ndarray, us):
     """
     u1, u2 = us
     c = _conditionals(r, u1)
-    p = np.einsum("...ibe,...bj,...ej->...ij", c, u2.conj(), u2).real
+    p = einsum("...ibe,...bj,...ej->...ij", c, u2.conj(), u2).real
     pa = p.sum(axis=-1)
     pb = p.sum(axis=-2)
     logs = [_log2_support(x, 0.0) for x in (p, pa, pb)]
@@ -200,14 +193,16 @@ def _joint_directions(r: np.ndarray, us, parts):
     u1, u2 = us
     c, p, log_p, log_pa, log_pb = parts
     weights = np.where(p > 0.0, log_p - log_pa[..., :, None] - log_pb[..., None, :], 0.0)
-    d = np.einsum("...bj,abce,...ej->...jac", u2.conj(), r, u2)
-    k1 = np.einsum("...ij,...jac,...ci,...di->...ad", weights, d, u1, u1.conj())
-    k2 = np.einsum("...ij,...ibe,...ej,...fj->...bf", weights, c, u2, u2.conj())
+    d = einsum("...bj,abce,...ej->...jac", u2.conj(), r, u2)
+    k1 = einsum("...ij,...jac,...ci,...di->...ad", weights, d, u1, u1.conj())
+    k2 = einsum("...ij,...ibe,...ej,...fj->...bf", weights, c, u2, u2.conj())
     return k1 - k1.conj().swapaxes(-1, -2), k2 - k2.conj().swapaxes(-1, -2)
 
 
 def _flat(a) -> np.ndarray:
     """Stacked tangent tuples as one real vector per row; ``Re vdot`` becomes a dot product."""
+    if len(a) == 1:
+        return a[0].reshape(len(a[0]), -1).view(float)
     return np.concatenate([x.reshape(len(x), -1) for x in a], axis=1).view(float)
 
 
@@ -277,7 +272,7 @@ def _lockstep_ascent(evaluate, direction, starts):
         rotations = []
         for u in us:
             d = u.shape[-1]
-            w, v = np.linalg.eigh(1j * blocks[:, : d * d].reshape(-1, d, d))
+            w, v = eigh(1j * blocks[:, : d * d].reshape(-1, d, d))
             rotations.append((w, v, v.conj().swapaxes(-1, -2)))
             blocks = blocks[:, d * d :]
         current = us if len(active) == n else [u[active] for u in us]
@@ -339,6 +334,11 @@ def _bloch_vectors(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return np.stack([sin_t * np.cos(phis), sin_t * np.sin(phis), cos_t], axis=-1).reshape(-1, 3)
 
 
+# The grid's first level is the same for every state: 41 x 41 angles over the whole sphere.
+_GRID_ANGLES = np.linspace(0.0, np.pi, 41), np.linspace(0.0, 2.0 * np.pi, 41)
+_GRID_FIRST_LEVEL = (*_GRID_ANGLES, _bloch_vectors(*_GRID_ANGLES))
+
+
 def _bloch_basis(theta: float, phi: float) -> np.ndarray:
     """Qubit basis whose first column has Bloch angles ``(theta, phi)``."""
     c, s, e = np.cos(theta / 2.0), np.sin(theta / 2.0), np.exp(1j * phi)
@@ -371,18 +371,17 @@ def _grid_search(r: np.ndarray, s_opp: float):
     so only those are built; larger ``C+-`` go through a batched ``eigvalsh``.
     """
     d = r.shape[1]
-    rho_opp = np.einsum("abak->bk", r).ravel()
-    t = np.einsum("kji,ibjc->kbc", _PAULI, r).reshape(3, d * d)
+    rho_opp = einsum("abak->bk", r).ravel()
+    t = einsum("kji,ibjc->kbc", _PAULI, r).reshape(3, d * d)
 
     t_lo, t_hi = 0.0, np.pi
     p_lo, p_hi = 0.0, 2.0 * np.pi
     n = 41
+    thetas, phis, bloch = _GRID_FIRST_LEVEL
     best = (-np.inf, 0.0, 0.0)
     points = 0
     while True:
-        thetas = np.linspace(t_lo, t_hi, n)
-        phis = np.linspace(p_lo, p_hi, n)
-        m = _bloch_vectors(thetas, phis) @ t
+        m = bloch @ t
         if d == 2:
             # The (+, -) rows of C+-'s entries 00, 11 and 01, with the full stack's bits.
             c00 = 0.5 * (rho_opp[0].real + m.T[:1].real * _SIGNS)
@@ -396,7 +395,7 @@ def _grid_search(r: np.ndarray, s_opp: float):
         else:
             c = 0.5 * (rho_opp + np.stack([m, -m], axis=1))
             p = c[..., :: d + 1].sum(axis=-1).real
-            w = np.linalg.eigvalsh(c.reshape(-1, 2, d, d))
+            w = eigvalsh(c.reshape(-1, 2, d, d))
             values = s_opp + _xlog2x(w).sum(axis=(-2, -1)) - _xlog2x(p).sum(-1)
         points += n * n
         # argmax takes the first maximum in theta-major order; earlier levels win ties.
@@ -411,6 +410,8 @@ def _grid_search(r: np.ndarray, s_opp: float):
         step_p = (p_hi - p_lo) / (n - 1)
         p_lo, p_hi = p_c - 2 * step_p, p_c + 2 * step_p
         n = 17
+        thetas, phis = np.linspace(t_lo, t_hi, n), np.linspace(p_lo, p_hi, n)
+        bloch = _bloch_vectors(thetas, phis)
     return best[0], _bloch_basis(best[1], best[2]), points
 
 

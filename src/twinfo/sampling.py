@@ -11,20 +11,18 @@ Random observables draw their eigenspace cuts here; ``measurement`` builds them.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .states import Dims
+from .states import Dims, as_integer
 
 # numpy's SeedSequence hash on 32-bit words; _KEY[k] is generate_state's constant before word k.
 _MASK, _INIT_A, _MULT_A, _MIX_L, _MIX_R = 0xFFFFFFFF, 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
 _KEY = np.array([0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) & _MASK for k in range(5)], np.uint32)
 
 
-def _width(n) -> int:
-    """How many 32-bit words SeedSequence splits ``n`` into; ``n`` must be a non-negative integer."""
-    if (n := operator.index(n)) < 0:
+def _width(n: int) -> int:
+    """How many 32-bit words SeedSequence splits the integer ``n`` into; ``n`` must not be negative."""
+    if n < 0:
         raise ValueError(f"expected a non-negative integer, got {n}")
     return max(1, -(-n.bit_length() // 32))
 
@@ -35,8 +33,9 @@ def generators(seed: int, streams):
     ``SeedSequence(seed, spawn_key=(stream,))`` gives Philox: the stream's words are
     mixed into a copy of the seed's pool, the hash constant going on from the seed's.
     All streams are keyed at once: one ``(streams, 4)`` uint32 step per word, which shorter streams skip."""
+    seed = as_integer(seed, "seed must be an integer")
     start = _INIT_A * pow(_MULT_A, 4 * max(4, _width(seed)), 1 << 32)  # before SeedSequence checks it
-    ns = [*map(operator.index, streams)]
+    ns = [as_integer(n, "stream must be an integer") for n in streams]
     words = max(_width(min(ns, default=0)), _width(max(ns, default=0)))  # the min's raises if < 0
     h = np.array([start * pow(_MULT_A, j, 1 << 32) & _MASK for j in range(4 * words + 1)], np.uint32)
     mixer = (seq := np.random.SeedSequence(seed)).pool
@@ -88,7 +87,7 @@ def _densities(dims: Dims, ranks, rngs) -> np.ndarray:
     """``sample_random_densities`` drawing row ``i`` from the ``i``-th generator of ``rngs``."""
     n, rho = dims.total, []
     for rank, rng in zip(ranks, rngs):
-        if not 1 <= rank <= n:
+        if not 1 <= as_integer(rank, "rank must be an integer") <= n:
             raise ValueError(f"rank must be in [1, {n}], got {rank}")
         g = _ginibre(rng.standard_normal((2, n, rank)))
         rho.append(g @ g.conj().T)
@@ -110,7 +109,7 @@ def sample_random_unitaries(d: int, seed: int, streams) -> np.ndarray:
 
 def _unitaries(d: int, count: int, rngs) -> np.ndarray:
     """``count`` unitaries, row ``i`` drawn from the ``i``-th generator of ``rngs``."""
-    if (d := operator.index(d)) < 1:
+    if (d := as_integer(d, "d must be an integer")) < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     z = np.empty((count, 2, d, d))
     for zi, rng in zip(z, rngs):

@@ -8,11 +8,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import dagger, frobenius, ptrace_keep1, ptrace_keep2
+from .kernels import dagger, eigvalsh, frobenius, ptrace_keep1, ptrace_keep2
 
 STATE_TOL = 1e-10
 PURITY_TOL = 1e-9
 SCHMIDT_CLIP = 1e-10
+
+
+def as_integer(value, message: str) -> int:
+    """``operator.index(value)``; a bool or a non-integer raises ``TypeError(message)``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{message}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -24,12 +34,7 @@ class Dims:
 
     def __post_init__(self):
         for side in (self.d1, self.d2):
-            try:
-                if isinstance(side, bool):
-                    raise TypeError
-                operator.index(side)
-            except TypeError:
-                raise TypeError(f"subsystem dimensions must be integers, got {side!r}") from None
+            as_integer(side, "subsystem dimensions must be integers")
         if self.d1 < 1 or self.d2 < 1:
             raise ValueError(f"subsystem dimensions must be >= 1, got {self.d1}x{self.d2}")
 
@@ -114,7 +119,7 @@ def validate_density(m: np.ndarray) -> DensityOperator:
         if not abs(tr - 1.0) <= STATE_TOL:
             raise StateValidationError("trace", f"trace is {tr:.12g}, expected 1")
         h = (m + dagger(m)) / 2.0
-        lam_min = np.linalg.eigvalsh(h)[0]
+        lam_min = eigvalsh(h)[0]
     if not lam_min >= -STATE_TOL:
         raise StateValidationError("positivity", (
             f"smallest eigenvalue {lam_min:.3e} is negative" if np.isfinite(lam_min)

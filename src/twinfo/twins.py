@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import frobenius, range_projector
+from .kernels import eigvalsh, frobenius, range_projector
 from .measurement import (
     DETECT_EPS,
     Observable,
@@ -184,7 +184,7 @@ def verify_twins(
     total = state.dims.total
     broken = [x * x - rho_norm * t, t - np.sqrt(total) * x, s - 2.0 * x, t - np.sqrt(total) * s]
     if np.max(broken[0]) > 64 * np.finfo(float).eps * total:  # rare; neg costs an eigvalsh
-        neg = -np.minimum(np.linalg.eigvalsh(rho), 0.0).sum()
+        neg = -np.minimum(eigvalsh(rho), 0.0).sum()
         broken[0] = broken[0] - (rho_norm + neg) * neg
     if np.max(broken) > 64 * np.finfo(float).eps * total:
         raise ConditionMismatchError(

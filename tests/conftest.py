@@ -138,3 +138,23 @@ def _dephased_mixture(phi: np.ndarray, dims: T.Dims, seed: int) -> T.BipartiteSt
             p2 = np.outer(form.basis2[:, i], form.basis2[:, i].conj())
             out += w * r[i] * T.tensor_product(p1, p2)
     return T.make_bipartite(out, dims)
+
+
+def maximally_correlated_corpus(seeds=(0, 1, 2)):
+    """Maximally correlated states ``rho = sum_ij a_ij |a_i b_i><a_j b_j|`` at d = 2 to 5.
+
+    ``(a_ij)`` is a seeded random density matrix of each Gram rank 1 to d, and the
+    twin bases ``|a_i>``, ``|b_i>`` are the columns of seeded Haar unitaries.  Yields
+    ``(state, u1, u2, a)``; ``p = diag(a)``.
+    """
+    for d in range(2, 6):
+        for rank in range(1, d + 1):
+            for seed in seeds:
+                stream = 10 * d + rank
+                a = T.sample_random_density(T.Dims(d, 1), rank, seed, stream)
+                u1 = T.sample_random_unitary(d, seed, stream + 1000)
+                u2 = T.sample_random_unitary(d, seed, stream + 2000)
+                # Column i is |a_i b_i>.
+                pairs = (u1[:, None, :] * u2[None, :, :]).reshape(d * d, d)
+                rho = pairs @ a @ pairs.conj().T
+                yield T.make_bipartite((rho + rho.conj().T) / 2.0, T.Dims(d, d)), u1, u2, a

@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ import pytest
 import twinfo as T
 from twinfo.entropy import SUPPORT_TOL, clamp_nonnegative, relative_entropies
 from twinfo.kernels import (
-    KERNEL_CLIP, dagger, entropy_bits, gain_from_conditionals, info_gain_side1, joint_mutual_info,
-    kron, ptrace_keep1, ptrace_keep2, swap_sides, vn_entropy,
+    KERNEL_CLIP, dagger, eigh, eigvalsh, einsum, entropy_bits, gain_from_conditionals, info_gain_side1,
+    joint_mutual_info, kron, ptrace_keep1, ptrace_keep2, swap_sides, vn_entropy,
 )
 from twinfo.measurement import embed, luders_sum_rows
 from twinfo.sampling import generator, sample_random_observables, sample_random_unitaries
@@ -207,3 +209,92 @@ def test_stacked_kernels_equal_unbatched_rows_bitwise(d1, d2):
         }
         for name, value in want.items():
             _same(stacked[name][j], value)
+
+
+SRC = pathlib.Path(T.__file__).parent
+
+
+def _hermitian(shape, dtype=np.complex128, seed=3):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape)
+    if dtype is np.complex128:
+        x = x + 1j * rng.normal(size=shape)
+    return x + dagger(x)
+
+
+def _outcome(f, a):
+    """The bytes of each output of ``f(a)``, or its ``LinAlgError``'s message."""
+    try:
+        out = f(a)
+    except np.linalg.LinAlgError as exc:
+        return str(exc)
+    return tuple((x.shape, x.dtype, x.tobytes()) for x in (out if isinstance(out, tuple) else (out,)))
+
+
+EIG_INPUTS = {
+    "stack-4x2-of-2x2": _hermitian((4, 2, 2, 2)),
+    "stack-16-of-3x3": _hermitian((16, 3, 3)),
+    "complex-64x64": _hermitian((64, 64)),
+    "float64-5x5": _hermitian((5, 5), np.float64),
+    "empty-stack": np.zeros((0, 3, 3), dtype=np.complex128),
+    "non-contiguous": _hermitian((6, 8, 8))[1::2, ::2, ::2],
+}
+
+
+@pytest.mark.parametrize("name", EIG_INPUTS)
+@pytest.mark.parametrize("ours, numpys", [(eigh, np.linalg.eigh), (eigvalsh, np.linalg.eigvalsh)],
+                         ids=["eigh", "eigvalsh"])
+def test_eigensolver_entries_equal_np_linalg_bitwise(name, ours, numpys):
+    got = _outcome(ours, EIG_INPUTS[name])
+    assert isinstance(got, tuple) and got == _outcome(numpys, EIG_INPUTS[name])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0), (0, 1)])
+def test_eigensolver_entries_treat_nan_and_inf_as_np_linalg_does(bad, dtype, entry):
+    a = np.eye(3, dtype=dtype)
+    a[entry] = bad
+    assert _outcome(eigh, a) == _outcome(np.linalg.eigh, a)
+    assert _outcome(eigvalsh, a) == _outcome(np.linalg.eigvalsh, a)
+
+
+def test_a_lapack_failure_still_raises_linalg_error():
+    a = np.eye(3, dtype=np.complex128)
+    a[1, 0] = math.inf
+    for f in (eigh, eigvalsh):
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            f(a)
+
+
+def _library_einsum_subscripts():
+    found = set()
+    for path in SRC.glob("*.py"):
+        found.update(re.findall(r'\beinsum\(\s*"([^"]+)"', path.read_text()))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("subscripts", _library_einsum_subscripts())
+def test_einsum_entry_equals_np_einsum_bitwise(subscripts):
+    rng = np.random.default_rng(5)
+    inputs = subscripts.split("->")[0].split(",")
+    sizes = {label: int(rng.integers(2, 5)) for label in set("".join(inputs)) - {"."}}
+    shapes = [(4,) * ("..." in term) + tuple(sizes[c] for c in term.replace("...", "")) for term in inputs]
+    for _ in range(5):
+        ops = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+        got, want = einsum(subscripts, *ops), np.einsum(subscripts, *ops)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_the_library_has_one_eigensolver_and_einsum_entry():
+    # Every other module goes through ``kernels.eigh``, ``eigvalsh`` and ``einsum``, so numpy's
+    # per-call wrapper and dispatch stay off the hot paths.
+    wrapped = re.compile(r"\b(?:np|numpy)\.(?:linalg\.eig(?:vals)?h|einsum)\b"
+                         r"|\bfrom\s+numpy(?:\.linalg)?\s+import\b[^\n]*\b(?:eig(?:vals)?h|einsum)\b")
+    assert len(_library_einsum_subscripts()) >= 10
+    offenders = [
+        f"{path.name}:{i}: {line.strip()}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "kernels.py"
+        for i, line in enumerate(path.read_text().splitlines(), 1) if wrapped.search(line)
+    ]
+    assert offenders == []

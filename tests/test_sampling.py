@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -178,3 +180,31 @@ def test_unitaries_equal_a_two_call_ginibre_reference_bitwise(d):
         phases = np.diagonal(r).copy()
         phases /= np.abs(phases)
         assert u.tobytes() == (q * phases[None, :]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "draw, match",
+    [
+        (lambda: T.sample_random_pure(T.Dims(2, 2), 1.5), r"^seed must be an integer, got 1\.5$"),
+        (lambda: T.sample_random_pure(T.Dims(2, 2), True), r"^seed must be an integer, got True$"),
+        (lambda: T.sample_random_unitary(2, 1.5), r"^seed must be an integer, got 1\.5$"),
+        (lambda: T.sample_random_unitary(1.5, 1), r"^d must be an integer, got 1\.5$"),
+        (lambda: T.sample_random_unitary(True, 1), r"^d must be an integer, got True$"),
+        (lambda: T.sample_random_density(T.Dims(2, 2), 2, 1, stream=2.5),
+         r"^stream must be an integer, got 2\.5$"),
+        (lambda: T.sample_random_density(T.Dims(2, 2), 2, 1, stream=False),
+         r"^stream must be an integer, got False$"),
+        (lambda: T.sample_random_density(T.Dims(2, 2), 2.0, 1), r"^rank must be an integer, got 2\.0$"),
+        (lambda: T.sample_random_density(T.Dims(2, 2), True, 1), r"^rank must be an integer, got True$"),
+        (lambda: T.sample_random_observable(3, "1", complete=False), r"^seed must be an integer, got '1'$"),
+        (lambda: sample_random_unitaries(2, 1, [0, 1, np.float64(2.0)]),
+         rf"^stream must be an integer, got {re.escape(repr(np.float64(2.0)))}$"),
+        (lambda: list(generators(1, [0, True])), r"^stream must be an integer, got True$"),
+    ],
+    ids=["pure-float-seed", "pure-bool-seed", "unitary-float-seed", "unitary-float-d", "unitary-bool-d",
+         "density-float-stream", "density-bool-stream", "density-float-rank", "density-bool-rank",
+         "observable-str-seed", "unitaries-numpy-float-stream", "generators-bool-stream"],
+)
+def test_samplers_name_a_bad_integer_argument(draw, match):
+    with pytest.raises(TypeError, match=match):
+        draw()
