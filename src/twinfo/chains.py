@@ -11,7 +11,6 @@ records.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -21,8 +20,8 @@ from .kernels import (
     ptrace_keep1, ptrace_keep2, swap_sides, vn_entropy,
 )
 from .measurement import luders_sum_rows
-from .sampling import _densities, _observables, _unitaries, generators
-from .states import Dims
+from .sampling import _CUTS, _densities, _observables, _unitaries, generators
+from .states import Dims, as_integer
 
 CHECKS = ("chain", "relative_entropy_identity", "partial_trace_identities", "lindblad", "lieb")
 # Matrix entries per sample stack: bounds a chunk's memory (a stage stacks up
@@ -65,13 +64,14 @@ def sweep_records(dims: Dims, seed: int, samples: int, tol: float):
     """Per sample ``0 .. samples - 1``, in order: ``(index, rho, ref, records)``,
     the sampled state and reference matrices and the sample's records.
 
-    Raises ValueError at the call at the first failed check: ``seed >= 0``, sides
+    Raises at the call: TypeError for a seed that is no integer (a bool included),
+    then ValueError at the first failed check: ``seed >= 0``, sides
     at most ``MAX_SWEEP_DIM``, ``samples >= 1``, ``tol`` neither nan (it would pass
     every margin) nor -inf (fail every one).  Samples are checked in chunks of at
     most ``SWEEP_CHUNK_ENTRIES`` matrix entries per sample stack (at least one
     sample); the records do not depend on it.
     """
-    if operator.index(seed) < 0:
+    if as_integer(seed, "seed must be an integer") < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if dims.d1 > MAX_SWEEP_DIM or dims.d2 > MAX_SWEEP_DIM:
         raise ValueError(f"dims sides must be <= {MAX_SWEEP_DIM}, got {dims.d1}x{dims.d2}")
@@ -99,8 +99,9 @@ def _sweep_chunk(dims: Dims, seed: int, samples: range, tol: float):
     """
     d1, d2, n = dims.d1, dims.d2, dims.total
     count = len(samples)
-    # Streams: states, references; side 1's chain bases and eigenbases, side 2's; each side's cuts.
-    rngs = generators(seed, [10 * i + k for k in (0, 7, 1, 2, 5, 3, 4, 6, 500_005, 500_006) for i in samples])
+    # Streams: states, references; side 1's chain bases and eigenbases, side 2's; then each
+    # side's cuts, ``_CUTS`` past its eigenbases as ``sample_random_observables`` keys them.
+    rngs = generators(seed, [10 * i + k for k in (0, 7, 1, 2, 5, 3, 4, 6, _CUTS + 5, _CUTS + 6) for i in samples])
     # Sampled states are valid by construction, and already (m + m^dagger) / 2.
     states = _densities(dims, [i % n + 1 for i in samples] + [n] * count, rngs)
     spectra = eigvalsh(states)

@@ -13,14 +13,17 @@ means the gradient vanished (``|A| <= GRAD_TOL``) at the argmax.
 
 Restart 0 starts from the eigenbasis of the measured reduction (which
 attains the supremum for pure states and for Schmidt-dephased states),
-restart 1 from the standard basis, and the rest from seeded Haar-random
-bases, derived once per config and process and kept read-only in a cache
-bounded at 64 configs.  The restarts ascend in lockstep, batched over a
-leading axis, and each takes exactly the steps it would take alone.  For qubit
-subsystems a deterministic grid over the Bloch sphere provides an independent
-cross-check.  The ascent and the grid keep the unnormalized gain form, not the
-kernel ``gain_from_conditionals``: the gradient needs each ``C_i``'s
-eigenvectors and logs, and ``discord`` prints this form's bits.
+restart 1 from the standard basis, and restart ``i >= 2`` from a Haar-random
+basis drawn from stream ``base + i`` of the seed, where ``base`` is
+``1000 * side`` for a gain on ``side`` and ``1000 * (side + 2)`` for the joint
+supremum's basis on ``side``.  The seeded starts are derived once per config
+and process and kept read-only in a cache bounded at 64 configs.  The restarts
+ascend in lockstep, batched over a leading axis, and each takes exactly the
+steps it would take alone.  For qubit subsystems a deterministic grid over the
+Bloch sphere provides an independent cross-check.  The ascent and the grid keep
+the unnormalized gain form, not the kernel ``gain_from_conditionals``: the
+gradient needs each ``C_i``'s eigenvectors and logs, and ``discord`` prints
+this form's bits.
 """
 
 from __future__ import annotations
@@ -45,11 +48,6 @@ _EPS = np.finfo(float).eps
 _GRID_RESOLUTION = 1e-3
 # Caps the ascent iterations of each restart, which otherwise stops on stationarity.
 _MAX_ITERATIONS = 2000
-# Stream offsets keep restart seeds for the four optimized bases disjoint.
-_STREAM_GAIN_1 = 1_000
-_STREAM_GAIN_2 = 2_000
-_STREAM_JOINT_1 = 3_000
-_STREAM_JOINT_2 = 4_000
 
 
 @dataclass(frozen=True)
@@ -95,14 +93,17 @@ class SupremumResult:
         return sum(1 for v in self.restart_values if v >= best - AGREE_TOL)
 
 
-def _eigbasis(matrix: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(eigh(matrix)[1])
+def _anchors(state: BipartiteState, side: int, cfg: OptimizationConfig, base: int) -> np.ndarray:
+    """``side``'s starts, stacked and cut to ``cfg.restarts``: its reduction's eigenbasis,
+    the identity, then restart ``i >= 2`` from stream ``base + i`` of ``cfg.seed``.
 
-
-def _anchors(restarts: int, d: int, eigbasis: np.ndarray, seed: int, base: int) -> np.ndarray:
-    """Restart ``i``'s start, stacked: the eigenbasis, the identity, then stream ``base + i``'s."""
-    randoms = _haar_starts(restarts, d, seed, base) if restarts > 2 else []
-    return np.stack([eigbasis, np.eye(d, dtype=np.complex128), *randoms][:restarts])
+    ``base`` is ``1000 * side`` for a gain and ``1000 * (side + 2)`` for the joint
+    supremum, so the four optimized bases draw from disjoint streams.
+    """
+    reduced = (state.rho1 if side == 1 else state.rho2).matrix
+    d = reduced.shape[0]
+    randoms = _haar_starts(cfg.restarts, d, cfg.seed, base) if cfg.restarts > 2 else []
+    return np.stack([eigh(reduced)[1], np.eye(d, dtype=np.complex128), *randoms][: cfg.restarts])
 
 
 @functools.lru_cache(maxsize=64)
@@ -197,6 +198,17 @@ def _joint_directions(r: np.ndarray, us, parts):
     k1 = einsum("...ij,...jac,...ci,...di->...ad", weights, d, u1, u1.conj())
     k2 = einsum("...ij,...ibe,...ej,...fj->...bf", weights, c, u2, u2.conj())
     return k1 - k1.conj().swapaxes(-1, -2), k2 - k2.conj().swapaxes(-1, -2)
+
+
+def _gain_problem(r: np.ndarray, s_opp: float):
+    """``_lockstep_ascent``'s ``(evaluate, direction)``: the gain of measuring ``r``'s side 1."""
+    return (lambda us: _gain_terms(r, s_opp, us[0]),
+            lambda us, parts: (_gain_direction(r, us[0], parts),))
+
+
+def _joint_problem(r: np.ndarray):
+    """``_lockstep_ascent``'s ``(evaluate, direction)``: the joint mutual information on ``r``."""
+    return functools.partial(_joint_terms, r), functools.partial(_joint_directions, r)
 
 
 def _flat(a) -> np.ndarray:
@@ -426,22 +438,11 @@ def sup_information_gain(
     """Maximize the information gain over complete bases on ``side``."""
     _check_config(cfg)
     r = _measured_first(state, side)
-    d = r.shape[0]
-    reduced = state.rho1 if side == 1 else state.rho2
-    eigbasis = _eigbasis(reduced.matrix)
-    stream = _STREAM_GAIN_1 if side == 1 else _STREAM_GAIN_2
     s_opp = _opposite_entropy(r)
-
-    def evaluate(us):
-        return _gain_terms(r, s_opp, us[0])
-
-    def direction(us, parts):
-        return (_gain_direction(r, us[0], parts),)
-
-    starts = _anchors(cfg.restarts, d, eigbasis, cfg.seed, stream)
-    ascents = _lockstep_ascent(evaluate, direction, (starts,))
+    starts = _anchors(state, side, cfg, 1000 * side)
+    ascents = _lockstep_ascent(*_gain_problem(r, s_opp), (starts,))
     candidates = [(value, us[0], norm, evals) for value, us, norm, evals in ascents]
-    if cfg.grid_refine and d == 2:
+    if cfg.grid_refine and r.shape[0] == 2:
         value, basis, points = _grid_search(r, s_opp)
         _, parts = _gain_terms(r, s_opp, basis)
         norm = float(np.linalg.norm(_gain_direction(r, basis, parts)))
@@ -475,22 +476,8 @@ def sup_joint_mutual_information(
     Ascends on U(d1) x U(d2) jointly; the argmax is the pair ``(u1, u2)``.
     """
     _check_config(cfg)
-    d1, d2 = state.dims.d1, state.dims.d2
-    r = _measured_first(state, 1)
-    eig1 = _eigbasis(state.rho1.matrix)
-    eig2 = _eigbasis(state.rho2.matrix)
-
-    def evaluate(us):
-        return _joint_terms(r, us)
-
-    def direction(us, parts):
-        return _joint_directions(r, us, parts)
-
-    starts = (
-        _anchors(cfg.restarts, d1, eig1, cfg.seed, _STREAM_JOINT_1),
-        _anchors(cfg.restarts, d2, eig2, cfg.seed, _STREAM_JOINT_2),
-    )
-    return _reduce_candidates(_lockstep_ascent(evaluate, direction, starts))
+    starts = tuple(_anchors(state, side, cfg, 1000 * (side + 2)) for side in (1, 2))
+    return _reduce_candidates(_lockstep_ascent(*_joint_problem(_measured_first(state, 1)), starts))
 
 
 def quantum_discord(

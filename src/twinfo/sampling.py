@@ -18,6 +18,8 @@ from .states import Dims, as_integer
 # numpy's SeedSequence hash on 32-bit words; _KEY[k] is generate_state's constant before word k.
 _MASK, _INIT_A, _MULT_A, _MIX_L, _MIX_R = 0xFFFFFFFF, 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
 _KEY = np.array([0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) & _MASK for k in range(5)], np.uint32)
+# A random observable on stream ``s`` draws its eigenspace cuts from stream ``s + _CUTS``.
+_CUTS = 500_000
 
 
 def _width(n: int) -> int:
@@ -131,7 +133,7 @@ def sample_random_observable(d: int, seed: int, stream: int = 0, complete: bool 
 
 def sample_random_observables(d: int, seed: int, streams, complete: bool = True) -> list:
     """``sample_random_observable`` of each stream; the eigenbases come from one batched QR."""
-    rngs = generators(seed, [*streams, *(s + 500_000 for s in streams)])
+    rngs = generators(seed, [*streams, *(s + _CUTS for s in streams)])
     return _observables(_unitaries(d, len(streams), rngs), rngs, complete)
 
 

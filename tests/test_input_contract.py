@@ -9,6 +9,9 @@ Files are drawn deterministically (``derandomize=True``) at 1 to 3 dimensions
 per side.  Most start as a valid state and its Schmidt twins, or a random
 state and observables, and some of those get entries replaced by extreme or
 uniform values; others are all extreme entries, or malformed on purpose.
+
+The library's argument guards that a public caller can reach each raise their
+type with twinfo's own message (``test_library_guards_raise_twinfo_messages``).
 """
 
 import contextlib
@@ -18,6 +21,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +33,7 @@ CONTRACT = settings(derandomize=True, database=None, deadline=None, max_examples
 EXTREMES = (0.0, -0.0, 5e-324, 1e-300, 1e-160, 1e154, 1e308, -1e308, math.nan, math.inf,
             2.0**53, 1e20)
 COMMANDS = {"report": [], "schmidt": [], "discord": ["--restarts", "2"], "twins": []}
-MANGLES = ("truncate", "bad_bytes", "bool_dims", "unknown_kind", "kind_swap")
+MANGLES = ("truncate", "bad_bytes", "bool_dims", "unknown_kind", "kind_swap", "not_object", "short")
 
 entry_st = st.one_of(st.sampled_from(EXTREMES), st.floats(-1.0, 1.0))
 
@@ -74,7 +78,9 @@ def _file(draw, kind: str, dims: list, valid: np.ndarray, intact: bool) -> bytes
         n = valid.shape[0]
         payload["kind"], payload["dims"] = (
             ("density", [n, 1]) if kind == "observable" else ("observable", [n]))
-    text = json.dumps(payload).encode()
+    elif mangle == "short":  # one pair short: the vector's last, or the last matrix row's
+        (payload.get("vector") or payload["matrix"][-1]).pop()
+    text = json.dumps([payload] if mangle == "not_object" else payload).encode()
     if mangle == "truncate":
         text = text[:draw(st.integers(0, len(text) - 1))]
     elif mangle == "bad_bytes":
@@ -150,3 +156,54 @@ def test_every_input_file_ends_in_a_contract_outcome(tmp_path):
     # The draws reach every outcome, true twin verdicts included.
     assert {code for _, code in seen} == {0, 1, 2, 4}
     assert ("twins", 0) in seen
+
+
+def _table_observable(*diagonals) -> T.Observable:
+    """A hand-built side observable whose "projectors" are the given diagonals, unchecked."""
+    projectors = np.array([np.diag(d) for d in diagonals], dtype=complex)
+    return T.Observable(np.arange(1.0, len(diagonals) + 1), projectors, np.ones(len(diagonals), int))
+
+
+def _joint(state_matrix, *diagonals):
+    state = T.make_bipartite(state_matrix, T.Dims(2, 2))
+    z2 = T.SubsystemObservable(T.observable_from_basis(np.eye(2)), 2)
+    return lambda: T.joint_distribution(state, T.SubsystemObservable(_table_observable(*diagonals), 1), z2)
+
+
+def _swapped(call):
+    bell = T.bipartite_from_pure(np.array([1, 0, 0, 1]) / math.sqrt(2), T.Dims(2, 2))
+    z = T.observable_from_basis(np.eye(2))
+    return lambda: call(bell, T.SubsystemObservable(z, 2), T.SubsystemObservable(z, 1))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: T.Dims(0, 2), ValueError, r"^subsystem dimensions must be >= 1, got 0x2$"),
+    (lambda: T.partial_trace(np.eye(4) / 4, T.Dims(2, 2), keep=3), ValueError,
+     r"^keep must be 1 or 2, got 3$"),
+    (lambda: T.validate_density(np.ones(4)), T.StateValidationError,
+     r"^expected a square matrix, got shape \(4,\)$"),
+    (lambda: T.bipartite_from_pure(np.ones(3) / math.sqrt(3), T.Dims(2, 2)), T.StateValidationError,
+     r"^vector length 3 does not match dims 2x2$"),
+    (lambda: T.shannon_entropy([]), T.StateValidationError, r"^empty probability list$"),
+    (lambda: T.SubsystemObservable(T.observable_from_basis(np.eye(2)), 3), ValueError,
+     r"^subsystem must be 1 or 2, got 3$"),
+    (lambda: T.observable_from_basis(np.zeros((2, 3))), ValueError,
+     r"^basis must be square, got shape \(2, 3\)$"),
+    (_swapped(T.joint_distribution), ValueError,
+     r"^joint_distribution expects a side-1 and a side-2 observable$"),
+    (_swapped(T.verify_twins), ValueError, r"^verify_twins expects a side-1 and a side-2 observable$"),
+    # Outcome weights 1.5 and -0.5 on |00>, then one outcome that misses half of 1/4.
+    (_joint(np.diag([1.0, 0, 0, 0]), [1.5, 0], [-0.5, 1]), ValueError,
+     r"^joint probability -5\.000e-01 below clamp threshold$"),
+    (_joint(np.eye(4) / 4, [1, 0]), ValueError, r"^joint probabilities sum to 0\.5$"),
+    (lambda: T.coherence_decomposition(T.observable_from_basis(np.eye(2)), T.validate_density(np.eye(3) / 3)),
+     ValueError, r"^dimension mismatch: observable 2, state 3$"),
+], ids=["dims-below-1", "partial-trace-keep", "density-1d", "pure-length", "empty-distribution",
+        "subsystem-3", "basis-not-square", "joint-sides-swapped", "twins-sides-swapped",
+        "joint-below-clamp", "joint-sum", "coherence-dims"])
+def test_library_guards_raise_twinfo_messages(call, error, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match) as raised:
+            call()
+    assert type(raised.value) is error

@@ -262,11 +262,17 @@ def test_report_malformed_json_exits_1(tmp_path):
     b'{"kind": "pure", "dims": [1, 1], "vector": [[1' + b"0" * 400 + b', 0]]}',
     b'{"kind": "density", "dims": [8589934592, 8589934592], "matrix": []}',
     b'{"kind": "density", "dims": [1' + b"0" * 3000 + b", 1" + b"0" * 3000 + b'], "matrix": []}',
+    b'[{"kind": "pure", "dims": [1, 1], "vector": [[1, 0]]}]',
+    b'{"kind": "pure", "dims": [2, 1], "vector": [[1, 0]]}',
+    b'{"kind": "density", "dims": [2, 1], "matrix": [[[0.5, 0], [0, 0]], [[0.5, 0]]]}',
+    None,  # no file at all
 ], ids=["not_utf8", "nested_deep", "long_integer", "integer_beyond_float", "dims_product_wraps",
-        "dims_product_too_long_to_print"])
+        "dims_product_too_long_to_print", "top_level_not_object", "short_vector", "short_matrix_row",
+        "missing_file"])
 def test_report_malformed_file_exits_1_on_one_line(content, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_bytes(content)
+    if content is not None:
+        path.write_bytes(content)
     res = run_cli("report", str(path))
     assert res.returncode == 1
     assert res.stdout == ""
@@ -346,7 +352,8 @@ def test_sweep_rejects_big_dims(tmp_path):
     "seed, dims, samples, tol, match",
     [
         (-1, (2, 2), 3, 1e-9, r"^seed must be >= 0, got -1$"),
-        (1.5, (2, 2), 3, 1e-9, "cannot be interpreted as an integer"),
+        (1.5, (2, 2), 3, 1e-9, r"^seed must be an integer, got 1\.5$"),
+        (True, (2, 2), 3, 1e-9, r"^seed must be an integer, got True$"),
         (1, (9, 2), 3, 1e-9, r"^dims sides must be <= 8, got 9x2$"),
         (1, (2, 9), 3, 1e-9, r"^dims sides must be <= 8, got 2x9$"),
         (1, (2, 2), 0, 1e-9, r"^samples must be >= 1, got 0$"),
@@ -358,13 +365,13 @@ def test_sweep_rejects_big_dims(tmp_path):
         (1, (9, 9), 0, math.nan, "^dims"),
         (1, (2, 2), 0, math.nan, "^samples"),
     ],
-    ids=["seed", "float-seed", "side-1", "side-2", "samples", "nan-tol", "minus-inf-tol", "seed-first",
+    ids=["seed", "float-seed", "bool-seed", "side-1", "side-2", "samples", "nan-tol", "minus-inf-tol", "seed-first",
          "sides-before-samples", "samples-before-tol"],
 )
 def test_sweep_records_rejects_bad_options_at_the_call(seed, dims, samples, tol, match):
     # No ``next``: the checks run when the records are asked for, not when the first is drawn.
-    # A seed that is no integer is a TypeError, as in ``OptimizationConfig``.
-    with pytest.raises(TypeError if isinstance(seed, float) else ValueError, match=match):
+    # A seed that is no integer, a bool included, is a TypeError, as in ``OptimizationConfig``.
+    with pytest.raises(TypeError if isinstance(seed, (bool, float)) else ValueError, match=match):
         chains.sweep_records(T.Dims(*dims), seed, samples, tol)
 
 
@@ -708,6 +715,7 @@ def test_discord_summary_counts_grid_as_candidate(tmp_path):
         ("discord", "{bell}", "--seed", "-1", "--restarts", "2"),
         ("sweep", "--dims", "2x0", "--samples", "2", "--out", "{out}"),
         ("sweep", "--dims", "0x3", "--samples", "2", "--out", "{out}"),
+        ("sweep", "--dims", "ax2", "--samples", "2", "--out", "{out}"),
         ("sweep", "--tol=-inf", "--samples", "2", "--out", "{out}"),
         ("twins", "{bell}", "{z}", "{z}", "--tol=-inf"),
         # Outside (0, 1) every column pairs (tol >= 1) or no residual passes (tol <= 0).

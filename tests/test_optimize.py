@@ -600,11 +600,6 @@ def _lockstep_cases():
             yield d1, d2, rank, state.rho12.matrix.reshape(d1, d2, d1, d2), state
 
 
-def _stack_starts(d, eigbasis, seed, count):
-    # Row 0 is the reduction's eigenbasis, which is stationary for a pure state.
-    return O._anchors(count, d, eigbasis, seed, 0)
-
-
 def test_seeded_starts_are_derived_once_per_config():
     starts = O._haar_starts(5, 3, 7, 1_000)
     assert O._haar_starts(5, 3, 7, 1_000) is starts
@@ -615,11 +610,12 @@ def test_seeded_starts_are_derived_once_per_config():
 
 
 def test_anchors_copy_the_cached_starts():
-    eigbasis = np.eye(3, dtype=complex)
-    first = O._anchors(5, 3, eigbasis, 7, 1_000)
+    state = random_state(T.Dims(3, 2), rank=6, seed=7)
+    cfg = T.OptimizationConfig(restarts=5, seed=7)
+    first = O._anchors(state, 1, cfg, 1_000)
     expected = first.tobytes()
     first[:] = 0.0
-    assert O._anchors(5, 3, eigbasis, 7, 1_000).tobytes() == expected
+    assert O._anchors(state, 1, cfg, 1_000).tobytes() == expected
 
 
 def _result_bits(result):
@@ -649,38 +645,32 @@ def _assert_same_ascents(lockstep, alone):
         assert [u.tobytes() for u in us0] == [np.ascontiguousarray(u).tobytes() for u in us1]
 
 
-def _gain_problem(r):
-    s_opp = O._opposite_entropy(r)
-    return (lambda us: O._gain_terms(r, s_opp, us[0]),
-            lambda us, parts: (O._gain_direction(r, us[0], parts),))
-
-
-def _joint_problem(r):
-    return (lambda us: O._joint_terms(r, us),
-            lambda us, parts: O._joint_directions(r, us, parts))
-
-
 @pytest.mark.parametrize("max_iterations", [None, 3])
 def test_lockstep_ascent_equals_each_start_alone(max_iterations, monkeypatch):
     if max_iterations is not None:
         monkeypatch.setattr(O, "_MAX_ITERATIONS", max_iterations)
     for d1, d2, rank, r, state in _lockstep_cases():
-        evaluate, direction = _gain_problem(r)
-        starts = _stack_starts(d1, O._eigbasis(state.rho1.matrix), d1 + rank, 4)
+        # The suprema's own objectives from their own starts; row 0 is the reduction's
+        # eigenbasis, which is stationary for a pure state.
+        evaluate, direction = O._gain_problem(r, O._opposite_entropy(r))
+        cfg = T.OptimizationConfig(restarts=4, seed=d1 + rank)
+        starts = O._anchors(state, 1, cfg, 1_000)
         lockstep = O._lockstep_ascent(evaluate, direction, (starts,))
         _assert_same_ascents(lockstep, [_ascend_alone(evaluate, direction, (u,)) for u in starts])
+        assert T.sup_information_gain(state, 1, cfg).restart_values == tuple(c[0] for c in lockstep)
         if rank == 1:
             assert lockstep[0][3] == 1
         if max_iterations is not None and rank == d1 * d2:
             # The cap stops some start before its gradient vanishes.
             assert any(cand[2] > O.GRAD_TOL for cand in lockstep)
 
-        evaluate, direction = _joint_problem(r)
-        starts = (_stack_starts(d1, O._eigbasis(state.rho1.matrix), d2, 3),
-                  _stack_starts(d2, O._eigbasis(state.rho2.matrix), d1 + 9, 3))
+        evaluate, direction = O._joint_problem(r)
+        cfg = T.OptimizationConfig(restarts=3, seed=d2)
+        starts = tuple(O._anchors(state, side, cfg, 1_000 * (side + 2)) for side in (1, 2))
         lockstep = O._lockstep_ascent(evaluate, direction, starts)
         alone = [_ascend_alone(evaluate, direction, pair) for pair in zip(*starts)]
         _assert_same_ascents(lockstep, alone)
+        assert T.sup_joint_mutual_information(state, cfg).restart_values == tuple(c[0] for c in lockstep)
         if rank == 1:
             assert lockstep[0][3] == 1
 
