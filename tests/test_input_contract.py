@@ -33,7 +33,7 @@ CONTRACT = settings(derandomize=True, database=None, deadline=None, max_examples
 EXTREMES = (0.0, -0.0, 5e-324, 1e-300, 1e-160, 1e154, 1e308, -1e308, math.nan, math.inf,
             2.0**53, 1e20)
 COMMANDS = {"report": [], "schmidt": [], "discord": ["--restarts", "2"], "twins": []}
-MANGLES = ("truncate", "bad_bytes", "bool_dims", "unknown_kind", "kind_swap", "not_object", "short")
+MANGLES = ("truncate", "bad_bytes", "bool_dims", "unknown_kind", "kind_swap")
 
 entry_st = st.one_of(st.sampled_from(EXTREMES), st.floats(-1.0, 1.0))
 
@@ -78,9 +78,7 @@ def _file(draw, kind: str, dims: list, valid: np.ndarray, intact: bool) -> bytes
         n = valid.shape[0]
         payload["kind"], payload["dims"] = (
             ("density", [n, 1]) if kind == "observable" else ("observable", [n]))
-    elif mangle == "short":  # one pair short: the vector's last, or the last matrix row's
-        (payload.get("vector") or payload["matrix"][-1]).pop()
-    text = json.dumps([payload] if mangle == "not_object" else payload).encode()
+    text = json.dumps(payload).encode()
     if mangle == "truncate":
         text = text[:draw(st.integers(0, len(text) - 1))]
     elif mangle == "bad_bytes":

@@ -1,14 +1,14 @@
 """Census of the library lines that no check runs.
 
-    python3 tools/line_hits.py [PYTEST_ARGS ...]
+    python3 tools/line_hits.py
 
-(``--golden WORK`` as the only arguments is the traced child's own entry.)
+(``--golden WORK``, its only other argv form, is the traced child's own entry.)
 
-Runs the Tier-1 suite (``python -m pytest -q --continue-on-collection-errors
-PYTEST_ARGS`` in the repository root, so ``tests`` by default), then every
-argv of the golden set of ``tools/cli_golden.py`` through ``twinfo.cli.main``,
-each in a fresh working directory that holds the golden inputs, all in one
-tree under a line tracer.  It prints each executable line of ``src/twinfo``
+Runs the whole Tier-1 suite (``python -m pytest -q -p no:cacheprovider
+--continue-on-collection-errors`` in the repository root), then every argv of
+the golden set of ``tools/cli_golden.py`` through ``twinfo.cli.main``, each in
+a fresh working directory that holds the golden inputs, all in one tree under
+a line tracer.  It prints each executable line of ``src/twinfo``
 that never ran, as ``path:line: source``, then a one-line summary.  A line is
 executable when a code object compiled from its module lists it in
 ``co_lines``.
@@ -142,7 +142,7 @@ def run_golden(work: str) -> None:
                 pass
 
 
-def run_traced(pytest_args, tmp: str) -> tuple[int, float, float]:
+def run_traced(tmp: str) -> tuple[int, float, float]:
     """Tier-1, then the golden argvs in one process, under the tracer; returns the
     suite's exit code and both wall times."""
     site, out = os.path.join(tmp, "site"), os.path.join(tmp, "hits")
@@ -154,7 +154,7 @@ def run_traced(pytest_args, tmp: str) -> tuple[int, float, float]:
                PYTHONPATH=os.pathsep.join([site, SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
     start = time.perf_counter()
     suite = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                            "--continue-on-collection-errors", *pytest_args], cwd=ROOT, env=env)
+                            "--continue-on-collection-errors"], cwd=ROOT, env=env)
     tier1 = time.perf_counter() - start
     start = time.perf_counter()
     subprocess.run([sys.executable, os.path.abspath(__file__), "--golden", os.path.join(tmp, "golden")],
@@ -163,12 +163,15 @@ def run_traced(pytest_args, tmp: str) -> tuple[int, float, float]:
 
 
 def main(argv=None) -> int:
-    pytest_args = sys.argv[1:] if argv is None else argv
-    if pytest_args[:1] == ["--golden"]:
-        run_golden(pytest_args[1])
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 2 and argv[0] == "--golden":
+        run_golden(argv[1])
         return 0
+    if argv:
+        print("usage: python3 tools/line_hits.py", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
-        code, tier1, golden = run_traced(pytest_args, tmp)
+        code, tier1, golden = run_traced(tmp)
         ran = ran_lines(os.path.join(tmp, "hits"))
     total = unrun = 0
     for name in sorted(os.listdir(PACKAGE)):
