@@ -11,6 +11,7 @@ records.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -64,10 +65,11 @@ def sweep_records(dims: Dims, seed: int, samples: int, tol: float):
     """Per sample ``0 .. samples - 1``, in order: ``(index, rho, ref, records)``,
     the sampled state and reference matrices and the sample's records.
 
-    Raises at the call: TypeError for a seed that is no integer (a bool included),
-    then ValueError at the first failed check: ``seed >= 0``, sides
-    at most ``MAX_SWEEP_DIM``, ``samples >= 1``, ``tol`` neither nan (it would pass
-    every margin) nor -inf (fail every one).  Samples are checked in chunks of at
+    Raises at the call, at the first failed check in the order seed, sides, samples,
+    tol: TypeError for a seed or ``samples`` that is no integer (a bool included) or a
+    ``tol`` that is no real number, ValueError unless ``seed >= 0``, sides at most
+    ``MAX_SWEEP_DIM``, ``samples >= 1`` and ``tol`` neither nan (it would pass every
+    margin) nor -inf (fail every one).  Samples are checked in chunks of at
     most ``SWEEP_CHUNK_ENTRIES`` matrix entries per sample stack (at least one
     sample); the records do not depend on it.
     """
@@ -75,8 +77,10 @@ def sweep_records(dims: Dims, seed: int, samples: int, tol: float):
         raise ValueError(f"seed must be >= 0, got {seed}")
     if dims.d1 > MAX_SWEEP_DIM or dims.d2 > MAX_SWEEP_DIM:
         raise ValueError(f"dims sides must be <= {MAX_SWEEP_DIM}, got {dims.d1}x{dims.d2}")
-    if samples < 1:
+    if as_integer(samples, "samples must be an integer") < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if not isinstance(tol, numbers.Real) or isinstance(tol, bool):
+        raise TypeError(f"tol must be a number, got {tol!r}")
     if math.isnan(tol):
         raise ValueError("tol must be a number, got nan")
     if tol == -math.inf:

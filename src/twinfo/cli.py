@@ -127,7 +127,11 @@ def _emit(command: str, seed, config: dict, body: dict, summary_lines) -> None:
         "config": {"backend": BACKEND, **config},
         **body,
     }
-    print(format_json(report))
+    try:
+        print(format_json(report), flush=True)
+    except OSError as exc:  # a closed pipe, say: point stdout at devnull so exit flushes quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise StateFileError(f"cannot write to stdout: {exc}") from None
     for line in summary_lines:
         print(line, file=sys.stderr)
 

@@ -3,7 +3,8 @@
 Files are JSON objects with a ``kind`` of ``density``, ``pure`` or
 ``observable``; complex entries are ``[re, im]`` pairs in row-major order.
 Output floats carry 17 significant digits (lossless for float64); positive
-infinity serializes as the string ``"inf"``.
+infinity serializes as the string ``"inf"``.  The numbers of a flat list share
+one line; every other container puts one item per line, two spaces deeper per level.
 """
 
 from __future__ import annotations
@@ -109,7 +110,14 @@ def write_state_file(path: str, kind: str, array: np.ndarray, dims) -> None:
         fh.write("\n")
 
 
-def _format_float(x: float) -> str:
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def _scalar(x) -> str:
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    x = float(x)
     if math.isnan(x):
         raise ValueError("cannot serialize NaN")
     if math.isinf(x):
@@ -119,52 +127,28 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _write_json(obj, pieces: list, indent: int) -> None:
-    pad = "  " * indent
+def _json(obj, pad: str) -> str:
+    """The text for ``obj``, its continuation lines indented from ``pad``."""
     if obj is None or isinstance(obj, (bool, str)):
-        pieces.append(json.dumps(obj))
-    elif isinstance(obj, (int, float, np.integer, np.floating)):
-        pieces.append(_scalar(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        for k, (key, value) in enumerate(obj.items()):
-            pieces.append(f'{pad}  {json.dumps(str(key))}: ')
-            _write_json(value, pieces, indent + 1)
-            pieces.append(",\n" if k < len(obj) - 1 else "\n")
-        pieces.append(pad + "}")
+        return json.dumps(obj)
+    if _is_number(obj):
+        return _scalar(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        brackets = "{}"
+        items = [f"{json.dumps(str(key))}: {_json(value, inner)}" for key, value in obj.items()]
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            pieces.append("[]")
-            return
-        flat = all(
-            isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
-            for x in seq
-        )
-        if flat:
-            pieces.append("[" + ", ".join(_scalar(x) for x in seq) + "]")
-            return
-        pieces.append("[\n")
-        for k, value in enumerate(seq):
-            pieces.append(pad + "  ")
-            _write_json(value, pieces, indent + 1)
-            pieces.append(",\n" if k < len(seq) - 1 else "\n")
-        pieces.append(pad + "]")
+        if len(obj) and all(map(_is_number, obj)):
+            return "[" + ", ".join(map(_scalar, obj)) + "]"
+        brackets = "[]"
+        items = [_json(value, inner) for value in obj]
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _scalar(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return _format_float(float(x))
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def format_json(obj) -> str:
     """Serialize with insertion-ordered keys and 17-significant-digit floats."""
-    pieces = []
-    _write_json(obj, pieces, 0)
-    return "".join(pieces)
+    return _json(obj, "")

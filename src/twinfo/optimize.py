@@ -429,6 +429,7 @@ def _grid_search(r: np.ndarray, s_opp: float):
 
 def _measured_first(state: BipartiteState, side: int) -> np.ndarray:
     """State tensor ``(d_meas, d_opp, d_meas, d_opp)`` with the measured side first."""
+    side = as_integer(side, "side must be an integer")
     return measured_first(state.rho12.matrix, state.dims.d1, state.dims.d2, side)
 
 

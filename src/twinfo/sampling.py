@@ -133,6 +133,8 @@ def sample_random_observable(d: int, seed: int, stream: int = 0, complete: bool 
 
 def sample_random_observables(d: int, seed: int, streams, complete: bool = True) -> list:
     """``sample_random_observable`` of each stream; the eigenbases come from one batched QR."""
+    if not isinstance(complete, (bool, np.bool_)):
+        raise TypeError(f"complete must be a bool, got {complete!r}")
     rngs = generators(seed, [*streams, *(s + _CUTS for s in streams)])
     return _observables(_unitaries(d, len(streams), rngs), rngs, complete)
 

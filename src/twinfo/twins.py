@@ -17,6 +17,7 @@ to 17 digits, and another contraction order moves their last bits.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,8 @@ def detectable_spectrum(state: BipartiteState, sobs: SubsystemObservable) -> Det
 
 
 def _check_tol(tol: float) -> None:
+    if not isinstance(tol, numbers.Real) or isinstance(tol, bool):
+        raise TypeError(f"tol must be a number, got {tol!r}")
     if not 0.0 < tol < 1.0:  # at 1 or above every column pairs, at 0 or below no residual passes
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
 

@@ -18,6 +18,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -168,10 +169,30 @@ def _joint(state_matrix, *diagonals):
     return lambda: T.joint_distribution(state, T.SubsystemObservable(_table_observable(*diagonals), 1), z2)
 
 
+def _bell() -> T.BipartiteState:
+    return T.bipartite_from_pure(np.array([1, 0, 0, 1]) / math.sqrt(2), T.Dims(2, 2))
+
+
 def _swapped(call):
-    bell = T.bipartite_from_pure(np.array([1, 0, 0, 1]) / math.sqrt(2), T.Dims(2, 2))
     z = T.observable_from_basis(np.eye(2))
-    return lambda: call(bell, T.SubsystemObservable(z, 2), T.SubsystemObservable(z, 1))
+    return lambda: call(_bell(), T.SubsystemObservable(z, 2), T.SubsystemObservable(z, 1))
+
+
+def _twins_tol(tol):
+    z = T.observable_from_basis(np.eye(2))
+    return lambda: T.verify_twins(_bell(), T.SubsystemObservable(z, 1), T.SubsystemObservable(z, 2), tol)
+
+
+def _side(side, restarts=None):
+    if restarts is None:
+        return lambda: T.grid_information_gain_qubit(_bell(), side)
+    return lambda: T.sup_information_gain(_bell(), side, T.OptimizationConfig(restarts=restarts))
+
+
+# A side that is no integer, a bool included, on both optimiser entries; with 4 restarts the
+# gain also draws Haar starts.
+_SIDES = [(name, side, restarts) for name, side in (("float", 1.0), ("np-float64", np.float64(2.0)), ("bool", True))
+          for restarts in (2, 4, None)]
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -196,9 +217,18 @@ def _swapped(call):
     (_joint(np.eye(4) / 4, [1, 0]), ValueError, r"^joint probabilities sum to 0\.5$"),
     (lambda: T.coherence_decomposition(T.observable_from_basis(np.eye(2)), T.validate_density(np.eye(3) / 3)),
      ValueError, r"^dimension mismatch: observable 2, state 3$"),
+    (_twins_tol("0.5"), TypeError, r"^tol must be a number, got '0\.5'$"),
+    (_twins_tol(None), TypeError, r"^tol must be a number, got None$"),
+    # Any truthy value would draw a complete observable.
+    (lambda: T.sample_random_observable(3, 1, 0, complete="no"), TypeError,
+     r"^complete must be a bool, got 'no'$"),
+    *((_side(side, restarts), TypeError, rf"^side must be an integer, got {re.escape(repr(side))}$")
+      for _, side, restarts in _SIDES),
 ], ids=["dims-below-1", "partial-trace-keep", "density-1d", "pure-length", "empty-distribution",
         "subsystem-3", "basis-not-square", "joint-sides-swapped", "twins-sides-swapped",
-        "joint-below-clamp", "joint-sum", "coherence-dims"])
+        "joint-below-clamp", "joint-sum", "coherence-dims", "twins-str-tol", "twins-none-tol",
+        "observable-str-complete",
+        *(f"{'grid' if r is None else f'gain-restarts-{r}'}-{name}-side" for name, _, r in _SIDES)])
 def test_library_guards_raise_twinfo_messages(call, error, match):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

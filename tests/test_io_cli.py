@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twinfo as T
 from twinfo import chains
@@ -134,6 +137,52 @@ def test_format_json_bytes():
     for bad in (math.nan, -math.inf):
         with pytest.raises(ValueError):
             format_json(bad)
+
+
+_KEYS = st.text(alphabet="aZ é\u00fc\u4e2d\U0001f600\"\\\n", max_size=4)
+_LEAVES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072009e-308, 1e308, -1e308]),
+    st.integers(-(2**70), 2**70), st.booleans(), st.none(), _KEYS,
+)
+
+
+def _containers(items):
+    return st.one_of(st.lists(items, min_size=1, max_size=3),
+                     st.lists(items, min_size=1, max_size=3).map(tuple),
+                     st.dictionaries(_KEYS, items, min_size=1, max_size=3))
+
+
+def _numbers(x):
+    """The text of each number leaf of ``x``, in document order."""
+    if isinstance(x, dict):
+        x = x.values()
+    if isinstance(x, (list, tuple, type({}.values()))):
+        return [token for item in x for token in _numbers(item)]
+    if isinstance(x, float):
+        return [format(x, ".17g")]
+    return [str(x)] if isinstance(x, int) and not isinstance(x, bool) else []
+
+
+def _read_back(x):
+    if isinstance(x, dict):
+        return {key: _read_back(value) for key, value in x.items()}
+    return [_read_back(item) for item in x] if isinstance(x, (list, tuple)) else x
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_containers(_containers(_containers(st.recursive(
+    _LEAVES, lambda inner: st.one_of(st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+                                     st.dictionaries(_KEYS, inner, max_size=3)),
+    max_leaves=4)))))
+def test_format_json_round_trips_nested_containers(x):
+    text = format_json(x)
+    tokens = []
+    read = json.loads(text, parse_float=lambda t: tokens.append(t) or float(t),
+                      parse_int=lambda t: tokens.append(t) or int(t))
+    assert read == _read_back(x)
+    assert tokens == _numbers(x)
+    assert not any(line.endswith(" ") for line in text.split("\n"))
 
 
 def test_complex_payload_matches_entrywise_pairs():
@@ -349,30 +398,40 @@ def test_sweep_rejects_big_dims(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "seed, dims, samples, tol, match",
+    "seed, dims, samples, tol, error, match",
     [
-        (-1, (2, 2), 3, 1e-9, r"^seed must be >= 0, got -1$"),
-        (1.5, (2, 2), 3, 1e-9, r"^seed must be an integer, got 1\.5$"),
-        (True, (2, 2), 3, 1e-9, r"^seed must be an integer, got True$"),
-        (1, (9, 2), 3, 1e-9, r"^dims sides must be <= 8, got 9x2$"),
-        (1, (2, 9), 3, 1e-9, r"^dims sides must be <= 8, got 2x9$"),
-        (1, (2, 2), 0, 1e-9, r"^samples must be >= 1, got 0$"),
+        (-1, (2, 2), 3, 1e-9, ValueError, r"^seed must be >= 0, got -1$"),
+        (1.5, (2, 2), 3, 1e-9, TypeError, r"^seed must be an integer, got 1\.5$"),
+        (True, (2, 2), 3, 1e-9, TypeError, r"^seed must be an integer, got True$"),
+        (1, (9, 2), 3, 1e-9, ValueError, r"^dims sides must be <= 8, got 9x2$"),
+        (1, (2, 9), 3, 1e-9, ValueError, r"^dims sides must be <= 8, got 2x9$"),
+        (1, (2, 2), 0, 1e-9, ValueError, r"^samples must be >= 1, got 0$"),
+        (1, (2, 2), 2.5, 1e-9, TypeError, r"^samples must be an integer, got 2\.5$"),
+        (1, (2, 2), True, 1e-9, TypeError, r"^samples must be an integer, got True$"),
         # A nan tolerance passes every margin, -inf fails every one.
-        (1, (2, 2), 3, math.nan, r"^tol must be a number, got nan$"),
-        (1, (2, 2), 3, -math.inf, r"^tol must be above -inf$"),
+        (1, (2, 2), 3, math.nan, ValueError, r"^tol must be a number, got nan$"),
+        (1, (2, 2), 3, -math.inf, ValueError, r"^tol must be above -inf$"),
+        (1, (2, 2), 3, "x", TypeError, r"^tol must be a number, got 'x'$"),
+        (1, (2, 2), 3, True, TypeError, r"^tol must be a number, got True$"),
         # The first failed check wins: seed, sides, samples, then tol.
-        (-1, (9, 9), 0, math.nan, "^seed"),
-        (1, (9, 9), 0, math.nan, "^dims"),
-        (1, (2, 2), 0, math.nan, "^samples"),
+        (-1, (9, 9), 0, math.nan, ValueError, "^seed"),
+        (1, (9, 9), 0, math.nan, ValueError, "^dims"),
+        (1, (2, 2), 0, math.nan, ValueError, "^samples"),
+        (1, (9, 9), 2.5, "x", ValueError, "^dims"),
+        (1, (2, 2), 2.5, "x", TypeError, "^samples"),
     ],
-    ids=["seed", "float-seed", "bool-seed", "side-1", "side-2", "samples", "nan-tol", "minus-inf-tol", "seed-first",
-         "sides-before-samples", "samples-before-tol"],
+    ids=["seed", "float-seed", "bool-seed", "side-1", "side-2", "samples", "float-samples",
+         "bool-samples", "nan-tol", "minus-inf-tol", "str-tol", "bool-tol", "seed-first",
+         "sides-before-samples", "samples-before-tol", "sides-before-float-samples",
+         "float-samples-before-str-tol"],
 )
-def test_sweep_records_rejects_bad_options_at_the_call(seed, dims, samples, tol, match):
+def test_sweep_records_rejects_bad_options_at_the_call(seed, dims, samples, tol, error, match):
     # No ``next``: the checks run when the records are asked for, not when the first is drawn.
-    # A seed that is no integer, a bool included, is a TypeError, as in ``OptimizationConfig``.
-    with pytest.raises(TypeError if isinstance(seed, (bool, float)) else ValueError, match=match):
+    # A seed or sample count that is no integer, a bool included, is a TypeError, as in
+    # ``OptimizationConfig``, and so is a tol that is no real number.
+    with pytest.raises(error, match=match) as raised:
         chains.sweep_records(T.Dims(*dims), seed, samples, tol)
+    assert type(raised.value) is error
 
 
 def test_sweep_dumps_replayable_violations(tmp_path):
@@ -400,6 +459,26 @@ def test_sweep_unwritable_out_exits_1_on_one_line(tmp_path):
     assert res.stdout == ""
     assert "Traceback" not in res.stderr
     assert res.stderr.startswith("twinfo: --out: ")
+    assert res.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["report", "twins", "sweep"])
+def test_closed_stdout_exits_1_on_one_line(command, tmp_path):
+    # ``twinfo ... | head -1``: stdout is a pipe whose read end is gone before the run starts.
+    bell = write_bell(tmp_path / "bell.json")
+    z = write_observable(tmp_path / "z.json", SIGMA_Z)
+    args = {"report": [bell], "twins": [bell, z, z],
+            "sweep": ["--samples", "2", "--out", str(tmp_path / "v")]}[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run([sys.executable, "-m", "twinfo.cli", command, *args],
+                             stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert res.returncode == 1
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("twinfo: cannot write to stdout: ")
     assert res.stderr.count("\n") == 1
 
 

@@ -10,7 +10,7 @@ directory that holds a copy of the inputs.  It compares stdout, stderr, the
 exit code and every file a run leaves behind (violation dumps), prints one
 line per difference and exits 1 if there is any, 0 otherwise.
 
-The golden set of 151 argvs: ``sweep --samples 8`` at 2x2, 2x3, 3x3, 4x4 and 8x8
+The golden set of 157 argvs: ``sweep --samples 8`` at 2x2, 2x3, 3x3, 4x4 and 8x8
 with seeds 0-9, at 1x3, 4x1, 8x2 and 5x7 (one outcome, a one-dimensional
 opposite side, unequal sides), and seven other sweeps, three of them across
 sample-chunk boundaries; two 2x2 sweeps with seeds 2**32 and 2**130 (two and
@@ -18,9 +18,10 @@ five 32-bit words); eight ``sweep`` runs with rejected options (NaN and
 -inf ``--tol``, zero samples, a negative seed, dims too large, zero or not of
 the form AxB) or an ``--out`` that names a file; ``report``, ``schmidt`` and ``discord`` (both
 directions, with and without ``--grid-refine``) on a Werner state, a Bell pair,
-random 2x3 and 3x3 mixed states, a random 3x3 pure state, and states with
-one-dimensional sides (the 1x1 state, a random 2x1 mixed state and a random
-1x2 pure state); five more ``discord`` runs: rejected options on the Werner
+random 2x3 and 3x3 mixed states, a random 3x3 pure state, a random 2x3 pure
+state given as a density matrix (its Schmidt columns come from the eigensolver),
+and states with one-dimensional sides (the 1x1 state, a random 2x1 mixed state
+and a random 1x2 pure state); five more ``discord`` runs: rejected options on the Werner
 state (zero restarts, a negative seed, both) and on a missing file (zero
 restarts), and one restart with ``--grid-refine``; twelve ``twins``
 runs (complete and rank-k Schmidt twins on pure and Schmidt-dephased states,
@@ -48,7 +49,7 @@ import numpy as np
 
 TIMEOUT_S = 300
 STATES = ("werner.json", "bell.json", "mixed2x3.json", "mixed3x3.json", "pure3x3.json",
-          "one1x1.json", "mixed2x1.json", "pure1x2.json")
+          "puredensity2x3.json", "one1x1.json", "mixed2x1.json", "pure1x2.json")
 
 
 def _entries(array: np.ndarray) -> list:
@@ -93,6 +94,9 @@ def write_inputs(directory: str) -> None:
     put("mixed3x3.json", "density", [3, 3], "matrix", _density(np.random.default_rng(33), 9))
     phi = _pure(np.random.default_rng(34), 9)
     put("pure3x3.json", "pure", [3, 3], "vector", phi)
+    # A pure state as a density file: report and schmidt take its vector from the eigensolver.
+    pure = _pure(np.random.default_rng(26), 6)
+    put("puredensity2x3.json", "density", [2, 3], "matrix", np.outer(pure, pure.conj()))
     # One-dimensional sides: the ascent at d = 1 and the grid against a trivial opposite side.
     put("one1x1.json", "density", [1, 1], "matrix", np.eye(1))
     put("mixed2x1.json", "density", [2, 1], "matrix", _density(np.random.default_rng(21), 2))

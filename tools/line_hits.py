@@ -18,7 +18,7 @@ goes first on ``PYTHONPATH``, so every Python process started below, the
 suite's own ``python -m twinfo.cli`` subprocesses included, records the
 library lines it runs (``sys.settrace`` and ``threading.settrace``) and
 appends them to a file of its own at exit.  The golden argvs share one
-process, which spares 151 traced start-ups and reaches the same lines: each
+process, which spares 157 traced start-ups and reaches the same lines: each
 module's top level runs on import either way, and the suite runs
 ``python -m twinfo.cli`` itself.  Standard library only, apart from the numpy
 that the golden inputs are written with.  The exit code is the suite's; the
