@@ -1,6 +1,6 @@
 """Hot numeric kernels on raw complex128 arrays, in plain numpy, and the small
-array helpers the library shares: ``dagger``, ``frobenius``, ``range_projector``
-and ``tensor_product``, the public name of ``kron``.
+array helpers the library shares: ``dagger``, ``frobenius``, ``frobenius_rows``,
+``range_projector`` and ``tensor_product``, the public name of ``kron``.
 
 ``eigh``, ``eigvalsh`` and ``einsum`` are the library's one entry to LAPACK's
 Hermitian eigensolvers and to einsum: numpy's own compiled calls, without the
@@ -9,6 +9,11 @@ wrapper checks of ``np.linalg`` (about 2 us of a 12 us ``eigh`` of a
 (about 0.6 us of a 6 us three-operand call), on calls an optimisation makes
 thousands of times.  Each result equals numpy's public function bit for bit:
 the same compiled call on the same bytes.
+
+``frobenius`` and ``frobenius_rows`` are the library's one norm entry: numpy's
+``np.linalg.norm(x)`` body without its wrapper, so callers pass inexact arrays.
+``frobenius_rows`` takes a C-contiguous stack: a copy in C order of a strided
+slice is not the ``K`` order that ``frobenius`` ravels it in.
 
 Callers are responsible for passing C-contiguous complex128 arrays.
 ``KERNEL_CLIP`` implements the ``0 * log 0 = 0`` convention: eigenvalues and
@@ -27,6 +32,8 @@ with a leading sample axis, each row bitwise the unbatched call: stacked ``@``,
 zero-padded sum regroups terms, so rows with an entry at or below ``KERNEL_CLIP``
 sum only their kept entries, gathered with the rows that keep as many.
 """
+
+import math
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -63,8 +70,19 @@ def dagger(m):
 
 
 def frobenius(a, b=None) -> float:
-    """Frobenius norm of ``a`` (or of ``a - b``)."""
-    return float(np.linalg.norm(a if b is None else a - b))
+    """Frobenius norm of ``a`` (or of ``a - b``): the body of ``np.linalg.norm(x)``."""
+    x = (a if b is None else a - b).ravel(order="K")
+    if x.dtype.kind == "c":
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(x.dot(x))
+
+
+def frobenius_rows(stack):
+    """``frobenius`` of each matrix of a C-contiguous complex stack, bit for bit: a
+    vector-by-vector ``@`` is the 1-D ``dot`` on the same strides."""
+    x = stack.reshape(len(stack), 1, -1)
+    re, im = x.real, x.imag
+    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
 
 
 def entropy_bits(p):
@@ -144,7 +162,7 @@ def conditional_states(rt, projs):
     dm, do = rt.shape[:2]
     c = projs.reshape(len(projs), dm * dm) @ rt.transpose(2, 0, 1, 3).reshape(dm * dm, do * do)
     c = c.reshape(len(projs), do, do)
-    return np.trace(c, axis1=1, axis2=2).real, c
+    return c.trace(axis1=1, axis2=2).real, c
 
 
 def gain_from_conditionals(s, probs, conds):
@@ -179,7 +197,7 @@ def info_gain_side1(rho, basis, d2):
     w = kron(basis.conj().swapaxes(-1, -2), np.eye(d2, dtype=np.complex128))
     m = w @ rho @ w.conj().swapaxes(-1, -2)
     blocks = einsum("...ibic->...ibc", m.reshape(m.shape[:-2] + (n, d2, n, d2)))
-    probs = np.trace(blocks, axis1=-2, axis2=-1).real
+    probs = blocks.trace(axis1=-2, axis2=-1).real
     return gain_from_conditionals(vn_entropy(ptrace_keep2(rho, d1, d2)), probs, blocks)
 
 

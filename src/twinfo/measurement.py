@@ -14,8 +14,9 @@ lifts an operator, or a stack of them, on that side to ``P (x) 1`` or
 primitive ``kernels.conditional_states``; the gain and the coherence deficit
 are ``kernels.gain_from_conditionals``.  ``coincidence_table`` keeps its
 Kronecker arithmetic, batched, and traces side 1 out with ``kernels.ptrace_keep2``:
-twin residuals printed to 17 digits come from it.  ``luders_apply`` sums the
-stacked sandwich ``P_i rho P_i`` that ``coherence_decomposition`` also forms.
+twin residuals printed to 17 digits come from it, on side 1's projectors lifted
+by the caller once.  ``luders_apply`` sums the stacked sandwich ``P_i rho P_i``
+that ``coherence_decomposition`` also forms.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class Observable:
 
     def matrix(self) -> np.ndarray:
         """Reconstruct the operator from its spectral form."""
-        return np.sum(self.eigenvalues[:, None, None] * self.projectors, axis=0)
+        return (self.eigenvalues[:, None, None] * self.projectors).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ def observable_from_basis(u: np.ndarray) -> Observable:
         raise StateValidationError("finite", "basis has a non-finite entry")
     # Huge finite entries overflow the Gram matrix; its inf or nan deviation fails the check.
     with np.errstate(over="ignore", invalid="ignore"):
-        deviation = np.linalg.norm(dagger(u) @ u - np.eye(d))
+        deviation = frobenius(dagger(u) @ u - np.eye(d))
     if not deviation <= _BASIS_TOL * d:
         raise ValueError("basis columns are not orthonormal")
     cols = u.T
@@ -266,12 +267,11 @@ def distant_decomposition(state: BipartiteState, sobs: SubsystemObservable) -> D
     return DistantDecomposition(outcomes=tuple(outcomes), undetectable=tuple(undetectable))
 
 
-def coincidence_table(state: BipartiteState, projs1, projs2) -> np.ndarray:
-    """p[i, j] = Tr[rho (P_i (x) Q_j)] for side-1 projectors ``projs1`` and side-2 ``projs2``,
-    bitwise as ``Tr[Tr_1[rho (P_i (x) 1)] Q_j]`` one projector pair at a time."""
-    m = state.rho12.matrix @ embed(projs1, 1, state.dims)
-    cond = ptrace_keep2(m, state.dims.d1, state.dims.d2)
-    return np.trace(cond[:, None] @ projs2[None], axis1=2, axis2=3).real
+def coincidence_table(state: BipartiteState, lifted1, projs2) -> np.ndarray:
+    """p[i, j] = Tr[rho (P_i (x) Q_j)] for ``lifted1 = embed(projs1, 1, state.dims)`` and
+    side-2 ``projs2``, bitwise as ``Tr[Tr_1[rho (P_i (x) 1)] Q_j]`` one pair at a time."""
+    cond = ptrace_keep2(state.rho12.matrix @ lifted1, state.dims.d1, state.dims.d2)
+    return (cond[:, None] @ projs2[None]).trace(axis1=2, axis2=3).real
 
 
 def joint_distribution(
@@ -282,10 +282,11 @@ def joint_distribution(
         raise ValueError("joint_distribution expects a side-1 and a side-2 observable")
     a1.check_dims(state.dims)
     b2.check_dims(state.dims)
-    p = coincidence_table(state, a1.observable.projectors, b2.observable.projectors)
+    lifted1 = embed(a1.observable.projectors, 1, state.dims)
+    p = coincidence_table(state, lifted1, b2.observable.projectors)
     if float(p.min()) < -PROB_NEGATIVE_TOL:
         raise ValueError(f"joint probability {p.min():.3e} below clamp threshold")
-    p = np.clip(p, 0.0, None)
+    p = np.maximum(p, 0.0)
     total = float(p.sum())
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"joint probabilities sum to {total:.12g}")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import clamp_nonnegative, mutual_information
-from .kernels import KERNEL_CLIP, eigh, eigvalsh, einsum, measured_first
+from .kernels import KERNEL_CLIP, eigh, eigvalsh, einsum, frobenius, measured_first
 from .sampling import sample_random_unitaries
 from .states import BipartiteState, as_integer
 
@@ -446,7 +446,7 @@ def sup_information_gain(
     if cfg.grid_refine and r.shape[0] == 2:
         value, basis, points = _grid_search(r, s_opp)
         _, parts = _gain_terms(r, s_opp, basis)
-        norm = float(np.linalg.norm(_gain_direction(r, basis, parts)))
+        norm = frobenius(_gain_direction(r, basis, parts))
         candidates.append((value, basis, norm, points + 1))
     return _reduce_candidates(candidates)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .kernels import frobenius
 from .states import Dims, as_integer
 
 # numpy's SeedSequence hash on 32-bit words; _KEY[k] is generate_state's constant before word k.
@@ -70,7 +71,7 @@ def _ginibre(z: np.ndarray) -> np.ndarray:
 def sample_random_pure(dims: Dims, seed: int, stream: int = 0) -> np.ndarray:
     """Haar-distributed unit vector of length ``d1 * d2``."""
     z = _ginibre(generator(seed, stream).standard_normal((2, dims.total, 1)))[:, 0]
-    return z / np.linalg.norm(z)
+    return z / frobenius(z)
 
 
 def sample_random_density(dims: Dims, rank: int, seed: int, stream: int = 0) -> np.ndarray:

@@ -173,7 +173,7 @@ def _check_unit_vector(phi: np.ndarray, dims: Dims) -> np.ndarray:
     if not np.all(np.isfinite(phi)):
         raise StateValidationError("finite", "vector has a non-finite (nan or inf) entry")
     with np.errstate(over="ignore"):  # a squared norm beyond the float range is inf
-        norm = float(np.linalg.norm(phi))
+        norm = frobenius(phi)
     # The squared norm is the trace of |phi><phi|, held to the same tolerance.
     if abs(norm * norm - 1.0) > STATE_TOL:
         raise StateValidationError("norm", f"vector norm is {norm:.12g}, expected 1")

@@ -12,17 +12,20 @@ inequalities that relate them (see ``verify_twins``).
 Outcome probabilities, the outcome table and residuals (b) and (d) are
 batched over projector stacks with the per-slice Kronecker arithmetic of one
 projector at a time, not ``kernels.conditional_states``: the CLI prints them
-to 17 digits, and another contraction order moves their last bits.
+to 17 digits, and another contraction order moves their last bits.  Side 1's
+projectors are lifted once per call, for the table and for (b) and (d), and
+each residual stack is normed in one ``kernels.frobenius_rows`` call.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import eigvalsh, frobenius, range_projector
+from .kernels import eigvalsh, frobenius, frobenius_rows, range_projector
 from .measurement import (
     DETECT_EPS,
     Observable,
@@ -34,6 +37,7 @@ from .measurement import (
 from .states import BipartiteState, Dims, _bipartite_unchecked, _schmidt_products, schmidt_decompose
 
 TWIN_TOL = 1e-8
+_ROUNDING = 64 * np.finfo(float).eps  # per unit of total dimension, in the inequality check
 
 
 class ConditionMismatchError(RuntimeError):
@@ -80,7 +84,7 @@ def detectable_spectrum(state: BipartiteState, sobs: SubsystemObservable) -> Det
     sobs.check_dims(state.dims)
     reduced = state.rho1 if sobs.subsystem == 1 else state.rho2
     obs = sobs.observable
-    probabilities = np.trace(reduced.matrix @ obs.projectors, axis1=1, axis2=2).real
+    probabilities = (reduced.matrix @ obs.projectors).trace(axis1=1, axis2=2).real
     kept = np.nonzero(probabilities > DETECT_EPS)[0]
     return DetectableSpectrum(
         eigenvalues=obs.eigenvalues[kept],
@@ -102,10 +106,11 @@ def _pair_rows(table: np.ndarray, probabilities: np.ndarray, tol: float) -> tupl
     """One-to-one outcome correspondence: row ``i`` pairs with the single column
     ``j`` that carries its full weight, ``table[i, j] > (1 - tol) * p_i``.
     Returns None when a row lacks a partner or the map is not a bijection."""
+    hits = table > (1.0 - tol) * probabilities[:, None]
     pairs = []
     used = set()
-    for i, p_i in enumerate(probabilities):
-        partners = np.nonzero(table[i] > (1.0 - tol) * p_i)[0]
+    for i, row in enumerate(hits):
+        partners = np.flatnonzero(row)
         if len(partners) != 1:
             return None
         j = int(partners[0])
@@ -142,11 +147,12 @@ def verify_twins(
     comm = []
     for sobs, reduced in ((a1, state.rho1), (b2, state.rho2)):
         m = sobs.observable.matrix()
-        scale = max(1.0, float(np.max(np.abs(sobs.observable.eigenvalues))))
+        scale = max(1.0, float(np.abs(sobs.observable.eigenvalues).max()))
         comm.append(frobenius(m @ reduced.matrix - reduced.matrix @ m) / scale)
 
     spectra_match = len(spec_a.eigenvalues) == len(spec_b.eigenvalues)
-    table = coincidence_table(state, spec_a.projectors, spec_b.projectors)
+    e1 = embed(spec_a.projectors, 1, state.dims)
+    table = coincidence_table(state, e1, spec_b.projectors)
     pairing = _pair_rows(table, spec_a.probabilities, tol) if spectra_match else None
     # Rows 0..n-1 pair in order; ``order`` lists side 2's aligned outcomes, then the rest.
     n = min(len(spec_a.eigenvalues), len(spec_b.eigenvalues))
@@ -163,13 +169,12 @@ def verify_twins(
 
     # P1 rho and P2 rho once per outcome serve both (b) and (d); the first n
     # slices of each stack are the aligned pairs, the rest are unpaired.
-    e1 = embed(spec_a.projectors, 1, state.dims)
     e2 = embed(spec_b.projectors[order], 2, state.dims)
     x1 = e1 @ rho
     x2 = e2 @ rho
-    s = np.array([frobenius(m) for m in x1[:n] @ e1[:n] - x2[:n] @ e2[:n]])
+    s = frobenius_rows(x1[:n] @ e1[:n] - x2[:n] @ e2[:n])
     c = abs(1.0 - paired / weight)
-    x = np.array([frobenius(m) for m in x1[:n] - x2[:n]])
+    x = frobenius_rows(x1[:n] - x2[:n])
     res_b, res_c, res_d = (max(0.0, float(r.max())) for r in (s / rho_norm, c, x / rho_norm))
     # A detectable outcome left without a partner (only when the spectra differ) fails
     # (b)-(d) outright: its projected state must vanish and its partner has probability 0.
@@ -185,11 +190,11 @@ def verify_twins(
     # tr((P rho P - Q rho Q) X)), s <= 2x and x^2 <= ||rho|| t + (||rho|| + neg) neg.
     t = weight + spec_b.probabilities[cols] - 2.0 * paired
     total = state.dims.total
-    broken = [x * x - rho_norm * t, t - np.sqrt(total) * x, s - 2.0 * x, t - np.sqrt(total) * s]
-    if np.max(broken[0]) > 64 * np.finfo(float).eps * total:  # rare; neg costs an eigvalsh
+    broken = np.array([x * x - rho_norm * t, t - math.sqrt(total) * x, s - 2.0 * x, t - math.sqrt(total) * s])
+    if broken[0].max() > _ROUNDING * total:  # rare; neg costs an eigvalsh
         neg = -np.minimum(eigvalsh(rho), 0.0).sum()
         broken[0] = broken[0] - (rho_norm + neg) * neg
-    if np.max(broken) > 64 * np.finfo(float).eps * total:
+    if broken.max() > _ROUNDING * total:
         raise ConditionMismatchError(
             "twin conditions disagree: residuals "
             f"a={res_a:.3e} b={res_b:.3e} c={res_c:.3e} d={res_d:.3e} at tol {tol:.0e}"
@@ -198,7 +203,7 @@ def verify_twins(
     verdict = comm[0] < tol and comm[1] < tol and pairing is not None and max(residuals) < tol
 
     complete = all(
-        (abs(np.trace(s.projectors @ s.range_projector, axis1=1, axis2=2).real - 1.0) < tol).all()
+        (abs((s.projectors @ s.range_projector).trace(axis1=1, axis2=2).real - 1.0) < tol).all()
         for s in (spec_a, spec_b)
     )
 

@@ -1,6 +1,8 @@
 import math
 import pathlib
 import re
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ import pytest
 import twinfo as T
 from twinfo.entropy import SUPPORT_TOL, clamp_nonnegative, relative_entropies
 from twinfo.kernels import (
-    KERNEL_CLIP, dagger, eigh, eigvalsh, einsum, entropy_bits, gain_from_conditionals, info_gain_side1,
-    joint_mutual_info, kron, ptrace_keep1, ptrace_keep2, swap_sides, vn_entropy,
+    KERNEL_CLIP, dagger, eigh, eigvalsh, einsum, entropy_bits, frobenius, frobenius_rows,
+    gain_from_conditionals, info_gain_side1, joint_mutual_info, kron, ptrace_keep1, ptrace_keep2, swap_sides,
+    vn_entropy,
 )
 from twinfo.measurement import embed, luders_sum_rows
 from twinfo.sampling import generator, sample_random_observables, sample_random_unitaries
@@ -298,3 +301,83 @@ def test_the_library_has_one_eigensolver_and_einsum_entry():
         for i, line in enumerate(path.read_text().splitlines(), 1) if wrapped.search(line)
     ]
     assert offenders == []
+
+
+def test_the_library_has_one_norm_entry():
+    # Every other module goes through ``kernels.frobenius`` and ``frobenius_rows``, numpy's
+    # norm body without its wrapper.
+    wrapped = re.compile(r"\b(?:np|numpy)\.linalg\.norm\b|\bfrom\s+numpy(?:\.linalg)?\s+import\b[^\n]*\bnorm\b")
+    offenders = [
+        f"{path.name}:{i}: {line.strip()}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "kernels.py"
+        for i, line in enumerate(path.read_text().splitlines(), 1) if wrapped.search(line)
+    ]
+    assert offenders == []
+
+
+# ------------------------------------------------ the norm entry, bit for bit
+
+
+def _norm_inputs(dtype, seed):
+    """A vector, a matrix, its transpose and a column-strided view of it."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(6, 9 + 8))
+    if dtype is np.complex128:
+        x = x + 1j * rng.normal(size=x.shape)
+    vector, m = x[0].copy(), x[:, 9:].copy()
+    return {"1-D": vector, "2-D": m, "transposed": m.T, "strided": m[:, ::2]}
+
+
+# No errstate, ``states._check_unit_vector``'s and ``measurement.observable_from_basis``'s.
+NORM_ERRSTATES = [{}, {"over": "ignore"}, {"over": "ignore", "invalid": "ignore"}]
+
+
+def _norm_outcome(f, args, errstate):
+    """``f(*args)`` as bytes (or "nan") and the warnings it raised under ``errstate``."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(**errstate):
+        warnings.simplefilter("always")
+        value = f(*args)
+    assert isinstance(value, float)
+    return "nan" if math.isnan(value) else struct.pack("<d", value), [(w.category, str(w.message)) for w in caught]
+
+
+def _np_norm(a, b=None):
+    return float(np.linalg.norm(a if b is None else a - b))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("layout", ["1-D", "2-D", "transposed", "strided"])
+def test_frobenius_equals_np_linalg_norm_bitwise(dtype, layout):
+    for seed in range(20):
+        a, b = _norm_inputs(dtype, seed)[layout], _norm_inputs(dtype, seed + 100)[layout]
+        for args in ((a,), (a, b)):
+            assert _norm_outcome(frobenius, args, {}) == _norm_outcome(_np_norm, args, {})
+
+
+@pytest.mark.parametrize("special", [1e308, -1e308, 1.3e154, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("errstate", NORM_ERRSTATES, ids=["default", "over", "over-invalid"])
+def test_frobenius_treats_huge_and_non_finite_entries_as_np_linalg_norm_does(special, dtype, errstate):
+    # 1.3e154 squares to a finite 1.69e308; with a real and an imaginary entry the sum of
+    # the two dots overflows, which warns unless ``over`` is ignored.
+    for layout in ("1-D", "2-D", "transposed", "strided"):
+        a, b = _norm_inputs(dtype, 1)[layout], _norm_inputs(dtype, 2)[layout]
+        a[(0,) * a.ndim] = special
+        if dtype is np.complex128:
+            a[(-1,) * a.ndim] = complex(0.0, special)
+        for args in ((a,), (a, b), (b, a)):
+            assert _norm_outcome(frobenius, args, errstate) == _norm_outcome(_np_norm, args, errstate)
+
+
+# The stacks ``verify_twins`` norms, (n, D, D) with D = d1 d2 from 4 to 16, and the partial-trace
+# differences of a ``sweep`` chunk, (S, d, d) with d a side from 1 to 8.
+@pytest.mark.parametrize("shape", [(1, 4, 4), (2, 6, 6), (3, 9, 9), (4, 12, 12), (4, 16, 16),
+                                   (8, 1, 1), (8, 2, 2), (3, 3, 3), (8, 4, 4), (5, 7, 7), (1, 8, 8)])
+def test_frobenius_rows_equal_frobenius_of_each_row_bitwise(shape):
+    rng = np.random.default_rng(shape[-1])
+    for scale in (1.0, 1e-9, 1e150):
+        stack = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        rows = frobenius_rows(stack)
+        assert rows.shape == shape[:1] and rows.dtype == np.float64
+        for k in range(len(stack)):
+            assert struct.pack("<d", rows[k]) == struct.pack("<d", frobenius(stack[k]))
